@@ -75,7 +75,9 @@ class CampaignCatalog:
         return best
 
     def rank(self, objective: Objective, k: int | None = None) -> list[RunRecord]:
-        """Runs ordered best-first under ``objective``."""
+        """Runs ordered best-first under ``objective`` (the top ``k`` if given)."""
+        if k is not None and k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         records = sorted(
             self.records(),
             key=lambda r: r.metric(objective.metric),

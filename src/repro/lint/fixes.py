@@ -125,7 +125,7 @@ def _preamble_anchor(node) -> ast.stmt:
 def fix_source(text: str, path: str = "<source>") -> FileFixes:
     """Compute the auto-fixed form of one Python source file."""
     try:
-        tree = ast.parse(text)
+        tree = _flow.parse_source(text)
     except SyntaxError:
         return FileFixes(path=path, original=text, fixed=text, applied=())
 

@@ -27,7 +27,22 @@ from __future__ import annotations
 import ast
 import inspect
 import pickle
+import threading
 from dataclasses import dataclass, field
+
+#: Serializes every parse in the lint package.  CPython (seen on 3.11)
+#: keeps the bookkeeping of its tree-to-object conversion per
+#: interpreter, not per thread, so two threads parsing at once — lint
+#: gates of concurrent service submissions — can fail with
+#: ``SystemError('AST constructor recursion depth mismatch')``.
+_PARSE_LOCK = threading.Lock()
+
+
+def parse_source(text: str) -> ast.Module:
+    """``ast.parse(text)``, one thread at a time (see ``_PARSE_LOCK``)."""
+    with _PARSE_LOCK:
+        return ast.parse(text)
+
 
 #: Method names that mutate their receiver in place.  Used to detect
 #: module-state mutation through a method call rather than a store.
@@ -82,7 +97,7 @@ class ModuleIndex:
     @classmethod
     def from_source(cls, text: str, path: str = "<module>") -> "ModuleIndex | None":
         try:
-            tree = ast.parse(text)
+            tree = parse_source(text)
         except SyntaxError:
             return None
         return cls(tree, path)
@@ -435,6 +450,7 @@ __all__ = [
     "analyze_function",
     "analyze_callable",
     "dotted_parts",
+    "parse_source",
     "pickle_hints_for",
     "probe_pickle",
 ]

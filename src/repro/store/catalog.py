@@ -3,32 +3,48 @@
 :class:`StoreCatalog` answers the same queries as the in-memory
 :class:`repro.cheetah.CampaignCatalog` — ``best``, ``rank``, the Pareto
 front, per-parameter impact — but evaluates them *inside* the store's
-SQL engine instead of materializing every record in Python:
+SQL engine and builds a :class:`RunRecord` only for the runs an answer
+returns, never for the whole campaign:
 
-- ``best``/``rank`` are ``ORDER BY`` scans over the ``metrics(name,
-  value)`` index (ties broken by ``run_id``, exactly the in-memory
-  rule);
-- the Pareto front is a dominance anti-join (``NOT EXISTS`` over the
-  metric pivot) generated for the requested objectives;
+- ``best``/``rank`` are one ``ORDER BY`` scan over the metric (ties
+  broken by ``run_id``, exactly the in-memory rule) that validates the
+  metric in the same pass;
+- the Pareto front is a skyline over one scan ordered by the objective
+  columns: a single sweep for two objectives (Kung, Luccio & Preparata
+  1975), sort-filter-skyline for any other count (Börzsönyi, Kossmann &
+  Stocker, "The Skyline Operator", ICDE 2001);
 - ``parameter_impact`` is a ``GROUP BY`` over the parameters table with
   the grand mean folded from the same aggregate pass.
 
 The answers are equivalent by construction and pinned by
 ``tests/test_store_catalog_equivalence.py``: identical run ids in
 identical order for ``best``/``rank``/``pareto_front``, and the same
-``KeyError``/``ValueError`` contracts on missing metrics and empty
-catalogs.  One deliberate strictness difference: every objective query
-here validates the metric on *every* run up front (first missing run in
-run-id order names itself), where the in-memory catalog only discovers
-a missing metric lazily while comparing (and not at all for a
+``KeyError``/``ValueError`` contracts on missing metrics, empty catalogs
+and negative ``k``.  One deliberate strictness difference: every
+objective query here validates the metric on *every* run (first missing
+run in run-id order names itself), where the in-memory catalog only
+discovers a missing metric lazily while comparing (and not at all for a
 single-record ``best``).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
+import numpy as np
+
 from repro._util import loads_tagged
 from repro.cheetah.catalog import RunRecord
 from repro.cheetah.objectives import Direction, Objective
+
+#: The runs a catalog answers over: finished runs of one campaign (bound
+#: as the first parameter) that were really executed.
+_SCOPE = "r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL"
+
+#: Run keys per ``IN (...)`` lookup, well under every engine's bound on
+#: query parameters.
+_FETCH_CHUNK = 500
 
 
 class StoreCatalog:
@@ -40,43 +56,18 @@ class StoreCatalog:
         self._cid = store.campaign_id(campaign)
 
     def __len__(self) -> int:
-        return self.store.query(
-            "SELECT COUNT(*) FROM runs r WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL", (self._cid,)
-        )[0][0]
+        return self.store.query(f"SELECT COUNT(*) FROM runs r WHERE {_SCOPE}", (self._cid,))[0][0]
 
     # -- record access ---------------------------------------------------------
 
     def records(self) -> list[RunRecord]:
         """Every run as a :class:`RunRecord`, ordered by run id."""
-        params: dict[str, dict] = {}
-        for run_id, name, value_json in self.store.query(
-            "SELECT r.run_id, p.name, p.value_json FROM parameters p "
-            "JOIN runs r ON r.id = p.run_key WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL",
-            (self._cid,),
-        ):
-            params.setdefault(run_id, {})[name] = loads_tagged(value_json)
-        metrics: dict[str, dict] = {}
-        for run_id, name, value in self.store.query(
-            "SELECT r.run_id, m.name, m.value FROM metrics m "
-            "JOIN runs r ON r.id = m.run_key WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL",
-            (self._cid,),
-        ):
-            metrics.setdefault(run_id, {})[name] = value
-        run_ids = [
-            row[0]
-            for row in self.store.query(
-                "SELECT run_id FROM runs r WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL ORDER BY run_id",
+        return self._fetch(
+            self.store.query(
+                f"SELECT r.id, r.run_id FROM runs r WHERE {_SCOPE} ORDER BY r.run_id",
                 (self._cid,),
             )
-        ]
-        return [
-            RunRecord(
-                run_id=run_id,
-                parameters=params.get(run_id, {}),
-                metrics=metrics.get(run_id, {}),
-            )
-            for run_id in run_ids
-        ]
+        )
 
     def metric_names(self) -> set:
         """Every metric name any run of the campaign reports."""
@@ -84,89 +75,72 @@ class StoreCatalog:
             name
             for (name,) in self.store.query(
                 "SELECT DISTINCT m.name FROM metrics m "
-                "JOIN runs r ON r.id = m.run_key WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL",
+                f"JOIN runs r ON r.id = m.run_key WHERE {_SCOPE}",
                 (self._cid,),
             )
         }
 
     def record(self, run_id: str) -> RunRecord:
         """One run's record (KeyError if the run is unknown)."""
-        for rec in self.records():
-            if rec.run_id == run_id:
-                return rec
-        raise KeyError(f"unknown run_id {run_id!r}")
+        rows = self.store.query(
+            f"SELECT r.id, r.run_id FROM runs r WHERE {_SCOPE} AND r.run_id = ?",
+            (self._cid, run_id),
+        )
+        if not rows:
+            raise KeyError(f"unknown run_id {run_id!r}")
+        return self._fetch(rows)[0]
 
     # -- objective queries -----------------------------------------------------
 
     def best(self, objective: Objective) -> RunRecord:
         """The single best run under ``objective`` (SQL ``ORDER BY ... LIMIT 1``)."""
-        if len(self) == 0:
+        rows = self._ranked(objective, 1)
+        if not rows:
             raise ValueError("catalog is empty")
-        self._require_metric_everywhere(objective.metric)
-        order = "DESC" if objective.direction is Direction.MAXIMIZE else "ASC"
-        rows = self.store.query(
-            "SELECT r.run_id FROM runs r "
-            "JOIN metrics m ON m.run_key = r.id AND m.name = ? "
-            f"WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL ORDER BY m.value {order}, r.run_id ASC LIMIT 1",
-            (objective.metric, self._cid),
-        )
-        return self.record(rows[0][0])
+        return self._fetch(rows)[0]
 
     def rank(self, objective: Objective, k: int | None = None) -> list[RunRecord]:
-        """Runs ordered best-first under ``objective`` (index-order scan)."""
-        self._require_metric_everywhere(objective.metric)
-        order = "DESC" if objective.direction is Direction.MAXIMIZE else "ASC"
-        limit = "" if k is None else f" LIMIT {int(k)}"
-        rows = self.store.query(
-            "SELECT r.run_id FROM runs r "
-            "JOIN metrics m ON m.run_key = r.id AND m.name = ? "
-            f"WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL ORDER BY m.value {order}, r.run_id ASC{limit}",
-            (objective.metric, self._cid),
-        )
-        by_id = {rec.run_id: rec for rec in self.records()}
-        return [by_id[run_id] for (run_id,) in rows]
+        """Runs ordered best-first under ``objective`` (one ordered scan)."""
+        if k is not None and k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        # k = 0 still reads one row, so a missing metric raises as the
+        # in-memory sort does.
+        rows = self._ranked(objective, None if k is None else max(k, 1))
+        return self._fetch(rows[:k])
 
     def pareto_front(self, objectives) -> list[RunRecord]:
-        """Non-dominated runs under competing objectives (dominance anti-join).
+        """Non-dominated runs under competing objectives (skyline of one sorted scan).
 
-        The query pivots the requested metrics into one row per run and
-        keeps the rows for which no other row is at least as good on
-        every objective and strictly better on one — the §II-C dominance
-        rule evaluated entirely inside the engine.
+        One query pivots the requested metrics into a row per run, each
+        negated where it is maximized so that smaller is better
+        everywhere, and sorts the rows by them.  A run that dominates
+        another sorts before it, so one pass in that order finds every
+        run that no other run is at least as good as on every objective
+        and strictly better than on one — the §II-C dominance rule.  The
+        front comes back ordered by run id.
         """
         objectives = list(objectives)
         if not objectives:
             raise ValueError("need at least one objective")
-        for objective in objectives:
-            self._require_metric_everywhere(objective.metric)
-        joins = []
-        for i, _ in enumerate(objectives):
-            joins.append(
-                f"JOIN metrics m{i} ON m{i}.run_key = r.id AND m{i}.name = ?"
-            )
-        at_least_as_good = []
-        strictly_better = []
+        values = ", ".join(
+            f"{'-' if o.direction is Direction.MAXIMIZE else ''}m{i}.value AS v{i}"
+            for i, o in enumerate(objectives)
+        )
+        joins = " ".join(
+            f"LEFT JOIN metrics m{i} ON m{i}.run_key = r.id AND m{i}.name = ?"
+            for i in range(len(objectives))
+        )
+        order = ", ".join(f"v{i}" for i in range(len(objectives)))
+        rows = self.store.query(
+            f"SELECT r.id, r.run_id, {values} FROM runs r {joins} WHERE {_SCOPE} ORDER BY {order}",
+            (*(o.metric for o in objectives), self._cid),
+        )
         for i, objective in enumerate(objectives):
-            better, worse = ("<", ">") if objective.direction is Direction.MINIMIZE else (">", "<")
-            at_least_as_good.append(f"NOT (b.v{i} {worse} a.v{i})")
-            strictly_better.append(f"b.v{i} {better} a.v{i}")
-        pivot = (
-            "SELECT r.id AS id, r.run_id AS run_id, "
-            + ", ".join(f"m{i}.value AS v{i}" for i in range(len(objectives)))
-            + " FROM runs r "
-            + " ".join(joins)
-            + " WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL"
-        )
-        sql = (
-            f"WITH v AS ({pivot}) SELECT a.run_id FROM v a "
-            "WHERE NOT EXISTS (SELECT 1 FROM v b WHERE b.id != a.id AND "
-            f"{' AND '.join(at_least_as_good)} AND ({' OR '.join(strictly_better)})) "
-            "ORDER BY a.run_id"
-        )
-        params = tuple(o.metric for o in objectives) + (self._cid,)
-        rows = self.store.query(sql, params)
-        by_id = {rec.run_id: rec for rec in self.records()}
-        return [by_id[run_id] for (run_id,) in rows]
+            missing = [row[1] for row in rows if row[2 + i] is None]
+            if missing:
+                raise self._missing_metric(min(missing), objective.metric)
+        front = _sweep(rows) if len(objectives) == 2 else _sort_filter(rows)
+        return self._fetch(sorted(front, key=itemgetter(1)))
 
     # -- parameter impact ------------------------------------------------------
 
@@ -182,7 +156,7 @@ class StoreCatalog:
             "FROM runs r "
             "JOIN parameters p ON p.run_key = r.id AND p.name = ? "
             "JOIN metrics m ON m.run_key = r.id AND m.name = ? "
-            "WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL GROUP BY p.value_json",
+            f"WHERE {_SCOPE} GROUP BY p.value_json",
             (parameter, metric, self._cid),
         )
         if not rows:
@@ -214,7 +188,7 @@ class StoreCatalog:
             for (name,) in self.store.query(
                 "SELECT DISTINCT p.name FROM parameters p "
                 "JOIN runs r ON r.id = p.run_key "
-                "WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL ORDER BY p.name",
+                f"WHERE {_SCOPE} ORDER BY p.name",
                 (self._cid,),
             )
         ]
@@ -247,29 +221,113 @@ class StoreCatalog:
             )
         return format_table(headers, rows)
 
-    # -- guards ----------------------------------------------------------------
+    # -- internals -------------------------------------------------------------
 
-    def _require_metric_everywhere(self, metric: str) -> None:
-        """KeyError parity with the in-memory catalog: every run must
-        carry ``metric`` (the first missing one, in run-id order, names
-        itself and its known metrics)."""
+    def _ranked(self, objective: Objective, limit: int | None) -> list[tuple]:
+        """``(run key, run id)`` rows best-first under ``objective``.
+
+        Runs missing the metric sort first, in run-id order, so the same
+        scan that ranks also validates: a missing metric raises
+        :meth:`_missing_metric` for the first offending run.
+        """
+        order = "DESC" if objective.direction is Direction.MAXIMIZE else "ASC"
         rows = self.store.query(
-            "SELECT r.run_id FROM runs r WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL AND NOT EXISTS "
-            "(SELECT 1 FROM metrics m WHERE m.run_key = r.id AND m.name = ?) "
-            "ORDER BY r.run_id LIMIT 1",
-            (self._cid, metric),
+            "SELECT r.id, r.run_id, m.value FROM runs r "
+            "LEFT JOIN metrics m ON m.run_key = r.id AND m.name = ? "
+            f"WHERE {_SCOPE} ORDER BY m.value IS NULL DESC, m.value {order}, r.run_id"
+            + ("" if limit is None else f" LIMIT {int(limit)}"),
+            (objective.metric, self._cid),
         )
-        if not rows:
-            return
-        run_id = rows[0][0]
+        if rows and rows[0][2] is None:
+            raise self._missing_metric(rows[0][1], objective.metric)
+        return rows
+
+    def _fetch(self, rows) -> list[RunRecord]:
+        """Records for ``(run key, run id, ...)`` rows, in the rows' order.
+
+        Parameters and metrics are read by primary key for just these
+        runs, a chunk of keys per lookup.
+        """
+        params = {row[0]: {} for row in rows}
+        metrics = {key: {} for key in params}
+        keys = list(params)
+        for start in range(0, len(keys), _FETCH_CHUNK):
+            chunk = tuple(keys[start : start + _FETCH_CHUNK])
+            marks = ", ".join("?" * len(chunk))
+            for key, name, value_json in self.store.query(
+                f"SELECT run_key, name, value_json FROM parameters WHERE run_key IN ({marks})",
+                chunk,
+            ):
+                params[key][name] = loads_tagged(value_json)
+            for key, name, value in self.store.query(
+                f"SELECT run_key, name, value FROM metrics WHERE run_key IN ({marks})",
+                chunk,
+            ):
+                metrics[key][name] = value
+        return [
+            RunRecord(run_id=row[1], parameters=params[row[0]], metrics=metrics[row[0]])
+            for row in rows
+        ]
+
+    def _missing_metric(self, run_id: str, metric: str) -> KeyError:
+        """KeyError parity with the in-memory catalog: the offending run
+        names itself and its known metrics."""
         known = sorted(
             name
             for (name,) in self.store.query(
                 "SELECT m.name FROM metrics m JOIN runs r ON r.id = m.run_key "
-                "WHERE r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL AND r.run_id = ?",
+                f"WHERE {_SCOPE} AND r.run_id = ?",
                 (self._cid, run_id),
             )
         )
-        raise KeyError(
-            f"run {run_id!r} has no metric {metric!r}; known: {known}"
-        )
+        return KeyError(f"run {run_id!r} has no metric {metric!r}; known: {known}")
+
+
+def _sweep(rows) -> list[tuple]:
+    """Two-objective skyline of ``(key, run id, a, b)`` rows sorted by
+    ``(a, b)``, smaller better: one pass (Kung, Luccio & Preparata 1975).
+
+    Within a group of equal ``a`` only the runs with the group's best
+    ``b`` can survive, and they do when that ``b`` strictly beats the
+    best ``b`` of every run with a better ``a``.
+    """
+    front: list[tuple] = []
+    bound = None  # the best b of every earlier group
+    for _, group in groupby(rows, key=itemgetter(2)):
+        first = next(group)
+        if bound is not None and first[3] >= bound:
+            continue
+        bound = first[3]
+        front.append(first)
+        for row in group:
+            if row[3] != bound:
+                break
+            front.append(row)
+    return front
+
+
+def _sort_filter(rows) -> list[tuple]:
+    """Skyline of ``(key, run id, *values)`` rows sorted by their values,
+    smaller better: sort-filter-skyline (Börzsönyi et al., ICDE 2001).
+
+    A run can only be dominated by one sorted before it, so each run is
+    checked once, in one array comparison, against the distinct front
+    vectors found so far: a distinct earlier vector no worse on every
+    objective dominates it.  Equal vectors sort together and share one
+    verdict.
+    """
+    front: list[tuple] = []
+    window = np.empty((len(rows), len(rows[0]) - 2 if rows else 0))
+    size = 0
+    previous = keep = None
+    for row in rows:
+        vector = row[2:]
+        if vector != previous:
+            previous = vector
+            keep = not (window[:size] <= vector).all(axis=1).any()
+            if keep:
+                window[size] = vector
+                size += 1
+        if keep:
+            front.append(row)
+    return front

@@ -9,8 +9,8 @@ One normalized schema serves every §II-C catalog query:
   projection) — the numeric column lets per-parameter impact aggregate
   entirely inside SQL
 - ``metrics``       — tall table: (run, name, REAL value) — ``best`` /
-  ``rank`` / Pareto queries are ``ORDER BY``/anti-join pushdowns over
-  its ``(name, value)`` index
+  ``rank`` are ``ORDER BY`` scans over it, and the Pareto front is a
+  skyline over one scan of it ordered by the objective values
 - ``reports``       — merged trace-analytics reports keyed by group
 
 The indexes exist for the catalog's access paths: rank scans

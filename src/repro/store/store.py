@@ -14,11 +14,12 @@ the pattern of batched bulk loaders, not one-INSERT-per-run.  Every
 query flushes the buffer first, so reads are always consistent with
 writes.
 
-**Queries** are pushed down to SQL: ``best``/``rank`` are ``ORDER BY``
-scans over the ``metrics(name, value)`` index, the Pareto front is a
-dominance anti-join, and per-parameter impact is a ``GROUP BY`` over the
-parameters table — see :class:`repro.store.StoreCatalog` for the
-catalog-compatible face.
+**Queries** are pushed down to SQL: ``best``/``rank`` are one ``ORDER
+BY`` scan over a metric, the Pareto front is a skyline over one scan
+ordered by the objective columns, and per-parameter impact is a ``GROUP
+BY`` over the parameters table — see :class:`repro.store.StoreCatalog`
+for the catalog-compatible face, which builds records only for the runs
+an answer returns.
 """
 
 from __future__ import annotations

@@ -58,6 +58,10 @@ class TestCatalogQueries:
         assert runtimes == sorted(runtimes)
         assert len(ranked) == 3
 
+    def test_rank_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            filled_catalog().rank(Objective("fast", "runtime_seconds"), k=-1)
+
     def test_pareto_front(self):
         catalog = filled_catalog()
         front = catalog.pareto_front(

@@ -9,8 +9,12 @@ because ``lint_app_fn`` resolves callables through their module source).
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
@@ -21,7 +25,7 @@ from repro.lint import fix_source, lint_app_fn, lint_path, lint_paths
 from repro.lint import cache as lint_cache
 from repro.lint.__main__ import main as lint_main
 from repro.lint.engine import CampaignLintError
-from repro.lint.findings import Severity
+from repro.lint.findings import LintReport, Severity
 from repro.savanna import CampaignService, execute_manifest
 
 
@@ -198,6 +202,41 @@ class TestServiceGate:
         assert opted_out.lint_report is None
         simulated = service.submit(make_manifest("svc-sim"))
         assert simulated.lint_report is None
+
+
+class TestConcurrentGates:
+    def test_many_gates_at_once_all_return_reports(self):
+        """Concurrent service submissions each run a ``lint_app_fn`` gate.
+        Unserialized, CPython's parse can then fail with ``SystemError('AST
+        constructor recursion depth mismatch')``: a thread switch inside one
+        thread's tree conversion lets another parse in between.  A tiny
+        switch interval plus a Python-level GC callback on a low collection
+        threshold makes such switches frequent; every gate must still
+        return its report."""
+        threads = 4 * (os.cpu_count() or 1) + 4
+        apps = [fixture_apps.clean, fixture_apps.calls_noisy_helper]
+        interval, threshold = sys.getswitchinterval(), gc.get_threshold()
+
+        def on_collect(phase, info):
+            return None
+
+        gc.callbacks.append(on_collect)
+        gc.set_threshold(50)
+        sys.setswitchinterval(1e-6)
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            futures = [
+                pool.submit(lint_app_fn, apps[i % len(apps)]) for i in range(16 * threads)
+            ]
+            _, pending = wait(futures, timeout=60)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(on_collect)
+        assert not pending, f"{len(pending)} gates still running after 60 s"
+        reports = [future.result() for future in futures]
+        assert all(isinstance(report, LintReport) for report in reports)
 
 
 # -- the incremental cache ----------------------------------------------------

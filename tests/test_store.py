@@ -131,6 +131,24 @@ class TestIngestion:
             store.ensure_campaign(manifest)
             assert store.read_run_result(manifest.campaign, manifest.runs[0].run_id) is None
 
+    def test_catalog_scope_is_done_and_executed_runs(self):
+        """``record`` answers only for runs that are done *and* executed:
+        a pending run, and one marked done with no outcome, are unknown."""
+        manifest = make_manifest()
+        executed, pending, unexecuted = (r.run_id for r in manifest.runs[:3])
+        with CampaignStore(":memory:") as store:
+            store.ensure_campaign(manifest)
+            store.add_result(manifest.campaign, executed, value={"loss": 1.0})
+            store.set_statuses(manifest.campaign, {unexecuted: RunStatus.DONE})
+            catalog = store.catalog(manifest.campaign)
+            record = catalog.record(executed)
+            assert (record.run_id, record.metrics) == (executed, {"loss": 1.0})
+            assert record.parameters == dict(manifest.runs[0].parameters)
+            for run_id in (pending, unexecuted):
+                with pytest.raises(KeyError, match="unknown run_id"):
+                    catalog.record(run_id)
+            assert [r.run_id for r in catalog.records()] == [executed]
+
     def test_record_run_results_skips_interrupted(self):
         manifest = make_manifest()
         with CampaignStore(":memory:") as store:
@@ -392,6 +410,15 @@ class TestCli:
         status = self.run_cli("status", str(campaign_dir))
         assert status.returncode == 0
         assert "done" in status.stdout
+
+    def test_negative_k_is_reported_as_an_error(self, campaign_dir):
+        assert self.run_cli("migrate", str(campaign_dir)).returncode == 0
+        rank = self.run_cli(
+            "query", str(campaign_dir), "rank", "--metric", "loss", "--k", "-1"
+        )
+        assert rank.returncode == 1
+        assert "error: k must be >= 0, got -1" in rank.stderr
+        assert rank.stdout == ""
 
     def test_query_without_migrate_fails_cleanly(self, tmp_path):
         db = tmp_path / "empty.sqlite"

@@ -5,9 +5,16 @@ to the in-memory catalog (repro.cheetah.catalog) on the §II-C queries:
 ``best``/``rank`` return the same run ids in the same order (ties broken
 by run id in both), the Pareto front contains the same runs, parameter
 impact agrees numerically, and the error contracts (KeyError on missing
-metrics naming the first offending run, ValueError on empty catalogs)
-match message for message.
+metrics naming the first offending run, ValueError on empty catalogs and
+on negative ``k``) match message for message.
+
+Generic finite floats almost never tie, so a second generator draws
+every metric from a four-value set: equal values, and whole equal
+objective vectors, are then the common case the skyline sweep must get
+right.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +58,29 @@ def catalogs(draw, min_runs=0, max_runs=12, full_metrics=False):
         metrics = {name: draw(finite) for name in metric_names}
         rows.append((f"run-{i:03d}", parameters, metrics))
     return rows
+
+
+#: The tie-heavy generator's whole value set.
+TIED_VALUES = (-1.0, 0.0, 1.0, 2.5)
+
+
+@st.composite
+def tied_catalogs(draw, min_runs=0, max_runs=60):
+    """Rows with every metric drawn from :data:`TIED_VALUES`.
+
+    Run ids are a drawn permutation, so insertion order (the store's row
+    order) differs from run-id order.
+    """
+    n = draw(st.integers(min_runs, max_runs))
+    order = draw(st.permutations(range(n)))
+    return [
+        (
+            f"run-{j:03d}",
+            {"x": draw(PARAM_POOL["x"])},
+            {name: draw(st.sampled_from(TIED_VALUES)) for name in METRIC_POOL},
+        )
+        for j in order
+    ]
 
 
 def build_both(rows, campaign="equiv"):
@@ -144,11 +174,12 @@ def test_records_and_metric_names_identical(rows):
 @settings(deadline=None, max_examples=40)
 @given(rows=catalogs(min_runs=1))
 def test_missing_metric_raises_identically(rows):
-    """KeyError parity on ``rank``: same exception type and message — the
-    first run (in run-id order) missing the metric names itself.  On
-    ``best`` the store is strictly *more* validating than the in-memory
-    catalog (which skips the metric check entirely for single-run
-    catalogs): any missing metric raises, naming the first offender."""
+    """KeyError parity on ``rank``, ``k=0`` included: same exception type
+    and message — the first run (in run-id order) missing the metric
+    names itself.  On ``best`` the store is strictly *more* validating
+    than the in-memory catalog (which skips the metric check entirely
+    for single-run catalogs): any missing metric raises, naming the
+    first offender."""
     mem, sql, store = build_both(rows)
     objective = Objective("o", metric="loss")
     missing = [rid for rid, _, metrics in rows if "loss" not in metrics]
@@ -159,11 +190,12 @@ def test_missing_metric_raises_identically(rows):
         with pytest.raises(KeyError) as best_err:
             sql.best(objective)
         assert repr(missing[0]) in str(best_err.value)
-        with pytest.raises(KeyError) as mem_err:
-            mem.rank(objective)
-        with pytest.raises(KeyError) as sql_err:
-            sql.rank(objective)
-        assert sql_err.value.args == mem_err.value.args
+        for k in (None, 0):
+            with pytest.raises(KeyError) as mem_err:
+                mem.rank(objective, k=k)
+            with pytest.raises(KeyError) as sql_err:
+                sql.rank(objective, k=k)
+            assert sql_err.value.args == mem_err.value.args
     finally:
         store.close()
 
@@ -180,5 +212,92 @@ def test_empty_catalog_contracts_match():
         assert mem.pareto_front([objective]) == [] == sql.pareto_front([objective])
         with pytest.raises(ValueError, match="need at least one objective"):
             sql.pareto_front([])
+    finally:
+        store.close()
+
+
+DIRECTION_MIXES = [
+    mix for n in (1, 2, 3) for mix in itertools.product(list(Direction), repeat=n)
+]
+
+
+@pytest.mark.parametrize(
+    "directions", DIRECTION_MIXES, ids=lambda mix: "-".join(d.value[:3] for d in mix)
+)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_pareto_front_identical_under_ties(directions, data):
+    """Every 1-3 objective direction mix, on metrics that tie constantly
+    (an objective may repeat a metric, e.g. loss minimized and
+    maximized): same front, ordered by run id."""
+    rows = data.draw(tied_catalogs())
+    metrics = data.draw(
+        st.lists(st.sampled_from(METRIC_POOL), min_size=len(directions), max_size=len(directions))
+    )
+    mem, sql, store = build_both(rows)
+    objectives = [
+        Objective(f"o{i}", metric=metric, direction=direction)
+        for i, (metric, direction) in enumerate(zip(metrics, directions))
+    ]
+    try:
+        front = [r.run_id for r in sql.pareto_front(objectives)]
+        assert front == [r.run_id for r in mem.pareto_front(objectives)]
+        assert front == sorted(front)
+    finally:
+        store.close()
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data(), metric=st.sampled_from(METRIC_POOL),
+       direction=st.sampled_from(list(Direction)))
+def test_best_and_rank_identical_under_ties(data, metric, direction):
+    rows = data.draw(tied_catalogs(min_runs=1))
+    n = len(rows)
+    k = data.draw(st.sampled_from([None, 0, 1, 3, n, n + 5]))
+    mem, sql, store = build_both(rows)
+    objective = Objective("o", metric=metric, direction=direction)
+    try:
+        assert sql.best(objective).run_id == mem.best(objective).run_id
+        assert [r.run_id for r in sql.rank(objective, k=k)] == [
+            r.run_id for r in mem.rank(objective, k=k)
+        ]
+    finally:
+        store.close()
+
+
+@settings(deadline=None, max_examples=20)
+@given(rows=tied_catalogs(), k=st.integers(max_value=-1))
+def test_negative_k_raises_identically(rows, k):
+    mem, sql, store = build_both(rows)
+    objective = Objective("o", metric="loss")
+    try:
+        with pytest.raises(ValueError) as mem_err:
+            mem.rank(objective, k=k)
+        with pytest.raises(ValueError) as sql_err:
+            sql.rank(objective, k=k)
+        assert sql_err.value.args == mem_err.value.args
+    finally:
+        store.close()
+
+
+@settings(deadline=None, max_examples=40)
+@given(rows=catalogs(), data=st.data())
+def test_record_identical(rows, data):
+    """``record(run_id)`` returns the in-memory record; an unknown id, or a
+    run that is not done, is a KeyError."""
+    mem, sql, store = build_both(rows)
+    store.add_result("equiv", "zz-failed", metrics={"loss": 0.0}, status="failed")
+    try:
+        by_id = {r.run_id: r for r in mem.records()}
+        if by_id:
+            run_id = data.draw(st.sampled_from(sorted(by_id)))
+            got = sql.record(run_id)
+            want = by_id[run_id]
+            assert (got.run_id, got.parameters, got.metrics) == (
+                want.run_id, want.parameters, want.metrics
+            )
+        for unknown in ("no-such-run", "zz-failed"):
+            with pytest.raises(KeyError, match=f"unknown run_id {unknown!r}"):
+                sql.record(unknown)
     finally:
         store.close()
