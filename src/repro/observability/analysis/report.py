@@ -24,7 +24,9 @@ the same thing in a metrics snapshot and in a report.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from math import inf
 
 from repro.observability.analysis.spans import SpanTrace
 from repro.observability.metrics import percentile
@@ -203,18 +205,23 @@ class CampaignReport:
 # analysis passes
 
 
+def _nodes_of(task) -> tuple:
+    """The nodes a task attempt occupied (none for an unplaced one)."""
+    return task.nodes or ((task.node,) if task.node is not None else ())
+
+
 def _busy_intervals_by_node(tasks):
     """node -> sorted [(start, end, task)] occupancy from task spans."""
     by_node: dict = {}
     for t in tasks:
-        for node in t.nodes or ((t.node,) if t.node is not None else ()):
+        for node in _nodes_of(t):
             by_node.setdefault(node, []).append(t)
     for spans in by_node.values():
         spans.sort(key=lambda t: (t.start, t.end))
     return by_node
 
 
-def _slack_by_task(tasks, window_end: float) -> dict:
+def _slack_by_task(tasks, by_node, window_end: float) -> dict:
     """Task -> seconds it could slip before extending the makespan.
 
     In this greedy schedule, delaying a task pushes every later task on
@@ -222,7 +229,6 @@ def _slack_by_task(tasks, window_end: float) -> dict:
     on the node plus the node's tail gap to the campaign end.  A
     multi-node task takes the tightest of its nodes.
     """
-    by_node = _busy_intervals_by_node(tasks)
     node_slack: dict = {}  # (node, task id) -> slack
     for node, spans in by_node.items():
         tail = max(0.0, window_end - spans[-1].end)
@@ -234,14 +240,22 @@ def _slack_by_task(tasks, window_end: float) -> dict:
                 acc += max(0.0, spans[i].start - spans[i - 1].end)
     slack = {}
     for t in tasks:
-        keys = [(n, id(t)) for n in (t.nodes or ((t.node,) if t.node is not None else ()))]
+        keys = [(n, id(t)) for n in _nodes_of(t)]
         vals = [node_slack[k] for k in keys if k in node_slack]
         slack[id(t)] = min(vals) if vals else max(0.0, window_end - t.end)
     return slack
 
 
 def _critical_path(tasks, allocs, window, slack):
-    """Backward walk from the last-ending work to the campaign start."""
+    """Backward walk from the last-ending work to the campaign start.
+
+    Each step picks the predecessor that ended last by a bound (ties go
+    to the earliest task in ``tasks`` order): first among earlier tasks
+    on the current task's node(s) in the same allocation, else, at the
+    allocation's first task, among all tasks before its submission.
+    Both lookups bisect ``(end, -position)`` keys sorted once per
+    report, so the walk is O(n log n) rather than a scan per step.
+    """
     start, _end = window
     elements: list[dict] = []
 
@@ -259,42 +273,44 @@ def _critical_path(tasks, allocs, window, slack):
         )
 
     alloc_by_index = {a.index: a for a in allocs}
-    visited: set[int] = set()
+    # The rightmost key ending by a bound is the latest end, and among
+    # equal ends the earliest position.
+    keys = sorted((t.end, -i) for i, t in enumerate(tasks))
+    by_alloc_node: dict = {}  # (alloc, node) -> sorted keys of its tasks
+    for key in keys:
+        t = tasks[-key[1]]
+        for node in _nodes_of(t):
+            by_alloc_node.setdefault((t.alloc, node), []).append(key)
+    visited: set[int] = set()  # positions already on the path
+
+    def latest(index, bound: float):
+        """The greatest unvisited key in ``index`` ending by ``bound``."""
+        i = bisect_right(index, (bound + _EPS, inf))
+        while i:
+            i -= 1
+            if -index[i][1] not in visited:
+                return index[i]
+        return None
 
     def node_pred(cur):
-        cur_nodes = set(cur.nodes or ((cur.node,) if cur.node is not None else ()))
         best = None
-        for t in tasks:
-            if t is cur or id(t) in visited or t.end > cur.start + _EPS:
-                continue
-            t_nodes = set(t.nodes or ((t.node,) if t.node is not None else ()))
-            if not (cur_nodes & t_nodes):
-                continue
-            if best is None or t.end > best.end:
-                best = t
+        for node in _nodes_of(cur):
+            key = latest(by_alloc_node.get((cur.alloc, node), ()), cur.start)
+            if key is not None and (best is None or key > best):
+                best = key
         return best
 
-    def any_pred(before: float):
-        best = None
-        for t in tasks:
-            if id(t) in visited or t.end > before + _EPS:
-                continue
-            if best is None or t.end > best.end:
-                best = t
-        return best
-
-    cur = max(tasks, key=lambda t: t.end) if tasks else None
-    if cur is None and allocs:
+    key = keys[-1] if keys else None
+    if key is None and allocs:
         # A campaign that granted allocations but launched nothing:
         # the path is just the first allocation's queue wait.
         alloc = max(allocs, key=lambda a: a.end or a.start)
         if alloc.queue_wait > _EPS:
             span_el("queue-wait", f"job {alloc.job}", alloc.submitted, alloc.start)
-        elements.reverse()
-        return elements
 
-    while cur is not None:
-        visited.add(id(cur))
+    while key is not None:
+        visited.add(-key[1])
+        cur = tasks[-key[1]]
         span_el(
             "task",
             f"{cur.name} (attempt {cur.attempt}, {cur.outcome or 'open'})",
@@ -303,15 +319,15 @@ def _critical_path(tasks, allocs, window, slack):
             node=cur.node,
             el_slack=slack.get(id(cur)),
         )
-        pred = node_pred(cur)
-        if pred is not None:
+        key = node_pred(cur)
+        if key is not None:
+            pred = tasks[-key[1]]
             gap = cur.start - pred.end
             if gap > _EPS:
                 kind = "retry-backoff" if cur.attempt > 1 else "node-wait"
                 span_el(kind, f"before {cur.name}", pred.end, cur.start, node=cur.node)
-            cur = pred
             continue
-        # First task on its node(s): the allocation grant precedes it.
+        # First task on its node(s) in this allocation: the grant precedes it.
         alloc = alloc_by_index.get(cur.alloc)
         if alloc is None:
             break
@@ -320,27 +336,26 @@ def _critical_path(tasks, allocs, window, slack):
         if alloc.queue_wait > _EPS:
             span_el("queue-wait", f"job {alloc.job}", alloc.submitted, alloc.start)
         submit = alloc.submitted if alloc.submitted is not None else alloc.start
-        pred = any_pred(submit)
-        if pred is None:
+        key = latest(keys, submit)
+        if key is None:
             if submit - start > _EPS:
                 span_el("campaign-lead", "before first submission", start, submit)
             break
+        pred = tasks[-key[1]]
         gap = submit - pred.end
         if gap > _EPS:
             span_el("resubmit-gap", f"before job {alloc.job}", pred.end, submit)
-        cur = pred
 
     elements.reverse()
     return elements
 
 
-def _attribution(tasks, allocs, window, retry_backoff: float = 0.0):
+def _attribution(tasks, allocs, window, by_node, per_node, retry_backoff: float = 0.0):
     """Node-seconds + wall-clock split; see the module docstring."""
     start, end = window
     capacity = 0.0
     idle_ramp = idle_gaps = idle_tail = 0.0
     execution = sum(t.duration * max(1, len(t.nodes) or 1) for t in tasks)
-    by_node = _busy_intervals_by_node(tasks)
     for alloc in allocs:
         alloc_end = alloc.end if alloc.end is not None else end
         width = len(alloc.nodes) or 1
@@ -377,7 +392,7 @@ def _attribution(tasks, allocs, window, retry_backoff: float = 0.0):
             "resubmit_gaps": resubmit_gaps,
         },
         "retry_backoff": retry_backoff,
-        "per_node": _per_node(tasks),
+        "per_node": per_node,
         "per_group": _per_group(tasks),
     }
 
@@ -385,7 +400,7 @@ def _attribution(tasks, allocs, window, retry_backoff: float = 0.0):
 def _per_node(tasks) -> dict:
     out: dict = {}
     for t in tasks:
-        for node in t.nodes or ((t.node,) if t.node is not None else ()):
+        for node in _nodes_of(t):
             row = out.setdefault(
                 str(node), {"busy": 0.0, "attempts": 0, "failed": 0, "faults": 0}
             )
@@ -454,7 +469,7 @@ def _stragglers(tasks) -> list:
     return flagged
 
 
-def _retry_hotspots(tasks, trace: SpanTrace, pid: int) -> dict:
+def _retry_hotspots(tasks, per_node, trace: SpanTrace, pid: int) -> dict:
     task_names = {}  # task_id -> name (last attempt wins; names are stable)
     for t in tasks:
         task_names[t.task_id] = t.name
@@ -471,7 +486,6 @@ def _retry_hotspots(tasks, trace: SpanTrace, pid: int) -> dict:
         )
     hot_tasks.sort(key=lambda t: (-t["retries"], t["task"]))
 
-    per_node = _per_node(tasks)
     counts = {node: row["failed"] + row["faults"] for node, row in per_node.items()}
     hot_nodes = []
     if counts:
@@ -562,7 +576,9 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
     tasks = trace.tasks_of(campaign)
     allocs = trace.allocs_of(campaign)
     done = [t.duration for t in tasks if t.outcome == "done"]
-    slack = _slack_by_task(tasks, window[1])
+    by_node = _busy_intervals_by_node(tasks)
+    per_node = _per_node(tasks)
+    slack = _slack_by_task(tasks, by_node, window[1])
     critical_path = _critical_path(tasks, allocs, window, slack)
     task_ids = {t.task_id for t in tasks}
     retry_backoff = sum(
@@ -601,9 +617,9 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
         durations=durations,
         critical_path=critical_path,
         critical_path_seconds=sum(el["duration"] for el in critical_path),
-        attribution=_attribution(tasks, allocs, window, retry_backoff),
+        attribution=_attribution(tasks, allocs, window, by_node, per_node, retry_backoff),
         stragglers=_stragglers(tasks),
-        retry_hotspots=_retry_hotspots(tasks, trace, campaign.pid),
+        retry_hotspots=_retry_hotspots(tasks, per_node, trace, campaign.pid),
         utilization=_utilization(tasks, allocs, window),
         allocations=[
             {

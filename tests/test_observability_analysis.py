@@ -10,6 +10,8 @@ harness.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability import (
     ALLOC,
@@ -35,6 +37,8 @@ from repro.observability.analysis import (
     robust_threshold,
     write_reports,
 )
+from repro.observability.analysis.report import _EPS, _critical_path
+from repro.observability.analysis.spans import AllocSpan, TaskSpan
 
 
 def capture_bus():
@@ -211,6 +215,200 @@ class TestCampaignReport:
         for heading in ("critical path", "wait-time attribution",
                         "stragglers", "retry hotspots", "concurrency timeline"):
             assert heading in text
+
+
+def linear_scan_critical_path(tasks, allocs, window, slack):
+    """The critical-path walk as one linear scan of every task per step.
+
+    The oracle for the indexed walk in ``report._critical_path``: the
+    same backward walk, with predecessors found by scanning ``tasks`` in
+    order (latest end wins, the first such task on ties).  A node
+    predecessor must share the task's allocation.
+    """
+    start, _end = window
+    elements = []
+
+    def span_el(kind, label, t0, t1, node=None, el_slack=None):
+        elements.append(
+            {
+                "kind": kind,
+                "label": label,
+                "start": t0,
+                "end": t1,
+                "duration": max(0.0, t1 - t0),
+                "node": node,
+                "slack": el_slack,
+            }
+        )
+
+    alloc_by_index = {a.index: a for a in allocs}
+    visited = set()
+
+    def node_pred(cur):
+        cur_nodes = set(cur.nodes or ((cur.node,) if cur.node is not None else ()))
+        best = None
+        for t in tasks:
+            if t is cur or id(t) in visited or t.end > cur.start + _EPS:
+                continue
+            if t.alloc != cur.alloc:
+                continue
+            t_nodes = set(t.nodes or ((t.node,) if t.node is not None else ()))
+            if not (cur_nodes & t_nodes):
+                continue
+            if best is None or t.end > best.end:
+                best = t
+        return best
+
+    def any_pred(before):
+        best = None
+        for t in tasks:
+            if id(t) in visited or t.end > before + _EPS:
+                continue
+            if best is None or t.end > best.end:
+                best = t
+        return best
+
+    cur = max(tasks, key=lambda t: t.end) if tasks else None
+    if cur is None and allocs:
+        alloc = max(allocs, key=lambda a: a.end or a.start)
+        if alloc.queue_wait > _EPS:
+            span_el("queue-wait", f"job {alloc.job}", alloc.submitted, alloc.start)
+        return elements
+
+    while cur is not None:
+        visited.add(id(cur))
+        span_el(
+            "task",
+            f"{cur.name} (attempt {cur.attempt}, {cur.outcome or 'open'})",
+            cur.start,
+            cur.end,
+            node=cur.node,
+            el_slack=slack.get(id(cur)),
+        )
+        pred = node_pred(cur)
+        if pred is not None:
+            gap = cur.start - pred.end
+            if gap > _EPS:
+                kind = "retry-backoff" if cur.attempt > 1 else "node-wait"
+                span_el(kind, f"before {cur.name}", pred.end, cur.start, node=cur.node)
+            cur = pred
+            continue
+        alloc = alloc_by_index.get(cur.alloc)
+        if alloc is None:
+            break
+        if cur.start - alloc.start > _EPS:
+            span_el("dispatch-wait", f"in job {alloc.job}", alloc.start, cur.start, node=cur.node)
+        if alloc.queue_wait > _EPS:
+            span_el("queue-wait", f"job {alloc.job}", alloc.submitted, alloc.start)
+        submit = alloc.submitted if alloc.submitted is not None else alloc.start
+        pred = any_pred(submit)
+        if pred is None:
+            if submit - start > _EPS:
+                span_el("campaign-lead", "before first submission", start, submit)
+            break
+        gap = submit - pred.end
+        if gap > _EPS:
+            span_el("resubmit-gap", f"before job {alloc.job}", pred.end, submit)
+        cur = pred
+
+    elements.reverse()
+    return elements
+
+
+#: Span times: a coarse grid nudged by less than, exactly, and more than
+#: _EPS, so tied and near-tied ends are common.
+_TIMES = st.builds(
+    lambda base, nudge: base + nudge,
+    st.sampled_from((0.0, 1.0, 2.0, 3.0, 5.0)),
+    st.sampled_from((0.0, 0.4 * _EPS, _EPS, 1.6 * _EPS)),
+)
+#: Durations, zero-length and sub-_EPS included.
+_LENGTHS = st.sampled_from((0.0, 0.5 * _EPS, 1.0, 2.0))
+
+
+@st.composite
+def walk_inputs(draw):
+    """Tasks and allocations in every shape the walk must handle."""
+    allocs = []
+    for index in range(draw(st.integers(0, 3))):
+        grant = draw(_TIMES)
+        allocs.append(
+            AllocSpan(
+                pid=0,
+                index=index,
+                job=f"j{index}",
+                nodes=(0, 1, 2),
+                start=grant,
+                end=grant + draw(_LENGTHS),
+                submitted=draw(st.none() | _TIMES),
+            )
+        )
+    tasks = []
+    for task_id in range(draw(st.integers(0, 14))):
+        begin = draw(_TIMES)
+        tasks.append(
+            TaskSpan(
+                pid=0,
+                task_id=task_id,
+                name=f"t{task_id}",
+                node=draw(st.none() | st.integers(0, 2)),
+                nodes=tuple(draw(st.lists(st.integers(0, 2), max_size=3, unique=True))),
+                attempt=draw(st.integers(1, 2)),
+                start=begin,
+                end=begin + draw(_LENGTHS),
+                outcome=draw(st.sampled_from(("done", "failed", None))),
+                # Index 3 names no allocation: the walk must stop there.
+                alloc=draw(st.none() | st.integers(0, 3)),
+            )
+        )
+    tasks = draw(st.permutations(tasks))
+    window = (draw(_TIMES), 10.0)
+    slack = {id(t): float(i) for i, t in enumerate(tasks)}
+    return tasks, allocs, window, slack
+
+
+class TestCriticalPathIndex:
+    """The indexed walk picks exactly what a scan of every task picks."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(walk_inputs())
+    def test_indexed_walk_matches_linear_scan_oracle(self, inputs):
+        tasks, allocs, window, slack = inputs
+        assert _critical_path(tasks, allocs, window, slack) == linear_scan_critical_path(
+            tasks, allocs, window, slack
+        )
+
+    def test_node_predecessor_stays_in_its_allocation(self):
+        from repro.cluster.cluster import ClusterSpec, SimulatedCluster
+        from repro.cluster.job import Task
+        from repro.savanna.pilot import PilotExecutor
+
+        spec = ClusterSpec(
+            nodes=4, queue_sigma=0.0, queue_median_wait=120.0, node_mttf=1e12
+        )
+        cluster = SimulatedCluster(spec, seed=3)
+        seen = []
+        cluster.bus.subscribe(seen.append)
+        tasks = [Task(name=f"t{i}", duration=100.0) for i in range(24)]
+        PilotExecutor(cluster).run(tasks, nodes=4, walltime=350.0, max_allocations=4)
+        (report,) = analyze_events(seen)
+        first, second = report.allocations
+        # A walltime kill splits the campaign across two allocations, and
+        # both queue waits are real wall clock.
+        assert report.attribution["wall_clock"]["queue_wait"] == pytest.approx(
+            first["queue_wait"] + second["queue_wait"]
+        )
+        waits = [el for el in report.critical_path if el["kind"] == "queue-wait"]
+        assert [el["label"] for el in waits] == ["job pilot-1", "job pilot-2"]
+        assert waits[1]["start"] == pytest.approx(first["end"])
+        assert waits[1]["end"] == pytest.approx(second["start"])
+        for el in report.critical_path:
+            if el["kind"] in ("node-wait", "retry-backoff"):
+                assert any(
+                    a["start"] - _EPS <= el["start"] and el["end"] <= a["end"] + _EPS
+                    for a in report.allocations
+                ), el
+        assert report.critical_path_seconds == pytest.approx(report.makespan)
 
 
 class TestAnalyzerEdgeCases:

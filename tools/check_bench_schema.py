@@ -111,6 +111,41 @@ def _check_simcore_mode(name: str, entry: dict) -> None:
         f"under benchmarks/results/",
     )
 
+    finalize = entry.get("report_finalize")
+    where = f"{where}.report_finalize"
+    _require(isinstance(finalize, dict), f"{where}: must be an object")
+    _require(
+        isinstance(finalize.get("rounds"), int) and finalize["rounds"] > 0,
+        f"{where}: 'rounds' must be a positive integer",
+    )
+    _require(
+        isinstance(finalize.get("protocol"), str) and finalize["protocol"],
+        f"{where}: 'protocol' must be a non-empty string",
+    )
+    prechange = finalize.get("prechange")
+    _require(isinstance(prechange, dict), f"{where}: 'prechange' must be an object")
+    _require(
+        isinstance(prechange.get("commit"), str) and prechange["commit"],
+        f"{where}.prechange: 'commit' must be a non-empty string",
+    )
+    workloads = finalize.get("workloads")
+    _require(isinstance(workloads, dict), f"{where}: 'workloads' must be an object")
+    _require(
+        set(workloads) == {"pilot-campaign", "pilot-chain"},
+        f"{where}: 'workloads' must be exactly 'pilot-campaign' and "
+        f"'pilot-chain', got {sorted(workloads)}",
+    )
+    for workload, row in sorted(workloads.items()):
+        at = f"{where}.workloads[{workload!r}]"
+        _require(isinstance(row, dict), f"{at}: must be an object")
+        for key in ("n_tasks", "nodes", "events", "attempts", "critical_path"):
+            _require(
+                isinstance(row.get(key), int) and row[key] > 0,
+                f"{at}: {key!r} must be a positive integer",
+            )
+        for key in ("seconds", "prechange_seconds", "speedup_vs_prechange"):
+            _positive_number(row, key, at)
+
 
 def check_simcore_v1(doc: dict) -> None:
     modes = doc.get("modes")
