@@ -27,7 +27,7 @@ from repro.cheetah import (
     Sweep,
     SweepParameter,
 )
-from repro.savanna import LocalExecutor
+from repro.savanna import RealExecutor
 
 
 def main() -> None:
@@ -67,7 +67,7 @@ def main() -> None:
             ),
         }
 
-    results = LocalExecutor(max_workers=4).run(manifest, run_one)
+    results = RealExecutor(max_workers=4).run(manifest, run_one)
 
     # -- 3. Build the catalog: the campaign's queryable product. -------------
     catalog = CampaignCatalog(manifest.campaign)

@@ -2,9 +2,9 @@
 """iRF-LOOP on census-like data (§II-B / §V-D / Figures 6-7).
 
 Part 1 runs a *real* iRF-LOOP: a Cheetah campaign over every feature of a
-small census-like matrix, executed by the LocalExecutor (genuine forest
-fits), assembled into the all-to-all network and scored against the
-planted ground truth.
+small census-like matrix, executed by the thread-pool RealExecutor
+(genuine forest fits), assembled into the all-to-all network and scored
+against the planted ground truth.
 
 Part 2 runs the *scale* story on the simulated cluster: the same campaign
 shape at 400 features under the original set-synchronized workflow vs the
@@ -19,7 +19,7 @@ from repro.apps.irf import census_like, duration_model, irf_loop, precision_at_k
 from repro.apps.irf.network import network_from_adjacency
 from repro.cheetah import AppSpec, Campaign, RangeParameter, Sweep
 from repro.cluster import ClusterSpec, SimulatedCluster
-from repro.savanna import LocalExecutor, PilotExecutor, StaticSetExecutor, tasks_from_manifest
+from repro.savanna import PilotExecutor, RealExecutor, StaticSetExecutor, tasks_from_manifest
 
 
 def real_irf_loop() -> None:
@@ -44,7 +44,7 @@ def real_irf_loop() -> None:
         )
         return result.adjacency[:, params["feature"]]
 
-    results = LocalExecutor(max_workers=4).run(manifest, fit_one)
+    results = RealExecutor(max_workers=4).run(manifest, fit_one)
     print(f"executed {len(results)} iRF runs "
           f"({sum(r.status == 'done' for r in results.values())} succeeded)")
 

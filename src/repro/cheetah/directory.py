@@ -215,10 +215,10 @@ class CampaignDirectory:
         raises :class:`repro._util.UnserializableValueError` instead of
         corrupting the record.
 
-        This is the *human-inspection export*: at scale the drive
-        records outcomes into the campaign store
-        (:meth:`record_results` / :mod:`repro.store`) and writes these
-        JSON files only on request.
+        This is the *human-inspection export*: the drive records
+        outcomes into the campaign store (:meth:`record_results` /
+        :mod:`repro.store`), and ``python -m repro.store export`` writes
+        these JSON files from it on request.
         """
         if run_id not in self.run_ids:
             raise KeyError(f"unknown run_id {run_id!r}")
@@ -258,34 +258,39 @@ class CampaignDirectory:
 
         Returns a :class:`repro.store.CampaignStore` bound to
         ``.cheetah/store.sqlite`` with this campaign's manifest already
-        ingested.  Use as a context manager; the store flushes its
+        ingested.  A store created here starts from ``status.json``, so
+        runs that finished before it existed are not mirrored as
+        pending.  Use as a context manager; the store flushes its
         write-behind buffer and closes on exit.
         """
         from repro.store import CampaignStore  # lazy: repro.store imports us
 
+        created = not self.store_path().exists()
         store = CampaignStore(self.store_path())
         store.ensure_campaign(self.manifest)
+        if created:
+            recorded = {
+                run_id: status
+                for run_id, status in self.read_status().items()
+                if status is not RunStatus.PENDING
+            }
+            if recorded:
+                store.set_statuses(self.manifest.campaign, recorded)
         return store
 
-    def record_results(self, results: dict, json_export: bool = False) -> None:
+    def record_results(self, results: dict) -> None:
         """Record really-executed run outcomes into the campaign store.
 
         ``results`` maps ``run_id`` to an outcome record (a
         :class:`~repro.savanna.realexec.LocalRunResult` or its dict
         form).  Outcomes land in ``.cheetah/store.sqlite`` via chunked
-        bulk ingestion; ``json_export=True`` additionally writes the
-        per-run ``result.json`` files for human inspection.  Interrupted
-        runs are never recorded — they are pending, not outcomes.
+        bulk ingestion; ``python -m repro.store export`` writes them out
+        as per-run ``result.json`` files for human inspection.
+        Interrupted runs are never recorded — they are pending, not
+        outcomes.
         """
         with self.open_store() as store:
             store.record_run_results(self.manifest.campaign, results)
-        if json_export:
-            from dataclasses import asdict, is_dataclass
-
-            for run_id, outcome in results.items():
-                payload = asdict(outcome) if is_dataclass(outcome) else dict(outcome)
-                if payload.get("status") != "interrupted":
-                    self.write_run_result(run_id, payload)
 
     def _mirror_status(self, updates: dict) -> None:
         """Mirror status transitions into the store, when one exists."""

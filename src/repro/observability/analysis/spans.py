@@ -169,12 +169,14 @@ class SpanTrace:
         pid, f = event.pid, event.fields
         if event.name == CAMPAIGN:
             if event.phase == BEGIN:
+                group = open_group.get(pid, {})
                 span = CampaignSpan(
                     pid=pid,
                     name=f.get("campaign", "(campaign)"),
                     start=event.time,
                     tasks=f.get("tasks"),
-                    group=(open_group.get(pid) or {}).get("group"),
+                    group=group.get("group"),
+                    resumed_skipped=group.pop("resumed_skipped", 0),
                 )
                 open_campaign[pid] = span
                 self.campaigns.append(span)
@@ -188,9 +190,13 @@ class SpanTrace:
         elif event.name == GROUP and event.phase == END:
             open_group.pop(pid, None)
         elif event.name == GROUP_RESUMED:
+            # The drive reports the skip before its executor opens the
+            # campaign span: the open group keeps it for that span.
             campaign = open_campaign.get(pid)
             if campaign is not None:
                 campaign.resumed_skipped = f.get("skipped", 0)
+            elif pid in open_group:
+                open_group[pid]["resumed_skipped"] = f.get("skipped", 0)
         elif event.name == ALLOC_SUBMITTED:
             pending_submits[(pid, f.get("job"))] = event.time
         elif event.name == ALLOC:

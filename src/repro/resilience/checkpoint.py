@@ -40,10 +40,11 @@ import threading
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.observability import BEGIN, END, TASK
 
-#: Task-span ``outcome`` field -> durable run status.  A walltime-killed
-#: run is retryable, so it checkpoints as PENDING (same rule the drive
-#: layer applies to final task states); an attempt cut short by Ctrl-C in
-#: a real driver (``"interrupted"``) is likewise retryable.
+#: Task-span ``outcome`` field -> durable run status: the one
+#: outcome-to-status policy, for simulated and real drives alike.  A
+#: walltime-killed run is retryable, so it checkpoints as PENDING; an
+#: attempt cut short by Ctrl-C in a real driver (``"interrupted"``) is
+#: likewise retryable.
 _OUTCOME_TO_STATUS = {
     "done": RunStatus.DONE,
     "failed": RunStatus.FAILED,

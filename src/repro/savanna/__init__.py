@@ -17,8 +17,6 @@ on available resources".  Executor backends:
   for CPU-bound Python), with retry policies, per-attempt timeouts,
   deterministic per-run seeding, checkpoint/resume, and the standard
   event taxonomy over wall-clock time.
-  :class:`~repro.savanna.local.LocalExecutor` is its historical
-  thread-pool face (the examples' backend).
 
 - :class:`~repro.savanna.service.CampaignService` — the asyncio
   multi-campaign orchestration layer: a submission queue, a bounded
@@ -27,9 +25,11 @@ on available resources".  Executor backends:
   capability becomes per-submission middleware (``docs/campaign_service.md``).
 
 Shared machinery lives in :mod:`repro.savanna.executor` (task/outcome
-types, manifest→task mapping) and :mod:`repro.savanna.runner`
-(multi-allocation campaign loop with resume, the §V-D "simply re-submit
-the SweepGroup" behaviour).  ``python -m repro.savanna --list-backends``
+types, manifest→task mapping), :mod:`repro.savanna.runner` (the
+simulated multi-allocation campaign loop) and :mod:`repro.savanna.drive`
+(the one drive pipeline for every backend: lint gate, journaling and
+resume — the §V-D "simply re-submit the SweepGroup" behaviour — status
+compaction and reports).  ``python -m repro.savanna --list-backends``
 prints the live backend registry.
 """
 
@@ -42,8 +42,8 @@ from repro.savanna.executor import (
 )
 from repro.savanna.static import StaticSetExecutor
 from repro.savanna.pilot import PilotExecutor
-from repro.savanna.local import LocalExecutor, LocalRunResult
 from repro.savanna.realexec import (
+    LocalRunResult,
     RealCampaignResult,
     RealExecutor,
     RealTaskSpec,
@@ -78,7 +78,6 @@ __all__ = [
     "DurationModel",
     "StaticSetExecutor",
     "PilotExecutor",
-    "LocalExecutor",
     "LocalRunResult",
     "RealCampaignResult",
     "RealExecutor",

@@ -21,41 +21,40 @@ registered kind (:func:`~repro.savanna.backends.backend_kind`):
   :class:`~repro.observability.EventBus` created per drive (or pass
   ``bus=`` to share one across groups).
 
-Both worlds get the full stack: the pre-run ``repro.lint`` gate,
-incremental :class:`~repro.resilience.CampaignCheckpoint` journaling
-(one JSONL line per task transition, compacted into ``status.json`` when
-the group drains — a driver process killed mid-campaign loses at most
-the in-flight attempts), ``resume=True`` re-queuing exactly the runs not
-yet recorded DONE, ``group`` spans / ``group.resumed`` instants on the
-bus, and ``report=True`` trace analytics: a collector rides the bus for
-the duration of the group, the captured events are analyzed (see
+The drive is one *pipeline of stages* for both worlds — argument check
+and bus, lint gate, end-point resolution (with the verdict persisted as
+``.cheetah/lint.json``), group and pending set, execution, status
+compaction, report — and only execution branches on the backend's kind.
+Both worlds therefore get the same stack: incremental
+:class:`~repro.resilience.CampaignCheckpoint` journaling (one JSONL line
+per task transition, compacted into ``status.json`` when the group
+drains — a driver process killed mid-campaign loses at most the
+in-flight attempts), ``resume=True`` re-queuing exactly the runs not yet
+recorded DONE, ``group`` spans / ``group.resumed`` instants on the bus,
+and ``report=True`` trace analytics: a collector rides the bus for the
+duration of the group, the captured events are analyzed (see
 :mod:`repro.observability.analysis`), one ``campaign.report`` instant
 with the headline numbers (makespan, utilization, critical path,
 stragglers) is emitted, and — when a ``directory`` is in play — the full
 report is merged into the campaign end point's ``.cheetah/report.json``.
 Real runs additionally persist each run's outcome (value, error +
-traceback, seed, attempts) durably: bulk-recorded into the campaign
-store at ``.cheetah/store.sqlite`` (:mod:`repro.store`, the default) and
-— with ``json_results=True`` — exported as per-run ``<run>/result.json``
-files for human inspection.
+traceback, seed, attempts) into the campaign store at
+``.cheetah/store.sqlite`` (:mod:`repro.store`); ``python -m repro.store
+export`` writes them out as per-run ``<run>/result.json`` files.
 
-The drive is internally a *pipeline of stages* — lint gate, resume-set
-resolution, sub-manifest construction, execution, report analysis,
-status compaction — shared verbatim between the simulated and the real
-path, and reused per submission by the asyncio campaign service
-(:mod:`repro.savanna.service`), which runs many of these pipelines
-concurrently.  The per-submission **middleware order** is fixed and
-documented on :func:`execute_manifest`.
+The asyncio campaign service (:mod:`repro.savanna.service`) reuses the
+pipeline per submission and runs many of them concurrently.  The
+per-submission **middleware order** is fixed and documented on
+:func:`execute_manifest`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.cheetah.directory import CampaignDirectory, RunStatus, resolve_campaign_dir
 from repro.cheetah.manifest import CampaignManifest
 from repro.cluster.cluster import SimulatedCluster
-from repro.cluster.job import TaskState
 from repro.lint.engine import CampaignLintError, lint_app_fn, lint_manifest, suppressions_of
 from repro.observability import (
     BEGIN,
@@ -71,26 +70,57 @@ from repro.savanna.backends import backend_kind, create_executor
 from repro.savanna.executor import CampaignResult, tasks_from_manifest
 from repro.savanna.realexec import RealCampaignResult, wall_clock_bus
 
-_STATE_TO_STATUS = {
-    TaskState.DONE: RunStatus.DONE,
-    TaskState.FAILED: RunStatus.FAILED,
-    TaskState.KILLED: RunStatus.PENDING,  # killed-at-walltime runs are retryable
-    TaskState.PENDING: RunStatus.PENDING,
-    TaskState.RUNNING: RunStatus.RUNNING,
-}
-
-#: Real-run result status -> durable run status ("interrupted" runs are
-#: retryable, so they record as PENDING — resume re-queues them).
-_REAL_TO_STATUS = {
-    "done": RunStatus.DONE,
-    "failed": RunStatus.FAILED,
-    "interrupted": RunStatus.PENDING,
-}
-
 
 def _pool_of(backend: str) -> str:
     """Which worker pool a real backend dispatches to (pickling matters)."""
     return "processes" if "process" in backend else "threads"
+
+
+@dataclass
+class _DriveArgs:
+    """Output of the argument-check stage: how to execute, and on which bus.
+
+    ``app_fn`` is ``None`` for simulated backends; ``executor_kwargs`` is
+    what the backend's factory takes (the cluster for simulated ones,
+    ``backend_kwargs`` without the drive's own ``app_fn``/``bus``).
+    """
+
+    kind: str
+    bus: object
+    app_fn: object
+    executor_kwargs: dict
+
+
+def _check_args(manifest, backend, duration_model, cluster, backend_kwargs) -> _DriveArgs:
+    """Pipeline stage: check what the backend's kind needs, pick the bus.
+
+    Simulated backends need a ``duration_model`` and a ``cluster`` and
+    narrate on the cluster's bus.  Real backends need an ``app_fn=``
+    keyword and narrate on ``bus=`` when given, else the cluster's bus,
+    else a fresh wall-clock bus.
+    """
+    kind = backend_kind(backend)
+    if kind == "simulated":
+        if duration_model is None or cluster is None:
+            raise ValueError(
+                f"backend {backend!r} is simulated and requires both a "
+                "duration_model and a cluster"
+            )
+        return _DriveArgs(kind, cluster.bus, None, dict(backend_kwargs, cluster=cluster))
+    executor_kwargs = dict(backend_kwargs)
+    app_fn = executor_kwargs.pop("app_fn", None)
+    if app_fn is None:
+        raise ValueError(
+            f"backend {backend!r} executes real code: pass "
+            "app_fn=callable(parameters) -> value (module-level, so the "
+            "process pool can pickle it)"
+        )
+    bus = executor_kwargs.pop("bus", None)
+    if bus is None:
+        bus = cluster.bus if cluster is not None else wall_clock_bus(
+            f"drive-{manifest.campaign}"
+        )
+    return _DriveArgs(kind, bus, app_fn, executor_kwargs)
 
 
 def _pre_run_lint(manifest, bus, cluster, backend_kwargs, app_fn=None, pool="threads"):
@@ -132,6 +162,29 @@ def _pre_run_lint(manifest, bus, cluster, backend_kwargs, app_fn=None, pool="thr
     return report
 
 
+def _gate(manifest, backend, args: _DriveArgs, cluster, directory, lint):
+    """Pipeline stages: the lint gate, then the campaign end point.
+
+    ``directory`` may be a :class:`~repro.cheetah.directory.CampaignDirectory`
+    or a path, resolved through
+    :func:`~repro.cheetah.directory.resolve_campaign_dir` (created on
+    first use) only once the gate has admitted the campaign.  The
+    verdict is persisted there as ``.cheetah/lint.json``.  Returns the
+    resolved directory (or ``None``).
+    """
+    report = None
+    if lint:
+        report = _pre_run_lint(
+            manifest, args.bus, cluster, args.executor_kwargs,
+            app_fn=args.app_fn, pool=_pool_of(backend),
+        )
+    if directory is not None and not isinstance(directory, CampaignDirectory):
+        directory = resolve_campaign_dir(directory, manifest, create=True)
+    if directory is not None and report is not None:
+        directory.write_lint_report(report)
+    return directory
+
+
 def _resolve_group(manifest: CampaignManifest, group: str | None) -> str:
     """Pipeline stage: pin down which SweepGroup's envelope applies."""
     if group is not None:
@@ -153,7 +206,6 @@ class _PendingWork:
     many the journal let us skip (reported via ``group.resumed``).
     """
 
-    directory: CampaignDirectory | None
     checkpoint: CampaignCheckpoint | None
     sub: CampaignManifest
     meta: dict
@@ -163,25 +215,21 @@ class _PendingWork:
 def _resolve_pending(
     manifest: CampaignManifest,
     group: str,
-    directory,
+    directory: CampaignDirectory | None,
     resume: bool,
 ) -> _PendingWork:
-    """Pipeline stage: resolve the campaign end point and the pending set.
+    """Pipeline stage: the group's pending set and its checkpoint.
 
-    Accepts a :class:`~repro.cheetah.directory.CampaignDirectory` or a
-    path (resolved and created on first use), constructs the
-    write-ahead :class:`~repro.resilience.CampaignCheckpoint` over it,
-    and — when resuming — overlays the journal on the base status record
-    to drop every run already recorded DONE.  Shared verbatim by the
-    simulated and the real execution paths, and therefore by every
-    campaign-service submission.
+    Constructs the write-ahead :class:`~repro.resilience.CampaignCheckpoint`
+    over the campaign directory and — when resuming — overlays the
+    journal on the base status record to drop every run already
+    recorded DONE.  This is the drive's one resume path, for every
+    backend and every campaign-service submission.
     """
     meta = manifest.group_meta(group)
     selected = manifest.runs_in_group(group)
     checkpoint = None
     skipped = 0
-    if directory is not None and not isinstance(directory, CampaignDirectory):
-        directory = resolve_campaign_dir(directory, manifest, create=True)
     if directory is not None:
         checkpoint = CampaignCheckpoint(directory)
         if resume:
@@ -199,13 +247,7 @@ def _resolve_pending(
         objective=manifest.objective,
         groups=(dict(meta),),
     )
-    return _PendingWork(
-        directory=directory,
-        checkpoint=checkpoint,
-        sub=sub,
-        meta=meta,
-        skipped=skipped,
-    )
+    return _PendingWork(checkpoint=checkpoint, sub=sub, meta=meta, skipped=skipped)
 
 
 def _check_cancelled(cancel) -> bool:
@@ -226,8 +268,6 @@ def execute_campaign(
     resume: bool = True,
     lint: bool = True,
     report: bool = False,
-    store: bool = True,
-    json_results: bool = False,
     cancel=None,
     trace_id: str | None = None,
     **backend_kwargs,
@@ -240,9 +280,11 @@ def execute_campaign(
     ``RealCampaignResult`` for real backends).
 
     The whole campaign is linted once up front (see
-    :func:`execute_manifest`'s ``lint`` parameter); per-group calls then
-    skip the redundant re-analysis.  ``report=True`` analyzes each
-    group's trace as it completes (see :func:`execute_manifest`).
+    :func:`execute_manifest`'s ``lint`` parameter) and a path
+    ``directory`` is resolved once, with the verdict persisted there;
+    per-group calls then skip the redundant re-analysis.
+    ``report=True`` analyzes each group's trace as it completes (see
+    :func:`execute_manifest`).
 
     ``cancel`` (a ``threading.Event`` or zero-argument callable) stops
     the campaign between groups — already-finished groups keep their
@@ -258,26 +300,12 @@ def execute_campaign(
     the whole execution across logs and buses.
     """
     trace_id = trace_id or new_trace_id()
-    if backend_kind(backend) == "real":
+    args = _check_args(manifest, backend, duration_model, cluster, backend_kwargs)
+    if args.kind == "real":
         # One wall-clock bus for the whole campaign, so the groups share
         # a time base and any subscriber sees the full story.
-        backend_kwargs.setdefault("bus", wall_clock_bus(f"drive-{manifest.campaign}"))
-        if lint:
-            _pre_run_lint(
-                manifest,
-                backend_kwargs["bus"],
-                cluster,
-                backend_kwargs,
-                app_fn=backend_kwargs.get("app_fn"),
-                pool=_pool_of(backend),
-            )
-    else:
-        if cluster is None:
-            raise ValueError(
-                f"backend {backend!r} is simulated and requires a cluster"
-            )
-        if lint:
-            _pre_run_lint(manifest, cluster.bus, cluster, backend_kwargs)
+        backend_kwargs["bus"] = args.bus
+    directory = _gate(manifest, backend, args, cluster, directory, lint)
     results: dict = {}
     for meta in manifest.groups:
         if _check_cancelled(cancel):
@@ -294,8 +322,6 @@ def execute_campaign(
             resume=resume,
             lint=False,
             report=report,
-            store=store,
-            json_results=json_results,
             cancel=cancel,
             trace_id=trace_id,
             **backend_kwargs,
@@ -315,39 +341,45 @@ def execute_manifest(
     resume: bool = True,
     lint: bool = True,
     report: bool = False,
-    store: bool = True,
-    json_results: bool = False,
     cancel=None,
     trace_id: str | None = None,
     **backend_kwargs,
 ) -> CampaignResult | RealCampaignResult:
     """Execute (part of) a campaign manifest through a named backend.
 
-    This is the drive *pipeline*; every stage below is per-submission
-    middleware when called through the campaign service
-    (:mod:`repro.savanna.service`).  The **middleware order** is fixed:
+    This is the drive *pipeline*, one function body for simulated and
+    real backends; every stage below is per-submission middleware when
+    called through the campaign service (:mod:`repro.savanna.service`).
+    The **middleware order** is fixed:
 
-    1. **lint gate** (``lint=True``) — manifest rules against the real
-       cluster spec + retry policy; ERROR findings refuse the campaign
+    1. **argument check and bus** — what the backend's kind needs
+       (``duration_model`` + ``cluster``, or ``app_fn``) and the bus the
+       drive narrates on;
+    2. **lint gate** (``lint=True``) — manifest rules against the
+       cluster spec + retry policy (plus the FAIR5xx pass over a real
+       ``app_fn``); ERROR findings refuse the campaign
        (``campaign.linted`` instant either way);
-    2. **group resolution** — pin the SweepGroup whose nodes/walltime
-       envelope applies;
-    3. **resume resolution** (``directory`` + ``resume=True``) —
-       overlay the write-ahead journal on ``status.json`` and narrow the
-       manifest to the runs not yet DONE (``group.resumed`` instant);
-    4. **execution** — the backend's engine, routed on
-       :func:`~repro.savanna.backends.backend_kind`; the
+    3. **end-point resolution** — a path ``directory`` is resolved (and
+       created on first use) and the lint verdict lands in its
+       ``.cheetah/lint.json``;
+    4. **group and pending set** — pin the SweepGroup whose
+       nodes/walltime envelope applies; with ``directory`` +
+       ``resume=True``, overlay the write-ahead journal on
+       ``status.json`` and narrow the group to the runs not yet DONE
+       (``group.resumed`` instant);
+    5. **execution** — the only stage that branches on
+       :func:`~repro.savanna.backends.backend_kind`: the simulated
+       engine replays the tasks, a real pool runs ``app_fn`` (honouring
+       ``cancel``) and its outcomes are recorded into the campaign store
+       at ``.cheetah/store.sqlite``.  The
        :class:`~repro.resilience.CampaignCheckpoint` journals every task
-       transition while it runs, and real backends honour ``cancel``;
-    5. **report analysis** (``report=True``) — the group's captured
-       events become a ``CampaignReport`` + one ``campaign.report``
-       instant;
-    6. **result + status compaction** — real-run outcomes are
-       bulk-recorded into the campaign store
-       (``.cheetah/store.sqlite`` — ``store=True``, the default; pass
-       ``json_results=True`` to additionally export per-run
-       ``result.json`` files), then final statuses land in
-       ``status.json`` and are mirrored into the store.
+       transition meanwhile;
+    6. **status compaction** — the journal folds into ``status.json``
+       (mirrored into the store), even when execution raised.  This is
+       the group's one status write: runs the group never started keep
+       their recorded status;
+    7. **report** (``report=True``) — the group's captured events become
+       a ``CampaignReport`` + one ``campaign.report`` instant.
 
     Parameters
     ----------
@@ -370,12 +402,14 @@ def execute_manifest(
         ``chunk_size=`` and ``bus=``.
     directory:
         If given, per-run progress is journaled incrementally (the
-        resume record survives a killed driver) and final statuses are
-        compacted back into ``status.json``.  A path is accepted too and
-        resolved through
-        :func:`~repro.cheetah.directory.resolve_campaign_dir` (created
-        on first use) — the same resolution the ``repro.lint`` CLI uses,
-        so the linted end point and the resumed end point are one.
+        resume record survives a killed driver) and compacted back into
+        ``status.json``; real-run outcomes land in the campaign store
+        (``python -m repro.store export`` writes them out as per-run
+        ``result.json`` files).  A path is accepted too and resolved
+        through :func:`~repro.cheetah.directory.resolve_campaign_dir`
+        (created on first use) — the same resolution the ``repro.lint``
+        CLI uses, so the linted end point and the resumed end point are
+        one.
     resume:
         With a ``directory``: skip runs whose durable status (base
         record + journal) is already DONE, emitting ``group.resumed``.
@@ -393,17 +427,6 @@ def execute_manifest(
         ``directory.read_report()``).  For real backends the spans are
         genuine wall-clock measurements, so the critical path and the
         straggler list describe the machine you actually ran on.
-    store:
-        With a ``directory``, real-run outcomes are bulk-recorded into
-        the durable campaign store at ``.cheetah/store.sqlite``
-        (:mod:`repro.store`) — chunked ``executemany`` ingestion, one
-        transaction per chunk, instead of one fsynced JSON file per run.
-        ``store=False`` restores the legacy per-file-only persistence.
-    json_results:
-        Opt-in per-run ``result.json`` export alongside the store
-        (``directory.read_run_result`` reads either form transparently).
-        Ignored when ``store=False`` — the legacy path always writes
-        the files.
     cancel:
         External stop signal (``threading.Event`` or zero-argument
         callable).  Real backends poll it while executing and take the
@@ -417,132 +440,17 @@ def execute_manifest(
         (minted fresh when not supplied).
     """
     trace_id = trace_id or new_trace_id()
-    if backend_kind(backend) == "real":
-        return _execute_manifest_real(
-            manifest,
-            cluster,
-            group=group,
-            backend=backend,
-            directory=directory,
-            resume=resume,
-            lint=lint,
-            report=report,
-            store=store,
-            json_results=json_results,
-            cancel=cancel,
-            trace_id=trace_id,
-            backend_kwargs=backend_kwargs,
-        )
-    if duration_model is None or cluster is None:
-        raise ValueError(
-            f"backend {backend!r} is simulated and requires both a "
-            "duration_model and a cluster"
-        )
-    if lint:
-        _pre_run_lint(manifest, cluster.bus, cluster, backend_kwargs)
+    args = _check_args(manifest, backend, duration_model, cluster, backend_kwargs)
+    directory = _gate(manifest, backend, args, cluster, directory, lint)
     group = _resolve_group(manifest, group)
     work = _resolve_pending(manifest, group, directory, resume)
 
-    tasks = tasks_from_manifest(work.sub, duration_model)
-    executor = create_executor(backend, cluster=cluster, **backend_kwargs)
+    bus = args.bus
+    name = f"{manifest.campaign}/{group}"
+    executor = create_executor(backend, **args.executor_kwargs)
     # Streaming analysis: events fold into report state as they are
     # emitted (batch-aware, O(1) memory per event) instead of being
     # buffered whole and replayed after the run.
-    streaming = _make_streaming(cluster.bus) if report else None
-    cluster.bus.emit(
-        GROUP,
-        phase=BEGIN,
-        campaign=manifest.campaign,
-        group=group,
-        runs=len(tasks),
-        backend=backend,
-        trace_id=trace_id,
-    )
-    if work.skipped:
-        cluster.bus.emit(
-            GROUP_RESUMED,
-            campaign=manifest.campaign,
-            total=len(work.sub.runs) + work.skipped,
-            skipped=work.skipped,
-            pending=len(tasks),
-            trace_id=trace_id,
-        )
-    result = executor.run(
-        tasks,
-        nodes=work.meta["nodes"],
-        walltime=work.meta["walltime"],
-        max_allocations=max_allocations,
-        inter_allocation_gap=inter_allocation_gap,
-        name=f"{manifest.campaign}/{group}",
-        checkpoint=work.checkpoint,
-    )
-    cluster.bus.emit(
-        GROUP,
-        phase=END,
-        campaign=manifest.campaign,
-        group=group,
-        completed=len(result.completed),
-        trace_id=trace_id,
-    )
-    if streaming is not None:
-        streaming.detach()
-        _report_group(cluster.bus, work.directory, streaming.reports())
-    if work.directory is not None:
-        work.directory.update_status(
-            {task.name: _STATE_TO_STATUS[task.state] for task in tasks}
-        )
-    return result
-
-
-def _execute_manifest_real(
-    manifest: CampaignManifest,
-    cluster,
-    *,
-    group,
-    backend,
-    directory,
-    resume,
-    lint,
-    report,
-    store,
-    json_results,
-    cancel,
-    trace_id,
-    backend_kwargs,
-) -> RealCampaignResult:
-    """The real-execution drive path: same stack, wall-clock substrate.
-
-    Mirrors the simulated path stage for stage — lint gate, resume set
-    computation, group span, checkpoint attach, report analysis, status
-    compaction — but hands the pending runs to a
-    :class:`~repro.savanna.realexec.RealExecutor` (with the external
-    ``cancel`` signal threaded through) and persists each run's real
-    outcome into the campaign directory.
-    """
-    app_fn = backend_kwargs.pop("app_fn", None)
-    if app_fn is None:
-        raise ValueError(
-            f"backend {backend!r} executes real code: pass "
-            "app_fn=callable(parameters) -> value (module-level, so the "
-            "process pool can pickle it)"
-        )
-    bus = backend_kwargs.pop("bus", None)
-    if bus is None:
-        bus = cluster.bus if cluster is not None else wall_clock_bus(
-            f"drive-{manifest.campaign}"
-        )
-    lint_report = None
-    if lint:
-        lint_report = _pre_run_lint(
-            manifest, bus, cluster, backend_kwargs,
-            app_fn=app_fn, pool=_pool_of(backend),
-        )
-    group = _resolve_group(manifest, group)
-    work = _resolve_pending(manifest, group, directory, resume)
-    if work.directory is not None and lint_report is not None:
-        work.directory.write_lint_report(lint_report)
-
-    executor = create_executor(backend, **backend_kwargs)
     streaming = _make_streaming(bus) if report else None
     bus.emit(
         GROUP,
@@ -565,14 +473,22 @@ def _execute_manifest_real(
     if work.checkpoint is not None:
         work.checkpoint.attach(bus)
     try:
-        result = executor.execute(
-            work.sub,
-            app_fn,
-            bus=bus,
-            name=f"{manifest.campaign}/{group}",
-            cancel=cancel,
-            trace_id=trace_id,
-        )
+        if args.kind == "real":
+            result = executor.execute(
+                work.sub, args.app_fn, bus=bus, name=name, cancel=cancel, trace_id=trace_id
+            )
+            if directory is not None:
+                # Before compaction, so its status mirror finds the store.
+                directory.record_results(result.results)
+        else:
+            result = executor.run(
+                tasks_from_manifest(work.sub, duration_model),
+                nodes=work.meta["nodes"],
+                walltime=work.meta["walltime"],
+                max_allocations=max_allocations,
+                inter_allocation_gap=inter_allocation_gap,
+                name=name,
+            )
     finally:
         if work.checkpoint is not None:
             work.checkpoint.detach()
@@ -587,20 +503,7 @@ def _execute_manifest_real(
     )
     if streaming is not None:
         streaming.detach()
-        _report_group(bus, work.directory, streaming.reports())
-    if work.directory is not None:
-        if store:
-            # Durable path: outcomes land in .cheetah/store.sqlite via
-            # chunked bulk ingestion; per-run JSON files are the opt-in
-            # human-inspection export.
-            work.directory.record_results(result.results, json_export=json_results)
-        else:
-            for rid, run_result in result.results.items():
-                if run_result.status != "interrupted":
-                    work.directory.write_run_result(rid, asdict(run_result))
-        work.directory.update_status(
-            {rid: _REAL_TO_STATUS[r.status] for rid, r in result.results.items()}
-        )
+        _report_group(bus, directory, streaming.reports())
     return result
 
 

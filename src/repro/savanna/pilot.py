@@ -97,17 +97,14 @@ class PilotExecutor:
         inter_allocation_gap: float = 0.0,
         end_early: bool = True,
         name: str = "pilot",
-        checkpoint=None,
-        resume: bool = False,
     ) -> CampaignResult:
         """Execute ``tasks`` over up to ``max_allocations`` batch jobs.
 
         Emits (via :func:`~repro.savanna.runner.run_campaign` and the
         layers below) one ``campaign`` span, an ``alloc.submitted`` +
         ``alloc`` span per allocation, and a ``task`` span per attempt.
-        ``checkpoint``/``resume`` journal progress into a campaign
-        directory and skip runs already recorded DONE — see
-        :func:`~repro.savanna.runner.run_campaign`.
+        Journaling and resume belong to the drive
+        (:func:`~repro.savanna.drive.execute_manifest`).
         """
         return run_campaign(
             self,
@@ -119,6 +116,4 @@ class PilotExecutor:
             inter_allocation_gap=inter_allocation_gap,
             end_early=end_early,
             name=name,
-            checkpoint=checkpoint,
-            resume=resume,
         )

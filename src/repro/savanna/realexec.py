@@ -345,8 +345,6 @@ class RealExecutor:
         nothing and adds no thread.
     """
 
-    pool_kind = "real"  # executor-protocol marker (vs simulated make_run)
-
     def __init__(
         self,
         max_workers: int = 4,
@@ -395,8 +393,8 @@ class RealExecutor:
     ) -> dict:
         """Execute the campaign; returns ``{run_id: LocalRunResult}``.
 
-        The original ``LocalExecutor`` contract, kept for the examples
-        and anyone holding the manifest directly; :meth:`execute` is the
+        The plain bag-of-tasks contract, kept for the examples and
+        anyone holding the manifest directly; :meth:`execute` is the
         full-featured engine entry the drive layer uses.
         """
         return self.execute(manifest, app_fn, run_filter=run_filter).results

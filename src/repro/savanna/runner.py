@@ -1,4 +1,4 @@
-"""Multi-allocation campaign loop with resume (§V-D).
+"""Multi-allocation campaign loop (§V-D).
 
 "If all runs in the SweepGroup cannot be run in the allotted time, the
 SweepGroup is simply re-submitted, and Savanna resumes execution of the
@@ -7,11 +7,12 @@ new allocation receives every task not yet DONE (killed and failed tasks
 are retried), until the campaign completes or the allocation budget runs
 out.
 
-Durability: pass a :class:`~repro.resilience.CampaignCheckpoint` to
-journal every task transition into the Cheetah campaign directory as it
-happens, and ``resume=True`` to skip tasks the checkpoint already records
-DONE (emitting one ``group.resumed`` instant with the skip count) — the
-paper's "simply re-submit" made crash-safe.
+Durability lives one layer up: the drive
+(:func:`~repro.savanna.drive.execute_manifest`) journals every task
+transition through a :class:`~repro.resilience.CampaignCheckpoint` while
+this loop runs, and a re-submitted group hands the loop only the runs
+the journal does not record DONE — the paper's "simply re-submit" made
+crash-safe, with one resume path for every backend.
 
 Observability: one ``campaign`` span per :func:`run_campaign` call on the
 cluster's bus — ``begin`` before the first submission (fields:
@@ -27,7 +28,7 @@ from __future__ import annotations
 from repro._util import check_nonnegative, check_positive
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.job import AllocationRequest, TaskState
-from repro.observability import BEGIN, CAMPAIGN, END, GROUP_RESUMED
+from repro.observability import BEGIN, CAMPAIGN, END
 from repro.savanna.executor import AllocationOutcome, CampaignResult
 
 
@@ -42,8 +43,6 @@ def run_campaign(
     inter_allocation_gap: float = 0.0,
     end_early: bool = True,
     name: str = "campaign",
-    checkpoint=None,
-    resume: bool = False,
 ) -> CampaignResult:
     """Drive ``executor`` over up to ``max_allocations`` sequential batch jobs.
 
@@ -62,39 +61,17 @@ def run_campaign(
     end_early:
         Release the allocation when no work remains instead of idling to
         the walltime (real job scripts exit when done).
-    checkpoint:
-        Optional :class:`~repro.resilience.CampaignCheckpoint`; while the
-        loop runs, every task transition is journaled into the campaign
-        directory (crash-safe progress), and the journal is compacted
-        into ``status.json`` when the loop drains.
-    resume:
-        With a ``checkpoint``: tasks whose names the checkpoint records
-        DONE are marked complete up front and never dispatched; one
-        ``group.resumed`` instant reports the skip count.  Requires
-        ``checkpoint``.
     """
     check_positive("max_allocations", max_allocations)
     check_nonnegative("inter_allocation_gap", inter_allocation_gap)
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint")
     tasks = list(tasks)
     result = CampaignResult(tasks=tasks)
     state = {"submitted": 0, "active_run": None}
 
-    skipped = 0
-    if resume:
-        already_done = checkpoint.completed()
-        for t in tasks:
-            if t.name in already_done:
-                t.state = TaskState.DONE
-                skipped += 1
-
-    def remaining():
-        return [t for t in tasks if t.state is not TaskState.DONE]
-
     def submit_next():
         # any() early-exits on the first unfinished task; building the
-        # full remaining() list here would be an O(n) scan per submit.
+        # full list of unfinished tasks here would be an O(n) scan per
+        # submit.
         if state["submitted"] >= max_allocations or not any(
             t.state is not TaskState.DONE for t in tasks
         ):
@@ -145,23 +122,8 @@ def run_campaign(
         tasks=len(tasks),
         max_allocations=max_allocations,
     )
-    if resume:
-        cluster.bus.emit(
-            GROUP_RESUMED,
-            campaign=name,
-            total=len(tasks),
-            skipped=skipped,
-            pending=len(tasks) - skipped,
-        )
-    if checkpoint is not None:
-        checkpoint.attach(cluster.bus)
-    try:
-        submit_next()
-        cluster.run()
-    finally:
-        if checkpoint is not None:
-            checkpoint.detach()
-            checkpoint.compact()
+    submit_next()
+    cluster.run()
     if cluster.bus.has_subscribers:
         # Guarded so the O(n) completed-list scan in the arguments is
         # only paid when someone is listening; emit itself would drop

@@ -82,8 +82,6 @@ class StaticSetExecutor:
         inter_allocation_gap: float = 0.0,
         end_early: bool = True,
         name: str = "static",
-        checkpoint=None,
-        resume: bool = False,
     ) -> CampaignResult:
         """Execute ``tasks`` over up to ``max_allocations`` batch jobs."""
         return run_campaign(
@@ -96,6 +94,4 @@ class StaticSetExecutor:
             inter_allocation_gap=inter_allocation_gap,
             end_early=end_early,
             name=name,
-            checkpoint=checkpoint,
-            resume=resume,
         )

@@ -11,6 +11,7 @@ from repro.lint import CampaignLintError
 from repro.observability import CAMPAIGN_LINTED
 from repro.savanna import execute_campaign, execute_manifest
 
+import lint_fixture_apps as fixture_apps
 from conftest import make_cluster
 
 
@@ -55,6 +56,16 @@ class TestPreRunGate:
     def test_execute_campaign_gates_too(self):
         with pytest.raises(CampaignLintError):
             execute_campaign(broken_manifest(), lambda p: 10.0, make_cluster())
+
+    @pytest.mark.parametrize("backend", ["pilot", "local-threads"])
+    def test_execute_campaign_persists_the_verdict(self, tmp_path, backend):
+        if backend == "pilot":
+            drive = dict(duration_model=lambda p: 10.0, cluster=make_cluster(nodes=4))
+        else:
+            drive = dict(app_fn=fixture_apps.clean)
+        execute_campaign(make_manifest(), backend=backend, directory=tmp_path, **drive)
+        directory = CampaignDirectory.open(tmp_path / "drive")
+        assert directory.read_lint_report() is not None
 
     def test_cluster_oversubscription_caught(self):
         # FAIR004 needs the cluster model: a 100-node group on 4 nodes.

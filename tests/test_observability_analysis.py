@@ -440,11 +440,18 @@ class TestAnalyzerEdgeCases:
         assert [el["kind"] for el in report.critical_path] == ["queue-wait"]
         assert report.counts["attempts"] == 0
 
-    def test_resumed_group_skip_count(self):
+    @pytest.mark.parametrize("resumed_first", [False, True], ids=["in-campaign", "in-group"])
+    def test_resumed_group_skip_count(self, resumed_first):
+        # The drive emits group.resumed inside its group span, before the
+        # executor opens the campaign span; an executor may emit it after.
         bus, seen = capture_bus()
         bus.emit(GROUP, phase=BEGIN, time=0.0, campaign="c", group="g", runs=2)
+        resumed = dict(time=0.0, campaign="c", total=7, skipped=5, pending=2)
+        if resumed_first:
+            bus.emit(GROUP_RESUMED, **resumed)
         bus.emit(CAMPAIGN, phase=BEGIN, time=0.0, campaign="c/g")
-        bus.emit(GROUP_RESUMED, time=0.0, campaign="c", total=7, skipped=5, pending=2)
+        if not resumed_first:
+            bus.emit(GROUP_RESUMED, **resumed)
         emit_task(bus, 0, 0.0, 10.0, group="g")
         emit_task(bus, 1, 10.0, 20.0, group="g")
         bus.emit(CAMPAIGN, phase=END, time=20.0, campaign="c/g", completed=2)

@@ -6,8 +6,7 @@ from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.observability import BEGIN, END, GROUP_RESUMED, TASK, EventBus
 from repro.resilience import CampaignCheckpoint
-from repro.savanna import PilotExecutor, execute_manifest
-from repro.savanna.executor import tasks_from_manifest
+from repro.savanna import execute_campaign, execute_manifest
 
 from conftest import make_cluster
 
@@ -90,46 +89,6 @@ class TestCampaignCheckpoint:
         checkpoint.detach()
 
 
-class TestResumeThroughExecutor:
-    def test_resume_requires_checkpoint(self):
-        executor = PilotExecutor(make_cluster())
-        with pytest.raises(ValueError, match="requires a checkpoint"):
-            executor.run([], nodes=2, walltime=100.0, resume=True)
-
-    def test_resume_skips_checkpointed_runs_and_emits_event(self, tmp_path):
-        manifest = make_manifest(n=6, nodes=4, walltime=500.0)
-        directory = make_directory(tmp_path, manifest)
-        checkpoint = CampaignCheckpoint(directory)
-        checkpoint.record("g/run-0000", RunStatus.DONE)
-        checkpoint.record("g/run-0003", RunStatus.DONE)
-
-        cluster = make_cluster(nodes=4)
-        events = []
-        cluster.bus.subscribe(events.append)
-        tasks = tasks_from_manifest(manifest, lambda p: 10.0)
-        result = PilotExecutor(cluster).run(
-            tasks,
-            nodes=4,
-            walltime=500.0,
-            checkpoint=checkpoint,
-            resume=True,
-        )
-        assert result.all_done
-        started = [
-            e.fields["task"] for e in events if e.name == TASK and e.phase == BEGIN
-        ]
-        assert sorted(started) == [
-            "g/run-0001",
-            "g/run-0002",
-            "g/run-0004",
-            "g/run-0005",
-        ]
-        resumed = [e for e in events if e.name == GROUP_RESUMED]
-        assert len(resumed) == 1
-        assert resumed[0].fields["skipped"] == 2
-        assert resumed[0].fields["pending"] == 4
-
-
 class TestInterruptedCampaignResume:
     def test_interrupted_then_resumed_completes_exactly_the_remainder(self, tmp_path):
         # Acceptance: a SweepGroup cut off by its allocation budget,
@@ -165,6 +124,7 @@ class TestInterruptedCampaignResume:
             cluster,
             directory=directory,
             max_allocations=4,
+            report=True,
         )
         started = [
             e.fields["task"] for e in events if e.name == TASK and e.phase == BEGIN
@@ -175,8 +135,12 @@ class TestInterruptedCampaignResume:
         resumed = [e for e in events if e.name == GROUP_RESUMED]
         assert len(resumed) == 1
         assert resumed[0].fields["skipped"] == 4
+        assert resumed[0].fields["pending"] == 4
         assert result.all_done
         assert directory.summary()["done"] == 8
+        # the stored report credits the skip to the group's campaign span
+        (stored,) = directory.read_report()
+        assert stored["counts"]["resumed_skipped"] == 4
 
     def test_journal_survives_a_killed_driver(self, tmp_path):
         # Emulate a driver killed mid-campaign: DONE lines sit in the
@@ -216,3 +180,66 @@ class TestInterruptedCampaignResume:
         }
         assert started == {run.run_id for run in manifest.runs}
         assert not [e for e in events if e.name == GROUP_RESUMED]
+
+
+class TestOneStatusWriter:
+    """Compaction is the drive's only status write for a group."""
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_runs_the_group_never_starts_keep_their_status(self, tmp_path, resume):
+        # One 2-node/120s allocation runs 4 of the 8 50-second runs and
+        # kills 2 more; run-0006 and run-0007 never start.
+        manifest = make_manifest(n=8, nodes=2, walltime=120.0)
+        directory = make_directory(tmp_path, manifest)
+        directory.update_status(
+            {"g/run-0006": RunStatus.DONE, "g/run-0007": RunStatus.FAILED}
+        )
+        execute_manifest(
+            manifest,
+            lambda p: 50.0,
+            make_cluster(nodes=2),
+            directory=directory,
+            max_allocations=1,
+            resume=resume,
+        )
+        status = directory.read_status()
+        assert [status[f"g/run-{i:04d}"] for i in range(6)] == (
+            [RunStatus.DONE] * 4 + [RunStatus.PENDING] * 2
+        )
+        assert status["g/run-0006"] is RunStatus.DONE
+        assert status["g/run-0007"] is RunStatus.FAILED
+        assert CampaignCheckpoint(directory).pending() == {
+            f"g/run-{i:04d}" for i in (4, 5, 7)
+        }
+
+    @pytest.mark.parametrize("backend", ["pilot", "local-threads"])
+    def test_one_status_write_per_group(self, tmp_path, monkeypatch, backend):
+        camp = Campaign("writes", app=AppSpec("app"))
+        for name in ("a", "b"):
+            sg = camp.sweep_group(name, nodes=2, walltime=500.0)
+            sg.add(Sweep([SweepParameter("x", range(3))]))
+        manifest = camp.to_manifest()
+        writes = []
+        update_status = CampaignDirectory.update_status
+
+        def counting(self, updates):
+            writes.append(dict(updates))
+            return update_status(self, updates)
+
+        monkeypatch.setattr(CampaignDirectory, "update_status", counting)
+        if backend == "pilot":
+            drive = dict(duration_model=lambda p: 10.0, cluster=make_cluster(nodes=2))
+        else:
+            drive = dict(app_fn=_square, max_workers=2)
+        results = execute_campaign(manifest, backend=backend, directory=tmp_path, **drive)
+        assert all(r.all_done for r in results.values())
+        assert len(writes) == 2
+        assert [sorted(w) for w in writes] == [
+            [r.run_id for r in manifest.runs if r.group == group] for group in "ab"
+        ]
+        directory = CampaignDirectory.open(tmp_path / "writes")
+        assert directory.summary()["done"] == 6
+
+
+def _square(parameters):
+    return parameters["x"] ** 2

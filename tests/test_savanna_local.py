@@ -1,9 +1,9 @@
-"""Tests for the local (real-execution) executor."""
+"""Tests for the thread-pool real executor's bag-of-tasks ``run``."""
 
 import pytest
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
-from repro.savanna import LocalExecutor
+from repro.savanna import RealExecutor
 
 
 def make_manifest(values=(1, 2, 3)):
@@ -15,13 +15,13 @@ def make_manifest(values=(1, 2, 3)):
 
 class TestLocalExecutor:
     def test_runs_every_configuration(self):
-        results = LocalExecutor(max_workers=2).run(make_manifest(), lambda p: p["x"] ** 2)
+        results = RealExecutor(max_workers=2).run(make_manifest(), lambda p: p["x"] ** 2)
         assert len(results) == 3
         assert results["g/run-0001"].value == 4
         assert all(r.status == "done" for r in results.values())
 
     def test_elapsed_recorded(self):
-        results = LocalExecutor().run(make_manifest((1,)), lambda p: p["x"])
+        results = RealExecutor().run(make_manifest((1,)), lambda p: p["x"])
         assert results["g/run-0000"].elapsed >= 0
 
     def test_exception_isolated_per_run(self):
@@ -30,14 +30,14 @@ class TestLocalExecutor:
                 raise ValueError("boom")
             return p["x"]
 
-        results = LocalExecutor(max_workers=2).run(make_manifest(), app)
+        results = RealExecutor(max_workers=2).run(make_manifest(), app)
         assert results["g/run-0001"].status == "failed"
         assert "ValueError: boom" in results["g/run-0001"].error
         assert results["g/run-0000"].status == "done"
         assert results["g/run-0002"].status == "done"
 
     def test_run_filter_selects_subset(self):
-        results = LocalExecutor().run(
+        results = RealExecutor().run(
             make_manifest(), lambda p: p["x"], run_filter=lambda rid: rid.endswith("0002")
         )
         assert set(results) == {"g/run-0002"}
@@ -51,12 +51,12 @@ class TestLocalExecutor:
         cd.create()
         cd.set_status("g/run-0000", RunStatus.DONE)
         pending_ids = {r.run_id for r in cd.pending_runs()}
-        results = LocalExecutor().run(man, lambda p: p["x"], run_filter=pending_ids.__contains__)
+        results = RealExecutor().run(man, lambda p: p["x"], run_filter=pending_ids.__contains__)
         assert set(results) == {"g/run-0001", "g/run-0002"}
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            LocalExecutor(max_workers=0)
+            RealExecutor(max_workers=0)
 
     def test_failure_captures_traceback(self):
         def app(p):
@@ -64,7 +64,7 @@ class TestLocalExecutor:
                 raise ValueError("boom")
             return p["x"]
 
-        results = LocalExecutor(max_workers=2).run(make_manifest(), app)
+        results = RealExecutor(max_workers=2).run(make_manifest(), app)
         tb = results["g/run-0001"].traceback
         assert tb is not None
         assert "Traceback (most recent call last)" in tb
@@ -72,14 +72,10 @@ class TestLocalExecutor:
         assert results["g/run-0000"].traceback is None  # success carries none
 
     def test_per_run_seed_recorded(self):
-        results = LocalExecutor(seed=5).run(make_manifest(), lambda p: p["x"])
+        results = RealExecutor(seed=5).run(make_manifest(), lambda p: p["x"])
         seeds = {r.seed for r in results.values()}
         assert None not in seeds
         assert len(seeds) == 3  # distinct per run
 
     def test_is_thread_pool_face_of_realexec(self):
-        from repro.savanna import RealExecutor
-
-        ex = LocalExecutor()
-        assert isinstance(ex, RealExecutor)
-        assert ex.pool == "threads"
+        assert RealExecutor().pool == "threads"

@@ -21,6 +21,8 @@ from repro.store import (
     registered_engines,
 )
 
+from conftest import make_cluster
+
 
 def make_manifest(n=4, campaign="store-test"):
     camp = Campaign(campaign, app=AppSpec("app"), objective="minimize loss")
@@ -292,18 +294,6 @@ class TestDirectoryStoreIntegration:
         # one read API either way
         assert directory.read_run_result(rid)["value"] == {"loss": 2.0}
 
-    def test_record_results_json_export_opt_in(self, tmp_path):
-        manifest = make_manifest()
-        directory = CampaignDirectory(tmp_path, manifest)
-        directory.create()
-        rid = manifest.runs[0].run_id
-        directory.record_results(
-            {rid: {"run_id": rid, "status": "done", "value": 1.5, "error": None,
-                   "traceback": None, "elapsed": 0.1, "attempts": 1, "seed": 3}},
-            json_export=True,
-        )
-        assert (directory.run_dir(rid) / "result.json").exists()
-
     def test_status_updates_mirror_into_store(self, tmp_path):
         manifest = make_manifest()
         directory = CampaignDirectory(tmp_path, manifest)
@@ -341,40 +331,39 @@ class TestDriveIntegration:
             obj = Objective("o", metric="loss")
             assert store.catalog(manifest.campaign).best(obj) is not None
 
-    def test_real_drive_json_results_opt_in(self, tmp_path):
+    def test_store_created_late_agrees_with_status_json(self, tmp_path):
+        # A simulated drive leaves 4 of 8 runs DONE and no store; the
+        # real drive that finishes the campaign then creates the store.
         from repro.savanna import execute_manifest
 
-        manifest = make_manifest()
+        camp = Campaign("late-store", app=AppSpec("app"))
+        camp.sweep_group("g", nodes=2, walltime=120.0).add(
+            Sweep([SweepParameter("x", range(8))])
+        )
+        manifest = camp.to_manifest()
         execute_manifest(
-            manifest,
-            backend="local-threads",
-            directory=tmp_path,
-            app_fn=_loss_app,
-            json_results=True,
-            max_workers=2,
+            manifest, lambda p: 50.0, make_cluster(nodes=2),
+            directory=tmp_path, max_allocations=1,
         )
         directory = CampaignDirectory.open(tmp_path / manifest.campaign)
-        assert (directory.run_dir(manifest.runs[0].run_id) / "result.json").exists()
-
-    def test_real_drive_store_false_is_legacy_path(self, tmp_path):
-        from repro.savanna import execute_manifest
-
-        manifest = make_manifest()
-        execute_manifest(
-            manifest,
-            backend="local-threads",
-            directory=tmp_path,
-            app_fn=_loss_app,
-            store=False,
-            max_workers=2,
-        )
-        directory = CampaignDirectory.open(tmp_path / manifest.campaign)
+        assert directory.summary()["done"] == 4
         assert not directory.store_path().exists()
-        assert (directory.run_dir(manifest.runs[0].run_id) / "result.json").exists()
+        execute_manifest(
+            manifest, backend="local-threads", directory=tmp_path,
+            app_fn=_double, max_workers=2,
+        )
+        status = {rid: s.value for rid, s in directory.read_status().items()}
+        assert set(status.values()) == {"done"}
+        with directory.open_store() as store:
+            assert store.statuses(manifest.campaign) == status
 
 
 def _loss_app(parameters):
     return {"loss": float(parameters["x"]) + (0.25 if parameters["mode"] == "b" else 0.0)}
+
+
+def _double(parameters):
+    return 2 * parameters["x"]
 
 
 class TestCli:

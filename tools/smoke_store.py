@@ -4,9 +4,10 @@
 Exercises the durable-result-store contract end to end on a real
 campaign:
 
-1. drive a ``local-threads`` campaign with ``json_results=True`` so the
-   end point holds *both* persistence forms (per-run ``result.json``
-   files and ``.cheetah/store.sqlite``);
+1. drive a ``local-threads`` campaign (outcomes land in
+   ``.cheetah/store.sqlite``), then ``python -m repro.store export`` it
+   so the end point holds *both* persistence forms (per-run
+   ``result.json`` files too);
 2. build the pre-store answer: read every result file, assemble the
    in-memory ``CampaignCatalog``, answer ``best`` / ``rank`` / Pareto /
    impact;
@@ -91,19 +92,23 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="smoke-store-") as td:
         root = Path(td)
 
-        # 1. real drive, both persistence forms
+        # 1. real drive into the store, then the per-run file export
         result = execute_manifest(
             manifest,
             backend="local-threads",
             directory=root,
             app_fn=loss_app,
-            json_results=True,
             max_workers=4,
         )
         assert len(result.completed) == len(manifest.runs), "drive incomplete"
         campaign_dir = root / manifest.campaign
         directory = CampaignDirectory.open(campaign_dir)
         assert directory.store_path().exists(), "drive did not materialize the store"
+        run_cli("export", str(campaign_dir))
+        for run in manifest.runs:
+            assert (directory.run_dir(run.run_id) / "result.json").exists(), (
+                f"export wrote no result.json for {run.run_id}"
+            )
 
         # 2. the pre-store answer from the files
         mem = CampaignCatalog(manifest.campaign)
