@@ -9,7 +9,8 @@ Measures three things and writes them, schema-versioned, to
   executors (static set-synchronized + dynamic pilot), GC disabled,
   best-of-N rounds;
 - the same workload through the **per-event reference engine**
-  (``REPRO_SIMCORE=event``), with rounds *interleaved* vector/event so
+  (selected by patching ``vector_eligible`` where the pilot and static
+  executors import it), with rounds *interleaved* vector/event so
   machine drift hits both engines equally;
 - **report-fold latency**: events/sec of the streaming analytics builder
   (:class:`~repro.observability.analysis.StreamingCampaignReport`)
@@ -61,12 +62,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import resource
 import sys
 import time
+from contextlib import ExitStack
 from math import inf
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -77,6 +79,7 @@ from repro.cluster.cluster import ClusterSpec, SimulatedCluster  # noqa: E402
 from repro.cluster.job import Task  # noqa: E402
 from repro.observability.analysis import StreamingCampaignReport  # noqa: E402
 from repro.observability.recorder import events_from_trace  # noqa: E402
+from repro.savanna import pilot, static  # noqa: E402
 from repro.savanna.pilot import PilotExecutor  # noqa: E402
 from repro.savanna.static import StaticSetExecutor  # noqa: E402
 
@@ -186,13 +189,17 @@ def measure_engines(n_tasks: int, nodes: int, walltime: float, rounds: int):
     attempts = 0
     for _ in range(rounds):
         for engine in ("vector", "event"):
-            if engine == "event":
-                os.environ["REPRO_SIMCORE"] = "event"
-            else:
-                os.environ.pop("REPRO_SIMCORE", None)
-            elapsed, attempts = one_round(n_tasks, nodes, walltime)
+            with ExitStack() as patches:
+                if engine == "event":
+                    # No allocation is vector-eligible: the reference runs.
+                    for module in (pilot, static):
+                        patches.enter_context(
+                            mock.patch.object(
+                                module, "vector_eligible", lambda cluster, tasks: False
+                            )
+                        )
+                elapsed, attempts = one_round(n_tasks, nodes, walltime)
             best[engine] = min(best[engine], elapsed)
-    os.environ.pop("REPRO_SIMCORE", None)
     return best, attempts
 
 

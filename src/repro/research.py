@@ -19,6 +19,7 @@ from repro.cheetah.catalog import CampaignCatalog
 from repro.cheetah.directory import CampaignDirectory
 from repro.cheetah.manifest import manifest_to_json
 from repro.metadata.provenance import ExportPolicy, ProvenanceStore
+from repro.resilience.checkpoint import CampaignCheckpoint
 
 OBJECT_FORMAT_VERSION = "1.0"
 
@@ -37,7 +38,7 @@ def export_research_object(
         <dest>/
           OBJECT.md            human index (what this is, what's inside)
           manifest.json        the abstract campaign (re-runnable)
-          status.json          per-run outcome record
+          status.json          per-run outcome record, as resume sees it
           provenance.json      exported + sanitized records only
           catalog.json         metrics catalog (if provided)
 
@@ -51,7 +52,9 @@ def export_research_object(
     manifest = directory.manifest
 
     (dest / "manifest.json").write_text(manifest_to_json(manifest))
-    status = {run_id: s.value for run_id, s in directory.read_status().items()}
+    # The status resume trusts: the compacted record overlaid with the journal.
+    effective = CampaignCheckpoint(directory).effective_status()
+    status = {run_id: s.value for run_id, s in effective.items()}
     (dest / "status.json").write_text(json.dumps(status, indent=2, sort_keys=True))
 
     exported_count = 0

@@ -5,10 +5,14 @@ Python function calls, one simulator event, and one scalar RNG draw per
 task attempt.  For the workloads the figure benches actually run —
 single-node bag-of-tasks campaigns with no fault injector — the whole
 allocation can instead be simulated *synchronously* inside ``start()``
-with a local binary heap, batched failure draws, and direct
+with a local event queue, batched failure draws, and direct
 busy-interval writes, then surfaced to the rest of the stack through a
 single simulator event (the early finish) or the scheduler's existing
 walltime kill.
+
+There is one vector loop per dispatch policy: :class:`VectorPilotRun`
+and :class:`VectorStaticSetRun`.  Whether anything observes the cluster
+bus decides only whether that loop records the event batch as it goes.
 
 The contract is **bit-exactness**, not approximation.  A vectorized run
 must be indistinguishable from the event-driven run it replaces:
@@ -18,7 +22,7 @@ must be indistinguishable from the event-driven run it replaces:
   in identical order;
 - identical node ``busy_intervals``;
 - an identical event stream on the cluster bus when anyone is
-  subscribed, emitted through
+  subscribed, emitted once through
   :meth:`~repro.observability.EventBus.publish_batch` with the same
   names, phases, timestamps, field dicts, and sequence numbers the
   per-event path would have produced;
@@ -34,29 +38,30 @@ Eligibility (:func:`vector_eligible`): no fault injector (its per-launch
 and single-node tasks only.  Everything else — heterogeneous node
 speeds, failure sampling, retry policies with backoff and budgets,
 timeouts, walltime kills, multi-allocation resume — is handled here.
-``REPRO_SIMCORE=event`` in the environment forces the event-driven path
-(the bench harness uses it to measure the speedup).
+Tests and benches select the event-driven reference by patching
+``vector_eligible`` where :mod:`repro.savanna.pilot` and
+:mod:`repro.savanna.static` import it.
 
 The semantic fine print replicated from the event path, for the next
 reader who has to extend this: at equal timestamps the walltime-kill
 event always wins (it is scheduled before any task event, so it holds a
 lower sequence number) — an attempt ending exactly at the deadline is
 KILLED; freed nodes re-enter a FIFO free list and survive set barriers;
-killed tasks are finalized in launch order with busy intervals cut at
-the deadline; a backoff timer that outlives its allocation resolves to
-a terminal failure for that allocation's outcome without touching task
-state.
+a retry with no backoff relaunches (static) or requeues (pilot) at once,
+inside the failed attempt's end event; killed tasks are finalized in
+launch order with busy intervals cut at the deadline; a backoff timer
+that outlives its allocation resolves to a terminal failure for that
+allocation's outcome without touching task state.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from collections import deque
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -81,28 +86,94 @@ _KILLED = TaskState.KILLED
 _PENDING = TaskState.PENDING
 _RUNNING = TaskState.RUNNING
 
-#: Local heap entry kinds: [time, seq, kind, task, attempt|index, node, result, timed_out]
-_END_EV, _REQUEUE_EV, _RELAUNCH_EV, _BARRIER_EV = 0, 1, 2, 3
-
-
-def simcore_mode() -> str:
-    """Which within-allocation engine to prefer: ``vector`` or ``event``."""
-    return os.environ.get("REPRO_SIMCORE", "vector")
-
+#: Local queue entry kinds.  An end entry is
+#: ``(time, seq, _END_EV, task, attempt, node, result, timeout)``, where
+#: ``timeout`` is the cap that cut the attempt short, or None.
+_END_EV, _REQUEUE_EV, _RELAUNCH_EV = 0, 1, 2
 
 _task_nodes = attrgetter("nodes")
 
 
 def vector_eligible(cluster, tasks) -> bool:
     """True when the allocation can take the vectorized fast path."""
-    if simcore_mode() == "event":
-        return False
     if cluster.faults is not None:
         return False
     # set(map(...)) scans at C speed; campaigns hand us tens of
     # thousands of tasks and this runs per allocation.
     counts = set(map(_task_nodes, tasks))
     return not counts or counts == {1}
+
+
+def _record_launch(rec, task, node, t: float) -> None:
+    """Record ``_launch``'s events: ``node.busy``, then the ``task`` begin."""
+    index = node.index
+    rec((NODE_BUSY, INSTANT, t, {"node": index}))
+    rec(
+        (
+            TASK,
+            BEGIN,
+            t,
+            {
+                "task": task.name,
+                "task_id": task.task_id,
+                "node": index,
+                "nodes": [index],
+                "attempt": len(task.attempts),
+                "payload": dict(task.payload),
+            },
+        )
+    )
+
+
+def _task_end(task, index: int, t: float, result: TaskState) -> tuple:
+    """The ``task`` span's end event, as a batch spec."""
+    return (
+        TASK,
+        END,
+        t,
+        {"task": task.name, "task_id": task.task_id, "node": index, "outcome": result.value},
+    )
+
+
+def _record_end(rec, task, node, t: float, result: TaskState, timeout) -> None:
+    """Record ``_on_task_end``'s events: ``node.idle``, a ``task.timeout``
+    when ``timeout`` cut the attempt, then the ``task`` end."""
+    index = node.index
+    rec((NODE_IDLE, INSTANT, t, {"node": index}))
+    if timeout is not None:
+        rec(
+            (
+                TASK_TIMEOUT,
+                INSTANT,
+                t,
+                {"task": task.name, "task_id": task.task_id, "node": index, "timeout": timeout},
+            )
+        )
+    rec(_task_end(task, index, t, result))
+
+
+def _record_retry(rec, task, t: float, index: int, delay: float) -> None:
+    """Record ``grant_retry``'s ``task.retry`` instant."""
+    rec(
+        (
+            TASK_RETRY,
+            INSTANT,
+            t,
+            {"task": task.name, "task_id": task.task_id, "retries": index, "delay": delay},
+        )
+    )
+
+
+def _record_requeue(rec, task, t: float, index: int) -> None:
+    """Record ``_requeue``'s ``task.requeued`` instant."""
+    rec(
+        (
+            TASK_REQUEUED,
+            INSTANT,
+            t,
+            {"task": task.name, "task_id": task.task_id, "retries": index},
+        )
+    )
 
 
 class _FailureDraws:
@@ -116,7 +187,7 @@ class _FailureDraws:
     launch) would have produced.
     """
 
-    __slots__ = ("_failures", "_scale", "_clone", "_buf", "_pos", "_size", "_consumed")
+    __slots__ = ("_failures", "_scale", "_clone", "_size", "_consumed")
 
     def __init__(self, failures, hint: int = 64):
         # Caller guarantees failures.mttf is not None.  Replicate the
@@ -126,31 +197,16 @@ class _FailureDraws:
         self._scale = 1.0 / hazard
         self._failures = failures
         self._clone = copy.deepcopy(failures._rng)
-        self._buf = ()
-        self._pos = 0
         self._size = max(8, hint)
         self._consumed = 0
-
-    def next(self, duration: float) -> float | None:
-        """Time-to-failure within ``[0, duration)``, or None (one draw)."""
-        pos = self._pos
-        if pos == len(self._buf):
-            self._buf = self._clone.exponential(self._scale, size=self._size)
-            self._size = min(self._size * 2, 8192)
-            pos = 0
-        t = self._buf[pos]
-        self._pos = pos + 1
-        self._consumed += 1
-        return float(t) if t < duration else None
 
     def refill_list(self) -> list[float]:
         """Next batch of speculative draws as plain Python floats.
 
-        Used by the unobserved fast loops, which walk the list with
-        local index variables instead of calling :meth:`next` per
-        launch; they report consumption through :meth:`note_consumed`.
-        ``tolist()`` converts ``float64`` values exactly, so comparisons
-        against durations are bit-identical to the scalar path.
+        The vector loops walk the list with local index variables and
+        report consumption through :meth:`note_consumed`.  ``tolist()``
+        converts ``float64`` values exactly, so comparisons against
+        durations are bit-identical to the scalar path.
         """
         buf = self._clone.exponential(self._scale, size=self._size)
         self._size = min(self._size * 2, 8192)
@@ -171,13 +227,8 @@ class _VectorAllocationMixin:
 
     def _vector_setup(self, task_count: int) -> None:
         self._free_nodes = deque(self.alloc.nodes)
-        self._heap: list[list] = []
-        self._vseq = 0
-        #: task_id -> heap entry; insertion order == launch order, which
-        #: is the order on_walltime_kill finalizes interrupted attempts.
-        self._vrunning: dict[int, list] = {}
-        self._observed = self.bus.has_subscribers
-        self._specs: list | None = [] if self._observed else None
+        #: The event batch; built only while someone observes the bus.
+        self._specs: list | None = [] if self.bus.has_subscribers else None
         failures = self.cluster.failures
         self._draws = (
             _FailureDraws(failures, hint=task_count) if failures.mttf is not None else None
@@ -191,170 +242,43 @@ class _VectorAllocationMixin:
             self._timeout_const = False
             self._timeout = None
 
-    def _vlaunch(self, task, now: float) -> None:
-        """Place one single-node task; mirrors ``_BaseAllocationRun._launch``."""
-        node = self._free_nodes.popleft()
-        task.state = _RUNNING
-        attempt = TaskAttempt(task=task, node_indices=[node.index], start=now)
-        task.attempts.append(attempt)
-        self.outcome.attempts.append(attempt)
-        # effective_speed == speed while no fault has degraded the node
-        # (x / 1.0 is exact), and eligibility excludes the fault injector.
-        elapsed = task.duration / node.speed
-        result = _DONE
-        timed_out = False
-        if self._draws is not None:
-            fail_at = self._draws.next(elapsed)
-            if fail_at is not None:
-                elapsed = fail_at
-                result = _FAILED
-        timeout = self._timeout if self._timeout_const else self.policy.timeout_for(task)
-        if timeout is not None and timeout < elapsed:
-            elapsed, result, timed_out = timeout, _FAILED, True
-        seq = self._vseq
-        self._vseq = seq + 1
-        entry = [float(now + elapsed), seq, _END_EV, task, attempt, node, result, timed_out]
-        heappush(self._heap, entry)
-        self._vrunning[task.task_id] = entry
-        if self._observed:
-            self._specs.append((NODE_BUSY, INSTANT, now, {"node": node.index}))
-            self._specs.append(
-                (
-                    TASK,
-                    BEGIN,
-                    now,
-                    {
-                        "task": task.name,
-                        "task_id": task.task_id,
-                        "node": node.index,
-                        "nodes": [node.index],
-                        "attempt": len(task.attempts),
-                        "payload": dict(task.payload),
-                    },
-                )
-            )
+    def _kill_running(self, remnants, deadline: float) -> None:
+        """Finalize the attempts still running at the walltime deadline.
 
-    def _vfinish_attempt(self, entry: list, t: float):
-        """End-of-attempt bookkeeping; mirrors ``_on_task_end`` pre-dispatch."""
-        task, attempt, node, result, timed_out = (
-            entry[3],
-            entry[4],
-            entry[5],
-            entry[6],
-            entry[7],
-        )
-        del self._vrunning[task.task_id]
-        attempt.end = t
-        attempt.outcome = result
-        task.state = result
-        node.busy_intervals.append((attempt.start, t))
-        self._free_nodes.append(node)
-        if self._observed:
-            specs = self._specs
-            specs.append((NODE_IDLE, INSTANT, t, {"node": node.index}))
-            if timed_out:
-                specs.append(
-                    (
-                        TASK_TIMEOUT,
-                        INSTANT,
-                        t,
-                        {
-                            "task": task.name,
-                            "task_id": task.task_id,
-                            "node": node.index,
-                            "timeout": self._timeout
-                            if self._timeout_const
-                            else self.policy.timeout_for(task),
-                        },
-                    )
-                )
-            specs.append(
-                (
-                    TASK,
-                    END,
-                    t,
-                    {
-                        "task": task.name,
-                        "task_id": task.task_id,
-                        "node": node.index,
-                        "outcome": result.value,
-                    },
-                )
-            )
-        if result is _DONE:
-            self.outcome.completed.append(task)
-        return task, result
-
-    def _vgrant_retry(self, task, t: float) -> int | None:
-        """Mirror of ``grant_retry`` emitting into the spec batch."""
-        retries = self._retry_counts.get(task.task_id, 0)
-        if not self.policy.allows(retries) or not self.budget_left():
-            return None
-        index = retries + 1
-        self._retry_counts[task.task_id] = index
-        self.allocation_retries += 1
-        if self._observed:
-            self._specs.append(
-                (
-                    TASK_RETRY,
-                    INSTANT,
-                    t,
-                    {
-                        "task": task.name,
-                        "task_id": task.task_id,
-                        "retries": index,
-                        "delay": self.policy.delay(index),
-                    },
-                )
-            )
-        return index
-
-    def _vector_kill(self, deadline: float) -> None:
-        """Finalize attempts still running at the walltime deadline.
-
-        Event order mirrors the real kill: the scheduler's node close
+        ``remnants`` are the local queue entries left at the deadline.
+        Interrupted attempts finalize in launch order (== local seq
+        order).  Events mirror the real kill: the scheduler's node close
         emits ``node.idle`` per still-busy node in allocation order,
         then ``on_walltime_kill`` ends the tasks in launch order.  The
         real deadline event still fires later; it finds nothing running
         (``self.running`` was never populated) and no busy nodes, so it
         is a pure no-op apart from releasing the pool.
         """
-        running = self._vrunning
-        if self._observed and running:
-            busy = {entry[5].index for entry in running.values()}
+        ends = sorted((e for e in remnants if e[2] == _END_EV), key=itemgetter(1))
+        specs = self._specs
+        if specs is not None and ends:
+            busy = {entry[5].index for entry in ends}
             for node in self.alloc.nodes:
                 if node.index in busy:
-                    self._specs.append((NODE_IDLE, INSTANT, deadline, {"node": node.index}))
-        for entry in running.values():
-            task, attempt, node = entry[3], entry[4], entry[5]
-            attempt.end = deadline
-            attempt.outcome = _KILLED
+                    specs.append((NODE_IDLE, INSTANT, deadline, {"node": node.index}))
+        killed = self.outcome.killed
+        for entry in ends:
+            task, a, node = entry[3], entry[4], entry[5]
+            a.end = deadline
+            a.outcome = _KILLED
             task.state = _KILLED
-            node.busy_intervals.append((attempt.start, deadline))
-            self.outcome.killed.append(task)
-            if self._observed:
-                self._specs.append(
-                    (
-                        TASK,
-                        END,
-                        deadline,
-                        {
-                            "task": task.name,
-                            "task_id": task.task_id,
-                            "node": node.index,
-                            "outcome": _KILLED.value,
-                        },
-                    )
-                )
-        running.clear()
+            node.busy_intervals.append((a.start, deadline))
+            killed.append(task)
+            if specs is not None:
+                specs.append(_task_end(task, node.index, deadline, _KILLED))
 
     def _vector_finalize(self, done_time: float | None) -> None:
         """Commit RNG consumption, publish the batch, arrange the finish."""
         if self._draws is not None:
             self._draws.commit()
-        if self._observed and self._specs:
+        if self._specs:
             self.bus.publish_batch(self._specs)
-            self._specs = []
+        self._specs = None
         if done_time is not None:
             self.finished = True
             if self.done_cb is not None:
@@ -365,16 +289,13 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
     """Bit-exact synchronous replay of :class:`PilotRun`'s event loop."""
 
     def start(self) -> None:
-        self._vector_setup(len(self.pending))
-        if self._observed:
-            self._start_observed()
-        else:
-            self._start_fast()
+        """Simulate the whole allocation now.
 
-    def _start_fast(self) -> None:
-        """Unobserved hot loop: no spec building, tuple queue entries,
-        plain-float draw buffers, and no running-task dict (interrupted
-        attempts are recovered from the queue remnants at the deadline).
+        Tuple queue entries, plain-float draw buffers, and no
+        running-task dict (interrupted attempts are recovered from the
+        queue remnants at the deadline).  When the bus is observed, each
+        step also appends the events the event engine would have
+        emitted to the batch :meth:`_vector_finalize` publishes.
 
         The event queue is a sorted list with a read cursor and a
         *lookahead window*, not a binary heap.  No relaunch can finish
@@ -391,6 +312,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         simulator's throughput floor, and each method call it sheds is
         ~0.15 µs/task.
         """
+        self._vector_setup(len(self.pending))
         sim = self.cluster.sim
         deadline = self.alloc.deadline
         pending = self.pending
@@ -407,6 +329,9 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         timeout = self._timeout
         timeout_for = None if self._timeout_const else policy.timeout_for
         draws = self._draws
+        specs = self._specs
+        observed = specs is not None
+        rec = specs.append if observed else None
         dbuf: list[float] = []
         dlen = 0
         dpos = 0
@@ -432,8 +357,11 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
             a = Attempt(task, [node.index], t)
             task.attempts.append(a)
             out_push(a)
+            if observed:
+                _record_launch(rec, task, node, t)
             wall = task.duration / node.speed
             result = _DONE
+            cut = None
             if draws is not None:
                 if dpos == dlen:
                     dbuf = draws.refill_list()
@@ -447,9 +375,9 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
             if timeout_for is not None:
                 timeout = timeout_for(task)
             if timeout is not None and timeout < wall:
-                wall = timeout
+                wall = cut = timeout
                 result = _FAILED
-            q_push((t + wall, seq, _END_EV, task, a, node, result))
+            q_push((t + wall, seq, _END_EV, task, a, node, result, cut))
             seq += 1
             nrunning += 1
         q.sort()
@@ -493,9 +421,11 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
             # beat it were just ruled out).  The whole slice then folds
             # with batched numpy wall/end arithmetic and zero splice
             # checks, exactly like the static executor's set batches.
+            # An observed run skips it: with every event recorded, the
+            # batch measured slower than the per-event path below.
             m = j - qi
             batched = False
-            if m > 8 and timeout_for is None:
+            if m > 8 and timeout_for is None and not observed:
                 win = q[qi:j]
                 for e in win:
                     if e[2] is not _END_EV or e[6] is not _DONE:
@@ -548,7 +478,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                         qi = j
                         i = 0
                         for entry in win:
-                            te, _s, _k, task, a, node, _r = entry
+                            te, _s, _k, task, a, node, _r, _c = entry
                             a.end = te
                             a.outcome = _DONE
                             task.state = _DONE
@@ -560,7 +490,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                                 task.attempts.append(a)
                                 out_push(a)
                                 new_push(
-                                    (ends_l[i], seq, _END_EV, task, a, node, _DONE)
+                                    (ends_l[i], seq, _END_EV, task, a, node, _DONE, None)
                                 )
                                 seq += 1
                                 i += 1
@@ -584,6 +514,8 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                     a.outcome = result
                     task.state = result
                     node.busy_intervals.append((a.start, t))
+                    if observed:
+                        _record_end(rec, task, node, t, result, entry[7])
                     if result is _DONE:
                         done_push(task)
                         if pending and not free:
@@ -597,8 +529,11 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                             a = Attempt(task, [node.index], t)
                             task.attempts.append(a)
                             out_push(a)
+                            if observed:
+                                _record_launch(rec, task, node, t)
                             wall = task.duration / node.speed
                             result = _DONE
+                            cut = None
                             if draws is not None:
                                 if dpos == dlen:
                                     dbuf = draws.refill_list()
@@ -612,9 +547,9 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                             if timeout_for is not None:
                                 timeout = timeout_for(task)
                             if timeout is not None and timeout < wall:
-                                wall = timeout
+                                wall = cut = timeout
                                 result = _FAILED
-                            e = (t + wall, seq, _END_EV, task, a, node, result)
+                            e = (t + wall, seq, _END_EV, task, a, node, result, cut)
                             seq += 1
                             nrunning += 1
                             if e[0] >= wend:
@@ -638,6 +573,8 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                             retry_counts[task.task_id] = index
                             self.allocation_retries += 1
                             delay = policy.delay(index)
+                            if observed:
+                                _record_retry(rec, task, t, index, delay)
                             if delay > 0:
                                 backing_off += 1
                                 e = (t + delay, seq, _REQUEUE_EV, task, index)
@@ -652,6 +589,8 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                             else:
                                 task.state = _PENDING
                                 pend_push(task)
+                                if observed:
+                                    _record_requeue(rec, task, t, index)
                         else:
                             failed.append(task)
                 else:  # _REQUEUE_EV: the backoff timer fired
@@ -659,6 +598,8 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                     task = entry[3]
                     task.state = _PENDING
                     pend_push(task)
+                    if observed:
+                        _record_requeue(rec, task, t, entry[4])
                 while pending and free:
                     task = pend_pop()
                     node = free_pop()
@@ -666,8 +607,11 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                     a = Attempt(task, [node.index], t)
                     task.attempts.append(a)
                     out_push(a)
+                    if observed:
+                        _record_launch(rec, task, node, t)
                     wall = task.duration / node.speed
                     result = _DONE
+                    cut = None
                     if draws is not None:
                         if dpos == dlen:
                             dbuf = draws.refill_list()
@@ -681,9 +625,9 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                     if timeout_for is not None:
                         timeout = timeout_for(task)
                     if timeout is not None and timeout < wall:
-                        wall = timeout
+                        wall = cut = timeout
                         result = _FAILED
-                    e = (t + wall, seq, _END_EV, task, a, node, result)
+                    e = (t + wall, seq, _END_EV, task, a, node, result, cut)
                     seq += 1
                     nrunning += 1
                     if e[0] >= wend:
@@ -711,21 +655,13 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                     tail.sort()
                     q[qi:] = tail
         if done_time is None:
-            # Walltime kill: interrupted attempts finalize in launch
-            # order (== local seq order); leftover backoff timers were
-            # *real* simulator events on the event-driven path, so they
-            # are re-materialized as such — each fires after the kill,
-            # sees ``finished``, and records a terminal failure (the
-            # clock advances identically in both engines).
+            # Walltime kill.  Leftover backoff timers were *real*
+            # simulator events on the event-driven path, so they are
+            # re-materialized as such — each fires after the kill, sees
+            # ``finished``, and records a terminal failure (the clock
+            # advances identically in both engines).
             remnants = q[qi:]
-            for entry in sorted(remnants, key=lambda e: e[1]):
-                if entry[2] == _END_EV:
-                    task, a, node = entry[3], entry[4], entry[5]
-                    a.end = deadline
-                    a.outcome = _KILLED
-                    task.state = _KILLED
-                    node.busy_intervals.append((a.start, deadline))
-                    outcome.killed.append(task)
+            self._kill_running(remnants, deadline)
             for entry in remnants:  # already in (time, seq) order
                 if entry[2] == _REQUEUE_EV:
                     sim.schedule_at(entry[0], self._requeue, entry[3], entry[4])
@@ -734,87 +670,6 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
             # appends one attempt — no need for a per-launch counter.
             draws.note_consumed(len(attempts_out) - launches_before)
         self._backing_off = backing_off
-        self._vseq = seq
-        self._vector_finalize(done_time)
-
-    def _start_observed(self) -> None:
-        now = self.cluster.sim.now
-        deadline = self.alloc.deadline
-        pending = self.pending
-        free = self._free_nodes
-        heap = self._heap
-        running = self._vrunning
-        retry_failed = self.retry_failed
-        while pending and free:
-            self._vlaunch(pending.popleft(), now)
-        done_time = None
-        while heap and heap[0][0] < deadline:
-            entry = heappop(heap)
-            t = entry[0]
-            if entry[2] == _END_EV:
-                task, result = self._vfinish_attempt(entry, t)
-                if result is _FAILED:
-                    index = self._vgrant_retry(task, t) if retry_failed else None
-                    if index is not None:
-                        delay = self.policy.delay(index)
-                        self._backing_off += 1
-                        if delay > 0:
-                            seq = self._vseq
-                            self._vseq = seq + 1
-                            heappush(
-                                heap,
-                                [t + delay, seq, _REQUEUE_EV, task, index, None, None, False],
-                            )
-                        else:
-                            self._backing_off -= 1
-                            task.state = _PENDING
-                            pending.append(task)
-                            if self._observed:
-                                self._specs.append(
-                                    (
-                                        TASK_REQUEUED,
-                                        INSTANT,
-                                        t,
-                                        {
-                                            "task": task.name,
-                                            "task_id": task.task_id,
-                                            "retries": index,
-                                        },
-                                    )
-                                )
-                    else:
-                        self.outcome.failed.append(task)
-            else:  # _REQUEUE_EV: the backoff timer fired
-                self._backing_off -= 1
-                task = entry[3]
-                task.state = _PENDING
-                pending.append(task)
-                if self._observed:
-                    self._specs.append(
-                        (
-                            TASK_REQUEUED,
-                            INSTANT,
-                            t,
-                            {"task": task.name, "task_id": task.task_id, "retries": entry[4]},
-                        )
-                    )
-            while pending and free:
-                self._vlaunch(pending.popleft(), t)
-            if not running and not pending and not self._backing_off:
-                done_time = t
-                break
-        if done_time is None:
-            self._vector_kill(deadline)
-            # Backoff timers outliving the allocation were real simulator
-            # events on the event-driven path; re-materialize them so
-            # each fires post-kill, sees ``finished``, and records the
-            # terminal failure at the same simulation time.
-            while heap:
-                entry = heappop(heap)
-                if entry[2] == _REQUEUE_EV:
-                    self.cluster.sim.schedule_at(
-                        entry[0], self._requeue, entry[3], entry[4]
-                    )
         self._vector_finalize(done_time)
 
 
@@ -822,14 +677,7 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
     """Bit-exact synchronous replay of :class:`StaticSetRun`'s event loop."""
 
     def start(self) -> None:
-        self._vector_setup(sum(len(s) for s in self.sets))
-        if self._observed:
-            self._start_observed()
-        else:
-            self._start_fast()
-
-    def _start_fast(self) -> None:
-        """Unobserved hot loop for the set-synchronized executor.
+        """Simulate the whole allocation now, set by set.
 
         The barrier structure makes whole sets vectorizable: a set whose
         attempts all complete (no failure draw, no timeout, no deadline
@@ -842,8 +690,11 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
         :class:`~repro.savanna._alloc.StaticSetRun`; batching resumes at
         the next barrier.  Failure draws are *peeked* before committing
         to the fast path so the fallback consumes the identical RNG
-        stream one value at a time.
+        stream one value at a time.  When the bus is observed, both
+        paths also append the events the event engine would have
+        emitted to the batch :meth:`_vector_finalize` publishes.
         """
+        self._vector_setup(sum(len(s) for s in self.sets))
         sim = self.cluster.sim
         deadline = self.alloc.deadline
         free = self._free_nodes
@@ -857,6 +708,9 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
         timeout = self._timeout
         timeout_for = None if self._timeout_const else policy.timeout_for
         draws = self._draws
+        specs = self._specs
+        observed = specs is not None
+        rec = specs.append if observed else None
         dbuf: list[float] = []
         dlen = 0
         dpos = 0
@@ -917,6 +771,8 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                     a = Attempt(task, [node.index], t)
                     task.attempts.append(a)
                     out_push(a)
+                    if observed:
+                        _record_launch(rec, task, node, t)
                 atts = attempts_out[base:]
                 order = np.argsort(ends, kind="stable").tolist()
                 for j in order:  # completion order == (end, launch) order
@@ -926,6 +782,8 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                     a.outcome = _DONE
                     batch[j].state = _DONE
                     assigned[j].busy_intervals.append((t, te))
+                    if observed:
+                        _record_end(rec, batch[j], assigned[j], te, _DONE, None)
                 # Bulk equivalents of the per-event free_push/done_push
                 # interleaving — same sequences, two C-level extends.
                 free.extend(assigned[j] for j in order)
@@ -941,8 +799,11 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                     a = Attempt(task, [node.index], t)
                     task.attempts.append(a)
                     out_push(a)
+                    if observed:
+                        _record_launch(rec, task, node, t)
                     wall = walls_l[i]
                     result = _DONE
+                    cut = None
                     if draws is not None:
                         if dpos == dlen:
                             dbuf = draws.refill_list()
@@ -956,9 +817,9 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                     if timeout_for is not None:
                         timeout = timeout_for(task)
                     if timeout is not None and timeout < wall:
-                        wall = timeout
+                        wall = cut = timeout
                         result = _FAILED
-                    push(heap, (t + wall, seq, _END_EV, task, a, node, result))
+                    push(heap, (t + wall, seq, _END_EV, task, a, node, result, cut))
                     seq += 1
                 t_last = t
                 while heap:
@@ -968,57 +829,65 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                         push(heap, entry)
                         break
                     t_last = te
+                    task = entry[3]
                     if entry[2] == _END_EV:
-                        task, a, node, result = entry[3], entry[4], entry[5], entry[6]
+                        a, node, result = entry[4], entry[5], entry[6]
                         a.end = te
                         a.outcome = result
                         task.state = result
                         node.busy_intervals.append((a.start, te))
                         free_push(node)
+                        if observed:
+                            _record_end(rec, task, node, te, result, entry[7])
                         if result is _DONE:
                             done_push(task)
-                        else:
-                            retries = retry_counts.get(task.task_id, 0)
-                            if policy.allows(retries) and self.budget_left():
-                                index = retries + 1
-                                retry_counts[task.task_id] = index
-                                self.allocation_retries += 1
-                                push(
-                                    heap,
-                                    (te + policy.delay(index), seq, _RELAUNCH_EV, task),
-                                )
-                                seq += 1
-                                # In-place retry: the task stays in its
-                                # set, so the barrier keeps waiting.
-                                continue
+                            in_flight -= 1
+                            continue
+                        retries = retry_counts.get(task.task_id, 0)
+                        if not (policy.allows(retries) and self.budget_left()):
                             failed.append(task)
-                        in_flight -= 1
-                    else:  # _RELAUNCH_EV: backoff elapsed, same set
-                        task = entry[3]
-                        node = free_pop()
-                        task.state = _RUNNING
-                        a = Attempt(task, [node.index], te)
-                        task.attempts.append(a)
-                        out_push(a)
-                        wall = task.duration / node.speed
-                        result = _DONE
-                        if draws is not None:
-                            if dpos == dlen:
-                                dbuf = draws.refill_list()
-                                dlen = len(dbuf)
-                                dpos = 0
-                            fail_at = dbuf[dpos]
-                            dpos += 1
-                            if fail_at < wall:
-                                wall = fail_at
-                                result = _FAILED
-                        if timeout_for is not None:
-                            timeout = timeout_for(task)
-                        if timeout is not None and timeout < wall:
-                            wall = timeout
+                            in_flight -= 1
+                            continue
+                        index = retries + 1
+                        retry_counts[task.task_id] = index
+                        self.allocation_retries += 1
+                        delay = policy.delay(index)
+                        if observed:
+                            _record_retry(rec, task, te, index, delay)
+                        # In-place retry: the task stays in its set, so
+                        # the barrier keeps waiting.
+                        if delay > 0:
+                            push(heap, (te + delay, seq, _RELAUNCH_EV, task))
+                            seq += 1
+                            continue
+                    # Relaunch: the backoff elapsed, or there was none.
+                    node = free_pop()
+                    task.state = _RUNNING
+                    a = Attempt(task, [node.index], te)
+                    task.attempts.append(a)
+                    out_push(a)
+                    if observed:
+                        _record_launch(rec, task, node, te)
+                    wall = task.duration / node.speed
+                    result = _DONE
+                    cut = None
+                    if draws is not None:
+                        if dpos == dlen:
+                            dbuf = draws.refill_list()
+                            dlen = len(dbuf)
+                            dpos = 0
+                        fail_at = dbuf[dpos]
+                        dpos += 1
+                        if fail_at < wall:
+                            wall = fail_at
                             result = _FAILED
-                        push(heap, (te + wall, seq, _END_EV, task, a, node, result))
-                        seq += 1
+                    if timeout_for is not None:
+                        timeout = timeout_for(task)
+                    if timeout is not None and timeout < wall:
+                        wall = cut = timeout
+                        result = _FAILED
+                    push(heap, (te + wall, seq, _END_EV, task, a, node, result, cut))
+                    seq += 1
                 if heap:  # deadline break: walltime kill handles the rest
                     break
                 in_flight = 0
@@ -1033,14 +902,7 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                 sim.schedule_at(t, self._barrier_release)
                 break
         if done_time is None:
-            for entry in sorted(heap, key=lambda e: e[1]):
-                if entry[2] == _END_EV:
-                    task, a, node = entry[3], entry[4], entry[5]
-                    a.end = deadline
-                    a.outcome = _KILLED
-                    task.state = _KILLED
-                    node.busy_intervals.append((a.start, deadline))
-                    outcome.killed.append(task)
+            self._kill_running(heap, deadline)
             for entry in sorted(heap):
                 if entry[2] == _RELAUNCH_EV:
                     sim.schedule_at(entry[0], self._relaunch, entry[3])
@@ -1048,75 +910,4 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
             draws.note_consumed(len(attempts_out) - launches_before)
         self.next_set = next_set
         self.in_flight = in_flight
-        self._vseq = seq
         self._vector_finalize(done_time)
-
-    def _start_observed(self) -> None:
-        now = self.cluster.sim.now
-        deadline = self.alloc.deadline
-        heap = self._heap
-        running = self._vrunning
-        nsets = len(self.sets)
-        self._vlaunch_set(now)
-        done_time = None
-        while heap and heap[0][0] < deadline:
-            entry = heappop(heap)
-            t = entry[0]
-            kind = entry[2]
-            if kind == _END_EV:
-                task, result = self._vfinish_attempt(entry, t)
-                if result is _FAILED:
-                    index = self._vgrant_retry(task, t)
-                    if index is not None:
-                        # In-place retry: the task stays in its set, so
-                        # in_flight is unchanged and the barrier waits.
-                        delay = self.policy.delay(index)
-                        if delay > 0:
-                            seq = self._vseq
-                            self._vseq = seq + 1
-                            heappush(
-                                heap,
-                                [t + delay, seq, _RELAUNCH_EV, task, None, None, None, False],
-                            )
-                        else:
-                            self._vlaunch(task, t)
-                        continue
-                    self.outcome.failed.append(task)
-                self.in_flight -= 1
-                if self.in_flight == 0 and self.next_set < nsets:  # barrier reached
-                    if self.set_gap > 0:
-                        seq = self._vseq
-                        self._vseq = seq + 1
-                        heappush(
-                            heap,
-                            [t + self.set_gap, seq, _BARRIER_EV, None, None, None, None, False],
-                        )
-                    else:
-                        self._vlaunch_set(t)
-            elif kind == _RELAUNCH_EV:
-                self._vlaunch(entry[3], t)
-            else:  # _BARRIER_EV: set_gap elapsed, release the next set
-                self._vlaunch_set(t)
-            if not running and self.next_set >= nsets and self.in_flight == 0:
-                done_time = t
-                break
-        if done_time is None:
-            self._vector_kill(deadline)
-            # Same clock-parity dance as the pilot: dangling relaunch and
-            # barrier timers become real simulator events again.
-            while heap:
-                entry = heappop(heap)
-                if entry[2] == _RELAUNCH_EV:
-                    self.cluster.sim.schedule_at(entry[0], self._relaunch, entry[3])
-                elif entry[2] == _BARRIER_EV:
-                    self.cluster.sim.schedule_at(entry[0], self._barrier_release)
-        self._vector_finalize(done_time)
-
-    def _vlaunch_set(self, t: float) -> None:
-        if self.next_set >= len(self.sets):
-            return
-        batch = self.sets[self.next_set]
-        self.next_set += 1
-        self.in_flight = len(batch)
-        for task in batch:
-            self._vlaunch(task, t)

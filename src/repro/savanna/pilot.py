@@ -73,9 +73,10 @@ class PilotExecutor:
         The returned :class:`PilotRun` emits the ``task`` spans and the
         retry/timeout/fault instants for every attempt it dispatches.
         Eligible workloads (single-node tasks, no fault injector) get
-        the bit-exact vectorized engine from
-        :mod:`repro.savanna._vector`; set ``REPRO_SIMCORE=event`` to
-        force the event-driven path.
+        :class:`~repro.savanna._vector.VectorPilotRun`, the one vector
+        loop for this policy, which records those events only while the
+        bus is observed.  Tests select the event-driven reference by
+        patching this module's ``vector_eligible``.
         """
         run_cls = VectorPilotRun if vector_eligible(self.cluster, tasks) else PilotRun
         return run_cls(

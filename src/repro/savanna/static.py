@@ -58,8 +58,14 @@ class StaticSetExecutor:
         self.retry_policy = retry_policy
 
     def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> StaticSetRun:
-        """Build the within-allocation engine (vectorized when eligible;
-        ``REPRO_SIMCORE=event`` forces the event-driven path)."""
+        """Build the within-allocation engine.
+
+        Eligible workloads get
+        :class:`~repro.savanna._vector.VectorStaticSetRun`, the one
+        vector loop for this policy, which records the event batch only
+        while the bus is observed.  Tests select the event-driven
+        reference by patching this module's ``vector_eligible``.
+        """
         run_cls = (
             VectorStaticSetRun if vector_eligible(self.cluster, tasks) else StaticSetRun
         )

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cluster import ClusterSpec, SimulatedCluster
+
+# Tier-1 is deterministic: every Hypothesis test replays the same
+# examples on every run.  The nightly CI job passes
+# ``--hypothesis-profile=random`` to draw fresh ones instead, five times
+# as many for the tests that do not pin ``max_examples``.
+settings.register_profile("deterministic", derandomize=True)
+settings.register_profile("random", derandomize=False, max_examples=500, print_blob=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

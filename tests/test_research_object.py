@@ -11,6 +11,7 @@ from repro.metadata.provenance import (
     ProvenanceStore,
 )
 from repro.research import export_research_object, load_research_object
+from repro.resilience.checkpoint import CampaignCheckpoint
 
 
 def build_study(tmp_path):
@@ -71,6 +72,18 @@ class TestExport:
         for name in ("OBJECT.md", "manifest.json", "status.json",
                      "provenance.json", "catalog.json"):
             assert (dest / name).exists(), name
+
+    def test_status_includes_journaled_transitions(self, tmp_path):
+        """The exported status is the one resume trusts: the compacted
+        record overlaid with the journal, not the compacted record alone."""
+        directory, store, catalog = build_study(tmp_path)
+        checkpoint = CampaignCheckpoint(directory)
+        checkpoint.record("g/run-0002", RunStatus.DONE)
+        dest = export_research_object(tmp_path / "object", directory, store, catalog)
+        status = json.loads((dest / "status.json").read_text())
+        assert status == {r: s.value for r, s in checkpoint.effective_status().items()}
+        assert status["g/run-0002"] == "done"
+        assert "- runs: 3 (3 done)" in (dest / "OBJECT.md").read_text()
 
     def test_export_policy_filters_and_redacts(self, tmp_path):
         directory, store, catalog = build_study(tmp_path)

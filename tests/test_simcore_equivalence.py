@@ -1,12 +1,15 @@
 """Bit-exactness of the vectorized simulator core (`repro.savanna._vector`).
 
-Every scenario here runs twice — once with ``REPRO_SIMCORE=event``
-(the per-event reference engine in ``repro.savanna._alloc``) and once
-with the vectorized default — and asserts the runs are
+Every scenario here runs twice — once on the per-event reference
+engine in ``repro.savanna._alloc`` (selected by patching
+``vector_eligible`` where the pilot and static executors import it) and
+once on the vectorized default — and asserts the runs are
 *indistinguishable*: identical task states and attempt records,
 identical outcome lists in identical order, identical node busy
 intervals, an identical failure-RNG stream position, and (when a
-recorder is attached) a byte-identical Chrome trace.
+recorder is attached) a byte-identical Chrome trace.  The fixed
+scenario matrix below is joined by a Hypothesis property that draws
+the scenario itself.
 
 Two process-global counters must be normalized before comparing runs
 that execute in the same process:
@@ -26,6 +29,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task
@@ -35,7 +40,7 @@ from repro.resilience.policy import (
     FixedDelayPolicy,
     RetryPolicy,
 )
-from repro.savanna import PilotExecutor, StaticSetExecutor
+from repro.savanna import PilotExecutor, StaticSetExecutor, pilot, static
 
 # ---------------------------------------------------------------------------
 # scenario definitions
@@ -150,6 +155,28 @@ SCENARIOS = {
         lambda: _tasks(30, 29),
         {"nodes": 6, "walltime": 50000.0},
     ),
+    # Wide pilots: with 32 nodes a lookahead window holds more than 8
+    # task ends, which is what the pilot's whole-window batch needs.
+    "pilot-wide": (
+        _spec(32, 8000.0),
+        lambda c: PilotExecutor(c),
+        lambda: _tasks(400, 5),
+        {"nodes": 32, "walltime": 40000.0},
+    ),
+    "pilot-wide-no-failures": (
+        _spec(32, None),
+        lambda c: PilotExecutor(c),
+        lambda: _tasks(400, 5),
+        {"nodes": 32, "walltime": 40000.0},
+    ),
+    "pilot-wide-multi-alloc-backoff": (
+        _spec(32, 20000.0),
+        lambda c: PilotExecutor(
+            c, retry_policy=FixedDelayPolicy(max_retries=2, delay_seconds=100.0)
+        ),
+        lambda: _tasks(400, 5),
+        {"nodes": 32, "walltime": 5000.0, "max_allocations": 2},
+    ),
 }
 
 SEED = 21
@@ -159,17 +186,24 @@ SEED = 21
 # run + snapshot machinery
 
 
-def _run(name: str, mode: str, traced: bool, monkeypatch):
-    """Execute one scenario under the given engine; snapshot everything."""
-    if mode == "event":
-        monkeypatch.setenv("REPRO_SIMCORE", "event")
-    else:
-        monkeypatch.delenv("REPRO_SIMCORE", raising=False)
-    spec, make_executor, make_tasks, run_kwargs = SCENARIOS[name]
-    cluster = SimulatedCluster(spec, seed=SEED)
-    recorder = TraceRecorder().attach(cluster.bus) if traced else None
-    tasks = make_tasks()
-    result = make_executor(cluster).run(tasks, **run_kwargs)
+def _run(scenario, mode: str, traced: bool):
+    """Execute one scenario under the given engine; snapshot everything.
+
+    ``scenario`` is a :data:`SCENARIOS` name or a
+    ``(spec, executor factory, task factory, run kwargs)`` tuple.
+    """
+    if isinstance(scenario, str):
+        scenario = SCENARIOS[scenario]
+    spec, make_executor, make_tasks, run_kwargs = scenario
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "event":
+            # No allocation is vector-eligible: the reference engine runs.
+            for module in (pilot, static):
+                mp.setattr(module, "vector_eligible", lambda cluster, tasks: False)
+        cluster = SimulatedCluster(spec, seed=SEED)
+        recorder = TraceRecorder().attach(cluster.bus) if traced else None
+        tasks = make_tasks()
+        result = make_executor(cluster).run(tasks, **run_kwargs)
     if recorder is not None:
         recorder.detach()
     return _snapshot(cluster, tasks, result, recorder)
@@ -219,9 +253,11 @@ def _normalized_trace(recorder, base):
         if "task_id" in args:
             args["task_id"] -= base
         entry["args"] = args
-        out.append(entry)
-    # Serialize: catches dict-ordering and float-representation drift too.
-    return json.dumps(out)
+        # Serialize: catches dict-ordering and float-representation drift
+        # too.  One string per entry, so a mismatch reports its index
+        # instead of a character diff of the whole trace.
+        out.append(json.dumps(entry))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +265,90 @@ def _normalized_trace(recorder, base):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_untraced_runs_are_bit_identical(name, monkeypatch):
-    """Fast (unobserved) vectorized loops match the event engine exactly."""
-    assert _run(name, "vector", False, monkeypatch) == _run(
-        name, "event", False, monkeypatch
-    )
+def test_untraced_runs_are_bit_identical(name):
+    """Unobserved vectorized runs match the event engine exactly."""
+    assert _run(name, "vector", False) == _run(name, "event", False)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_traced_runs_produce_identical_chrome_traces(name, monkeypatch):
+def test_traced_runs_produce_identical_chrome_traces(name):
     """Observed vectorized runs emit byte-identical event streams."""
-    vec = _run(name, "vector", True, monkeypatch)
-    evt = _run(name, "event", True, monkeypatch)
+    vec = _run(name, "vector", True)
+    evt = _run(name, "event", True)
     assert vec["trace"] == evt["trace"]
     assert vec == evt
 
 
-def test_scenarios_cover_interesting_behavior(monkeypatch):
+# ---------------------------------------------------------------------------
+# generated scenarios
+
+_POLICIES = st.one_of(
+    st.none(),  # the executor's default
+    st.builds(
+        FixedDelayPolicy,
+        max_retries=st.integers(0, 3),
+        delay_seconds=st.sampled_from([0.0, 100.0, 2000.0]),
+        allocation_budget=st.none() | st.integers(0, 6),
+    ),
+    st.builds(
+        ExponentialBackoffPolicy,
+        max_retries=st.integers(1, 3),
+        base=st.floats(10.0, 1000.0),
+        jitter=st.floats(0.1, 1.0),
+        seed=st.integers(0, 99),
+    ),
+    st.builds(RetryPolicy, max_retries=st.integers(0, 2), task_timeout=st.floats(200.0, 1200.0)),
+    st.builds(_PerTaskTimeout, max_retries=st.integers(0, 2)),
+)
+
+
+@st.composite
+def _scenarios(draw):
+    """One scenario in the :data:`SCENARIOS` tuple shape."""
+    nodes = draw(st.integers(1, 48))
+    # Log-uniform MTTF: failures are common at one end, rare at the other.
+    mttf = st.floats(math.log(3.0e3), math.log(2.0e6)).map(math.exp)
+    spec = _spec(
+        nodes, draw(st.none() | mttf), speed_sigma=draw(st.sampled_from([0.0, 0.3]))
+    )
+    policy = draw(_POLICIES)
+    if draw(st.booleans()):
+        make_executor = lambda c: PilotExecutor(c, retry_policy=policy)
+    else:
+        set_gap = draw(st.sampled_from([0.0, 45.0]))
+        make_executor = lambda c: StaticSetExecutor(c, set_gap=set_gap, retry_policy=policy)
+    n_tasks = draw(st.integers(1, 300))
+    task_seed = draw(st.integers(0, 2**16))
+    run_kwargs = {
+        "nodes": nodes,
+        # Short walltimes kill mid-campaign; the long one never does.
+        "walltime": draw(st.floats(300.0, 20000.0) | st.just(1.0e6)),
+        "max_allocations": draw(st.integers(1, 3)),
+    }
+    return spec, make_executor, lambda: _tasks(n_tasks, task_seed, cap_half=True), run_kwargs
+
+
+@settings(deadline=None)
+@given(_scenarios())
+def test_generated_scenarios_are_bit_identical(scenario):
+    """Property: over generated scenarios, both engines agree exactly.
+
+    Derandomized by the default profile in ``conftest.py``, so tier-1
+    replays the same 100 scenarios; the nightly ``random`` profile draws
+    fresh ones with a larger budget.
+    """
+    assert _run(scenario, "vector", False) == _run(scenario, "event", False)
+    vec = _run(scenario, "vector", True)
+    evt = _run(scenario, "event", True)
+    assert vec["trace"] == evt["trace"]
+    assert vec == evt
+
+
+def test_scenarios_cover_interesting_behavior():
     """Meta-test: the suite actually exercises retries, kills, timeouts."""
     seen = {"failed": 0, "killed": 0, "retries": 0, "multi": 0}
     for name in SCENARIOS:
-        snap = _run(name, "vector", False, monkeypatch)
+        snap = _run(name, "vector", False)
         for o in snap["outcomes"]:
             seen["failed"] += len(o["failed"])
             seen["killed"] += len(o["killed"])
