@@ -9,12 +9,16 @@ Layout::
     <root>/<campaign>/
       .cheetah/manifest.json        # hidden campaign metadata
       .cheetah/status.json          # per-run status (the resume record)
+      .cheetah/journal.jsonl        # transitions not yet compacted into it
       .cheetah/report.json          # trace analytics (drive report=True)
       <group>/run-NNNN/params.json  # one directory per run
       <group>/run-NNNN/result.json  # real-run outcome (real backends)
 
 Status is the machine-actionable face of "users may simply re-submit a
-partially completed SweepGroup ... to continue execution" (§V-D).
+partially completed SweepGroup ... to continue execution" (§V-D).  The
+status queries (:meth:`CampaignDirectory.pending_runs`, ``runs_where``,
+``summary``) read ``status.json`` overlaid with the journal, as resume
+does; :meth:`CampaignDirectory.read_status` is the compacted record alone.
 
 **Durability.** Every ``.cheetah/`` metadata file and per-run record is
 written atomically (temp file + fsync + ``os.replace`` — see
@@ -127,9 +131,19 @@ class CampaignDirectory:
         )
 
     def read_status(self) -> dict:
-        """``{run_id: RunStatus}`` for every run."""
+        """``{run_id: RunStatus}`` for every run, as compacted into
+        ``status.json`` (journal entries not yet folded in are not seen)."""
         raw = json.loads(self._status_path().read_text())
         return {run_id: RunStatus(value) for run_id, value in raw.items()}
+
+    def _effective_status(self) -> dict:
+        """Statuses as resume reads them: ``status.json`` overlaid with
+        the write-ahead journal (see
+        :meth:`~repro.resilience.checkpoint.CampaignCheckpoint.effective_status`)."""
+        # Deferred: the checkpoint module imports this one.
+        from repro.resilience.checkpoint import CampaignCheckpoint
+
+        return CampaignCheckpoint(self).effective_status()
 
     def set_status(self, run_id: str, status: RunStatus) -> None:
         """Record one run's status (read-modify-write, locked per directory)."""
@@ -156,7 +170,7 @@ class CampaignDirectory:
 
     def pending_runs(self, group: str | None = None) -> tuple:
         """RunSpecs not yet DONE (FAILED counts as pending for resubmission)."""
-        status = self.read_status()
+        status = self._effective_status()
         out = []
         for run in self.manifest.runs:
             if group is not None and run.group != group:
@@ -171,7 +185,7 @@ class CampaignDirectory:
 
         Example: ``directory.runs_where(status=RunStatus.FAILED, feature=7)``.
         """
-        statuses = self.read_status()
+        statuses = self._effective_status()
         out = []
         for run in self.manifest.runs:
             if status is not None and statuses[run.run_id] is not status:
@@ -187,7 +201,7 @@ class CampaignDirectory:
     def summary(self) -> dict:
         """Counts by status — the campaign query API of §IV."""
         counts: dict[str, int] = {s.value: 0 for s in RunStatus}
-        for status in self.read_status().values():
+        for status in self._effective_status().values():
             counts[status.value] += 1
         return counts
 

@@ -83,7 +83,6 @@ from repro.observability.provenance import (
     observed_provenance_tier,
     observed_software_metadata,
     provenance_store_from_trace,
-    task_attempts,
 )
 from repro.observability.recorder import TraceRecorder, events_from_trace
 
@@ -131,7 +130,6 @@ __all__ = [
     "percentile",
     "TraceRecorder",
     "events_from_trace",
-    "task_attempts",
     "campaign_names",
     "provenance_store_from_trace",
     "observed_provenance_tier",

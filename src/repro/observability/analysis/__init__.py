@@ -1,19 +1,22 @@
 """repro.observability.analysis — trace analytics over the event stream.
 
-PR 1 taught every layer to *emit* structured events; this package reads
-them back out: span-tree reconstruction (:mod:`.spans`), the campaign
-performance report — critical path, wait-time attribution, stragglers,
-retry hotspots, utilization timeline — (:mod:`.report`), baseline/candidate
-diffing with a CI regression gate (:mod:`.diff`), the report file
-format (:mod:`.io`), and the streaming builder that folds a live stream
-into the same reports without buffering it (:mod:`.streaming`).
+Every layer *emits* structured events; this package reads them back
+out through one fold, ``SpanTrace.feed`` (:mod:`.spans`), which
+rebuilds the span tree.  Built on it: the campaign performance report —
+critical path, wait-time attribution, stragglers, retry hotspots,
+utilization timeline — computed per campaign span (:mod:`.report`); the
+streaming builder, which drives the fold off a live bus and finalizes
+the reports (:mod:`.streaming`); baseline/candidate diffing with a CI
+regression gate (:mod:`.diff`); and the report file format
+(:mod:`.io`).  Trace-sourced provenance
+(:mod:`repro.observability.provenance`) reads the same fold.
 
 Entry points:
 
-- ``analyze_events(recorder.events)`` — reports for a live capture;
-- ``StreamingCampaignReport().attach(bus)`` — the same reports folded
-  incrementally off the live bus (O(1) memory per event, mid-run
-  ``progress()`` snapshots), no event buffer;
+- ``StreamingCampaignReport().attach(bus)`` — reports folded
+  incrementally off the live bus, no event buffer;
+- ``analyze_events(recorder.events)`` — the same builder replaying a
+  live capture;
 - ``analyze_events(events_from_trace("fig6.trace.json"))`` — the same for
   a saved Chrome trace;
 - ``python -m repro.observability report <trace.json>`` /
@@ -31,13 +34,12 @@ from repro.observability.analysis.io import load_reports, reports_to_dict, write
 from repro.observability.analysis.report import (
     REPORT_SCHEMA,
     CampaignReport,
-    analyze_events,
     mad,
     report_for_campaign,
     robust_threshold,
 )
 from repro.observability.analysis.spans import AllocSpan, CampaignSpan, SpanTrace, TaskSpan
-from repro.observability.analysis.streaming import StreamingCampaignReport
+from repro.observability.analysis.streaming import StreamingCampaignReport, analyze_events
 
 __all__ = [
     "REPORT_SCHEMA",

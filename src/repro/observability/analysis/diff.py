@@ -1,6 +1,6 @@
 """Report diffing: did this change regress the campaign?
 
-Two report sets (each from :func:`~repro.observability.analysis.report.analyze_events`
+Two report sets (each from :func:`~repro.observability.analysis.streaming.analyze_events`
 or loaded from disk) are matched campaign-by-campaign and compared on
 the metrics that matter for the paper's figures: makespan, utilization,
 queue wait, p95 task duration, critical-path length.  The **gate** is

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.observability.analysis.report import REPORT_SCHEMA, CampaignReport, analyze_events
+from repro.observability.analysis.report import REPORT_SCHEMA, CampaignReport
+from repro.observability.analysis.streaming import analyze_events
 from repro.observability.recorder import events_from_trace
 
 

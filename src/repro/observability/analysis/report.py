@@ -1,8 +1,10 @@
 """Campaign performance analytics: the queryable face of a trace.
 
-:func:`analyze_events` turns any event stream (live capture or loaded
-Chrome trace) into one :class:`CampaignReport` per campaign span found,
-answering the questions the write-only trace left manual:
+:func:`report_for_campaign` turns one campaign span of a
+:class:`~repro.observability.analysis.spans.SpanTrace` into a
+:class:`CampaignReport` (``analyze_events`` in :mod:`.streaming` does so
+for every campaign span of a stream), answering the questions the
+write-only trace left manual:
 
 - **critical path** — the chain of alloc/task spans that bounds the
   campaign makespan (walked backward from the last-ending work, through
@@ -469,21 +471,19 @@ def _stragglers(tasks) -> list:
     return flagged
 
 
-def _retry_hotspots(tasks, per_node, trace: SpanTrace, pid: int) -> dict:
-    task_names = {}  # task_id -> name (last attempt wins; names are stable)
+def _retry_hotspots(tasks, per_node) -> dict:
+    by_task: dict = {}  # task_id -> [name, retries, backoff]; last attempt names it
     for t in tasks:
-        task_names[t.task_id] = t.name
-    hot_tasks = []
-    for (p, task_id), retries in sorted(trace.retries_by_task.items()):
-        if p != pid or task_id not in task_names or retries < 2:
-            continue
-        hot_tasks.append(
-            {
-                "task": task_names[task_id],
-                "retries": retries,
-                "backoff": trace.backoff_by_task.get((p, task_id), 0.0),
-            }
+        row = by_task.setdefault(t.task_id, [t.name, 0, 0.0])
+        row[0] = t.name
+        row[1] += t.retries_granted
+        row[2] += t.backoff
+    hot_tasks = [
+        {"task": name, "retries": retries, "backoff": backoff}
+        for _, (name, retries, backoff) in sorted(
+            (task_id, row) for task_id, row in by_task.items() if row[1] >= 2
         )
+    ]
     hot_tasks.sort(key=lambda t: (-t["retries"], t["task"]))
 
     counts = {node: row["failed"] + row["faults"] for node, row in per_node.items()}
@@ -567,7 +567,7 @@ def _utilization(tasks, allocs, window, buckets: int = 16) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry point
 
 
 def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
@@ -580,12 +580,8 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
     per_node = _per_node(tasks)
     slack = _slack_by_task(tasks, by_node, window[1])
     critical_path = _critical_path(tasks, allocs, window, slack)
-    task_ids = {t.task_id for t in tasks}
-    retry_backoff = sum(
-        seconds
-        for (pid, task_id), seconds in trace.backoff_by_task.items()
-        if pid == campaign.pid and task_id in task_ids
-    )
+    # Over retried attempts only: a campaign without retries reports int 0.
+    retry_backoff = sum(t.backoff for t in tasks if t.retries_granted)
     counts = {
         "attempts": len(tasks),
         "unique_tasks": len({t.task_id for t in tasks}),
@@ -619,7 +615,7 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
         critical_path_seconds=sum(el["duration"] for el in critical_path),
         attribution=_attribution(tasks, allocs, window, by_node, per_node, retry_backoff),
         stragglers=_stragglers(tasks),
-        retry_hotspots=_retry_hotspots(tasks, per_node, trace, campaign.pid),
+        retry_hotspots=_retry_hotspots(tasks, per_node),
         utilization=_utilization(tasks, allocs, window),
         allocations=[
             {
@@ -634,8 +630,3 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
         ],
     )
 
-
-def analyze_events(events) -> list[CampaignReport]:
-    """One report per campaign span found in the stream, in trace order."""
-    trace = SpanTrace.from_events(events)
-    return [report_for_campaign(trace, campaign) for campaign in trace.campaigns]

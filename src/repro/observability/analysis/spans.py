@@ -9,6 +9,11 @@ campaign, how long every queue wait and backoff delay lasted.
 (:func:`~repro.observability.recorder.events_from_trace`) — the two are
 indistinguishable here.
 
+Every alloc and task span, and every retry granted to a task, belongs to
+the campaign span open on its pid when it began.  Two campaigns of the
+same name on one bus, or task ids a later campaign reuses, therefore
+never merge.
+
 Reconstruction is tolerant by design: a capture cut mid-run (a crashed
 driver, a trace written from a partial recording) leaves spans open, and
 an open span is closed at the stream's last observed time with
@@ -53,8 +58,8 @@ class TaskSpan:
     alloc: int | None = None  # enclosing alloc span's grant index
     group: str | None = None  # enclosing group span's name
     campaign: str | None = None  # enclosing campaign span's name
-    retries_granted: int = 0  # task.retry instants for this task_id so far
-    backoff: float = 0.0  # summed policy delays granted to this task_id
+    retries_granted: int = 0  # task.retry instants that followed this attempt
+    backoff: float = 0.0  # summed policy delays of those retries
     faults: int = 0  # task.fault_injected instants inside this attempt
     timed_out: bool = False
 
@@ -104,27 +109,33 @@ class CampaignSpan:
     resumed_skipped: int = 0  # runs skipped by resume, from group.resumed
 
 
+class _Members:
+    """What one campaign span holds, in begin order."""
+
+    __slots__ = ("campaign", "allocs", "tasks", "latest")
+
+    def __init__(self, campaign: CampaignSpan):
+        self.campaign = campaign
+        self.allocs: list = []
+        self.tasks: list = []
+        self.latest: dict = {}  # task_id -> its latest attempt (retries land there)
+
+
 @dataclass
 class SpanTrace:
     """Every reconstructed span plus the instants analysis cares about.
 
-    Two ways to build one:
-
-    - :meth:`from_events` — the classic one-shot pass over a complete
-      stream (live capture or loaded trace);
-    - :meth:`feed` one event at a time (or :meth:`feed_batch`), then
-      :meth:`close_open` when the stream ends — the incremental form the
-      streaming report builder (:mod:`.streaming`) drives directly off
-      the bus.  Both produce identical traces for identical streams:
-      ``from_events`` *is* the feed loop.
+    Build one with :meth:`from_events` over a complete stream (live
+    capture or loaded trace), or :meth:`feed` it one event at a time and
+    call :meth:`close_open` when the stream ends — the form the streaming
+    report builder (:mod:`.streaming`) drives off the bus.
+    ``from_events`` *is* that feed loop.
     """
 
     campaigns: list = field(default_factory=list)  # list[CampaignSpan]
     allocs: list = field(default_factory=list)  # list[AllocSpan]
     tasks: list = field(default_factory=list)  # list[TaskSpan]
     requeues: list = field(default_factory=list)  # raw task.requeued events
-    retries_by_task: dict = field(default_factory=dict)  # (pid, task_id) -> grants
-    backoff_by_task: dict = field(default_factory=dict)  # (pid, task_id) -> seconds
     last_time: float = 0.0
     n_events: int = 0
 
@@ -132,11 +143,14 @@ class SpanTrace:
         # Per-pid open-span state.  The emission contract nests spans
         # physically (task inside alloc inside campaign), so "the open
         # alloc on this pid" is unambiguous at any point in the stream.
-        self._open_campaign: dict[int, CampaignSpan] = {}
+        self._open_campaign: dict[int, _Members] = {}
         self._open_group: dict[int, dict] = {}
         self._open_alloc: dict[int, AllocSpan] = {}
         self._open_tasks: dict[tuple, TaskSpan] = {}
         self._pending_submits: dict[tuple, float] = {}  # (pid, job) -> submit
+        # id(campaign span) -> its members; ``campaigns`` keeps every
+        # span alive, so the ids stay unique for the trace's lifetime.
+        self._members: dict[int, _Members] = {}
 
     @classmethod
     def from_events(cls, events) -> "SpanTrace":
@@ -148,12 +162,6 @@ class SpanTrace:
         trace.close_open()
         return trace
 
-    def feed_batch(self, events) -> None:
-        """Fold a batch of events, in order (``EventBus.publish_batch``)."""
-        feed = self.feed
-        for event in events:
-            feed(event)
-
     def feed(self, event) -> None:
         """Fold one event into the span tree as it arrives."""
         open_campaign = self._open_campaign
@@ -161,8 +169,6 @@ class SpanTrace:
         open_alloc = self._open_alloc
         open_tasks = self._open_tasks
         pending_submits = self._pending_submits
-        retries = self.retries_by_task
-        backoffs = self.backoff_by_task
 
         self.n_events += 1
         self.last_time = max(self.last_time, event.time)
@@ -178,10 +184,10 @@ class SpanTrace:
                     group=group.get("group"),
                     resumed_skipped=group.pop("resumed_skipped", 0),
                 )
-                open_campaign[pid] = span
+                open_campaign[pid] = self._members[id(span)] = _Members(span)
                 self.campaigns.append(span)
             elif event.phase == END and pid in open_campaign:
-                span = open_campaign.pop(pid)
+                span = open_campaign.pop(pid).campaign
                 span.end = event.time
                 span.completed = f.get("completed")
                 span.allocations = f.get("allocations")
@@ -192,15 +198,16 @@ class SpanTrace:
         elif event.name == GROUP_RESUMED:
             # The drive reports the skip before its executor opens the
             # campaign span: the open group keeps it for that span.
-            campaign = open_campaign.get(pid)
-            if campaign is not None:
-                campaign.resumed_skipped = f.get("skipped", 0)
+            members = open_campaign.get(pid)
+            if members is not None:
+                members.campaign.resumed_skipped = f.get("skipped", 0)
             elif pid in open_group:
                 open_group[pid]["resumed_skipped"] = f.get("skipped", 0)
         elif event.name == ALLOC_SUBMITTED:
             pending_submits[(pid, f.get("job"))] = event.time
         elif event.name == ALLOC:
             if event.phase == BEGIN:
+                members = open_campaign.get(pid)
                 span = AllocSpan(
                     pid=pid,
                     index=f.get("alloc", len(self.allocs)),
@@ -209,10 +216,12 @@ class SpanTrace:
                     start=event.time,
                     deadline=f.get("deadline"),
                     submitted=pending_submits.pop((pid, f.get("job")), None),
-                    campaign=getattr(open_campaign.get(pid), "name", None),
+                    campaign=members.campaign.name if members is not None else None,
                 )
                 open_alloc[pid] = span
                 self.allocs.append(span)
+                if members is not None:
+                    members.allocs.append(span)
             elif event.phase == END and pid in open_alloc:
                 span = open_alloc.pop(pid)
                 span.end = event.time
@@ -220,10 +229,11 @@ class SpanTrace:
         elif event.name == TASK:
             key = (pid, f.get("task_id"))
             if event.phase == BEGIN:
+                members = open_campaign.get(pid)
                 alloc = open_alloc.get(pid)
                 span = TaskSpan(
                     pid=pid,
-                    task_id=f.get("task_id"),
+                    task_id=key[1],
                     name=f.get("task", "(task)"),
                     node=f.get("node"),
                     nodes=tuple(f.get("nodes") or ((f.get("node"),) if f.get("node") is not None else ())),
@@ -232,20 +242,23 @@ class SpanTrace:
                     payload=dict(f.get("payload") or {}),
                     alloc=alloc.index if alloc is not None else None,
                     group=(open_group.get(pid) or {}).get("group"),
-                    campaign=getattr(open_campaign.get(pid), "name", None),
+                    campaign=members.campaign.name if members is not None else None,
                 )
                 open_tasks[key] = span
                 self.tasks.append(span)
+                if members is not None:
+                    members.tasks.append(span)
+                    members.latest[key[1]] = span
             elif event.phase == END and key in open_tasks:
                 span = open_tasks.pop(key)
                 span.end = event.time
                 span.outcome = f.get("outcome")
-                span.retries_granted = retries.get(key, 0)
-                span.backoff = backoffs.get(key, 0.0)
         elif event.name == TASK_RETRY:
-            key = (pid, f.get("task_id"))
-            retries[key] = retries.get(key, 0) + 1
-            backoffs[key] = backoffs.get(key, 0.0) + float(f.get("delay") or 0.0)
+            members = open_campaign.get(pid)
+            span = members.latest.get(f.get("task_id")) if members is not None else None
+            if span is not None:
+                span.retries_granted += 1
+                span.backoff += float(f.get("delay") or 0.0)
         elif event.name == TASK_TIMEOUT:
             span = open_tasks.get((pid, f.get("task_id")))
             if span is not None:
@@ -268,7 +281,7 @@ class SpanTrace:
         for span in (
             *self._open_tasks.values(),
             *self._open_alloc.values(),
-            *self._open_campaign.values(),
+            *(members.campaign for members in self._open_campaign.values()),
         ):
             if span.end is None:
                 span.end = self.last_time
@@ -281,7 +294,11 @@ class SpanTrace:
         return campaign.start, end
 
     def allocs_of(self, campaign: CampaignSpan) -> list:
-        return [a for a in self.allocs if a.pid == campaign.pid and a.campaign == campaign.name]
+        """The alloc spans that began inside ``campaign``, in begin order."""
+        members = self._members.get(id(campaign))
+        return list(members.allocs) if members is not None else []
 
     def tasks_of(self, campaign: CampaignSpan) -> list:
-        return [t for t in self.tasks if t.pid == campaign.pid and t.campaign == campaign.name]
+        """The task attempts that began inside ``campaign``, in begin order."""
+        members = self._members.get(id(campaign))
+        return list(members.tasks) if members is not None else []

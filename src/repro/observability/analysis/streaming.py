@@ -1,39 +1,27 @@
-"""Streaming campaign analytics: fold the event stream as it arrives.
+"""Campaign reports from an event stream: one fold, one finalize.
 
-:class:`StreamingCampaignReport` is the incremental counterpart of
-:func:`~repro.observability.analysis.report.analyze_events`.  The batch
-entry point needs the whole stream in memory first — a recorder (or the
-drive loop) buffers every event, then analysis replays the buffer.  The
-streaming builder instead subscribes directly to the bus and folds each
-event into analysis state the moment it is emitted:
+:class:`StreamingCampaignReport` subscribes to a bus and folds each
+event into a :class:`~repro.observability.analysis.spans.SpanTrace` the
+moment it is emitted (:meth:`SpanTrace.feed` — one span record per task
+attempt, allocation and campaign; instants collapse into counters on
+those spans; the raw event object is dropped on the spot).  The builder
+is batch-aware (:meth:`StreamingCampaignReport.on_batch`), so the
+vectorized executors' ``publish_batch`` emissions fold in one call per
+batch.
 
-- span reconstruction reuses :meth:`SpanTrace.feed` — one span record
-  per task attempt / allocation / campaign, never the raw events;
-- instants (retries, faults, timeouts) collapse into O(1) counters and
-  the event object is dropped on the spot;
-- running aggregates (tasks done/failed/killed, busy node-second
-  integral, peak concurrency, summed backoff) are maintained per event,
-  so :meth:`progress` answers "how is the campaign doing" *mid-run*
-  without any replay.
-
-Memory is therefore O(1) per event on top of the span tree that batch
-analysis would have to build anyway; the unbounded raw-event buffer is
-gone.  The builder is batch-aware (:meth:`on_batch`), so the vectorized
-executors' ``publish_batch`` emissions fold in one call per batch.
-
-Equivalence is exact, not approximate: :meth:`reports` runs the same
-:func:`~repro.observability.analysis.report.report_for_campaign` passes
-over the incrementally-built :class:`SpanTrace`, so the result matches
-``analyze_events`` on the identical stream field for field (the test
-suite replays the committed Chrome traces through both and compares
-serialized output).
+:meth:`StreamingCampaignReport.reports` is the one finalize: it closes
+the spans the stream left open and runs
+:func:`~repro.observability.analysis.report.report_for_campaign` once per
+campaign span.  :func:`analyze_events` replays a recorded stream (a live
+capture or a loaded Chrome trace) through a fresh builder, so reports
+folded live off the bus and reports of the same stream read back later
+come from the same code.
 """
 
 from __future__ import annotations
 
 from repro.observability.analysis.report import CampaignReport, report_for_campaign
 from repro.observability.analysis.spans import SpanTrace
-from repro.observability.events import BEGIN, END, TASK, TASK_RETRY
 
 
 class StreamingCampaignReport:
@@ -56,16 +44,6 @@ class StreamingCampaignReport:
         self.trace = SpanTrace()
         self._unsubscribers: list = []
         self._reports: list[CampaignReport] | None = None
-        # Running aggregates, updated in O(1) per event.
-        self._done = 0
-        self._failed = 0
-        self._killed = 0
-        self._started = 0
-        self._backoff = 0.0
-        self._busy_node_seconds = 0.0
-        self._peak_concurrency = 0
-        # Per-pid concurrency step function: (level, last change time).
-        self._level: dict[int, tuple[float, float]] = {}
 
     # -- attachment ----------------------------------------------------------
 
@@ -86,79 +64,36 @@ class StreamingCampaignReport:
 
     # -- folding -------------------------------------------------------------
 
-    def feed(self, event) -> None:
-        """Fold one event; raw event objects are not retained."""
+    def _check_open(self) -> None:
         if self._reports is not None:
             raise RuntimeError(
                 "StreamingCampaignReport already finalized; create a new "
                 "builder for a new stream"
             )
+
+    def feed(self, event) -> None:
+        """Fold one event; raw event objects are not retained."""
+        self._check_open()
         self.trace.feed(event)
-        name = event.name
-        if name == TASK:
-            width = max(1, len(event.fields.get("nodes") or ()) or 1)
-            if event.phase == BEGIN:
-                self._started += 1
-                self._step_level(event.pid, event.time, width)
-            elif event.phase == END:
-                outcome = event.fields.get("outcome")
-                if outcome == "done":
-                    self._done += 1
-                elif outcome == "failed":
-                    self._failed += 1
-                elif outcome == "killed":
-                    self._killed += 1
-                self._step_level(event.pid, event.time, -width)
-        elif name == TASK_RETRY:
-            self._backoff += float(event.fields.get("delay") or 0.0)
 
     #: Builders are plain callables, so ``bus.subscribe(builder)`` works.
     __call__ = feed
 
     def on_batch(self, events) -> None:
         """Batch-aware subscriber hook (see ``EventBus.publish_batch``)."""
-        feed = self.feed
+        self._check_open()
+        feed = self.trace.feed
         for event in events:
             feed(event)
 
-    def _step_level(self, pid: int, time: float, delta: float) -> None:
-        level, since = self._level.get(pid, (0.0, time))
-        if time > since:
-            self._busy_node_seconds += level * (time - since)
-        level += delta
-        if level > self._peak_concurrency:
-            self._peak_concurrency = level
-        self._level[pid] = (level, max(since, time))
-
     # -- reading back --------------------------------------------------------
-
-    def progress(self) -> dict:
-        """A mid-stream snapshot of the running aggregates (O(1) to read).
-
-        Available at any point while the stream is still flowing — this
-        is the payload a live dashboard or a periodic log line would
-        poll, and it never touches the span tree.
-        """
-        return {
-            "events": self.trace.n_events,
-            "last_time": self.trace.last_time,
-            "attempts_started": self._started,
-            "done": self._done,
-            "failed": self._failed,
-            "killed": self._killed,
-            "running": self._started - self._done - self._failed - self._killed,
-            "retry_backoff": self._backoff,
-            "busy_node_seconds": self._busy_node_seconds,
-            "peak_concurrency": self._peak_concurrency,
-            "campaigns_seen": len(self.trace.campaigns),
-        }
 
     def reports(self) -> list[CampaignReport]:
         """Finalize and return one report per campaign span, in order.
 
-        Matches ``analyze_events`` on the same stream exactly.  The
-        first call closes any spans the stream left open and caches the
-        result; feeding further events afterwards is an error.
+        The first call closes any spans the stream left open (at its
+        last observed time) and caches the result; feeding further
+        events afterwards is an error.
         """
         if self._reports is None:
             self.trace.close_open()
@@ -167,3 +102,10 @@ class StreamingCampaignReport:
                 for campaign in self.trace.campaigns
             ]
         return self._reports
+
+
+def analyze_events(events) -> list[CampaignReport]:
+    """One report per campaign span found in the stream, in trace order."""
+    builder = StreamingCampaignReport()
+    builder.on_batch(events)
+    return builder.reports()

@@ -1,18 +1,17 @@
 """Close the loop: provenance records and gauge tiers from live traces.
 
 The paper's Software Provenance gauge ladders from per-execution logs up
-to campaign knowledge and exportability (§III).  Historically those
-records were reconstructed *after* a run from executor bookkeeping
-(:mod:`repro.savanna.provenance`); this module builds them straight from
-the runtime's own event stream instead — the provenance is emitted by the
-thing that executed, which is exactly what the gauge rewards.
+to campaign knowledge and exportability (§III).  This module builds those
+records straight from the runtime's own event stream — the provenance is
+emitted by the thing that executed, which is exactly what the gauge
+rewards.  The task attempts come from the same span fold the campaign
+reports use (:meth:`~repro.observability.analysis.spans.SpanTrace.feed`).
 
 Given a recorded event stream:
 
 - :func:`provenance_store_from_trace` materializes one
-  :class:`~repro.metadata.provenance.ProvenanceRecord` per task attempt
-  (begin/end span pair) into a
-  :class:`~repro.metadata.provenance.ProvenanceStore`;
+  :class:`~repro.metadata.provenance.ProvenanceRecord` per finished task
+  attempt into a :class:`~repro.metadata.provenance.ProvenanceStore`;
 - :func:`observed_provenance_tier` reports the
   :class:`~repro.gauges.levels.ProvenanceTier` the trace itself
   establishes;
@@ -24,7 +23,6 @@ Given a recorded event stream:
 from __future__ import annotations
 
 from repro.gauges.levels import ProvenanceTier
-from repro.observability.events import BEGIN, CAMPAIGN, END, GROUP, TASK, Event
 from repro.metadata.provenance import (
     CampaignContext,
     ExportClass,
@@ -32,26 +30,17 @@ from repro.metadata.provenance import (
     ProvenanceRecord,
     ProvenanceStore,
 )
+from repro.observability.analysis.spans import SpanTrace
+from repro.observability.events import BEGIN, CAMPAIGN, GROUP
 
 
-def task_attempts(events) -> list[tuple[Event, Event]]:
-    """Pair task ``begin``/``end`` events into attempts, in begin order.
+def _finished_attempts(events) -> list:
+    """Task spans whose ``end`` arrived, in begin order.
 
-    Attempts whose ``end`` never arrived (a capture stopped mid-flight)
-    are dropped — same policy as
-    :func:`~repro.savanna.provenance.record_campaign_result`.
+    The fold closes an attempt still open when the capture stopped with
+    ``outcome=None``; such attempts are dropped.
     """
-    open_begins: dict[tuple, Event] = {}
-    pairs: list[tuple[Event, Event]] = []
-    for event in events:
-        if event.name != TASK:
-            continue
-        key = (event.pid, event.fields.get("task_id"))
-        if event.phase == BEGIN:
-            open_begins[key] = event
-        elif event.phase == END and key in open_begins:
-            pairs.append((open_begins.pop(key), event))
-    return pairs
+    return [t for t in SpanTrace.from_events(events).tasks if t.outcome is not None]
 
 
 def campaign_names(events) -> tuple:
@@ -74,26 +63,26 @@ def provenance_store_from_trace(
 ) -> ProvenanceStore:
     """Build a queryable provenance store from a recorded event stream.
 
-    Every completed task attempt becomes one record: component = task
-    name, start/end = span endpoints, parameters = the task payload the
-    executor put on the ``begin`` event, outcome = the ``end`` outcome.
-    With ``context`` given, records are grouped under that campaign
-    (registering it if needed); pass an existing ``store`` to accumulate
-    several captures.
+    Every finished task attempt becomes one record, in begin order:
+    component = task name, start/end = span endpoints, parameters = the
+    task payload the executor put on the ``begin`` event, outcome = the
+    ``end`` outcome.  With ``context`` given, records are grouped under
+    that campaign (registering it if needed); pass an existing ``store``
+    to accumulate several captures.
     """
     store = store or ProvenanceStore()
     if context is not None and context.name not in {c.name for c in store.campaigns}:
         store.register_campaign(context)
-    for begin, end in task_attempts(events):
+    for attempt in _finished_attempts(events):
         store.add(
             ProvenanceRecord(
-                component=begin.fields.get("task", f"task-{begin.fields.get('task_id')}"),
-                start_time=begin.time,
-                end_time=end.time,
-                parameters=dict(begin.fields.get("payload") or {}),
+                component=attempt.name,
+                start_time=attempt.start,
+                end_time=attempt.end,
+                parameters=attempt.payload,
                 environment=dict(environment or {}),
                 campaign=context.name if context is not None else None,
-                outcome=end.fields.get("outcome", "unknown"),
+                outcome=attempt.outcome,
                 export_class=export_class,
             )
         )
@@ -110,7 +99,7 @@ def observed_provenance_tier(
     - plus an export policy in hand → ``EXPORTABLE`` (a policy is a
       decision, not an observation, so the caller must supply it)
     """
-    if not task_attempts(events):
+    if not _finished_attempts(events):
         return ProvenanceTier.NONE
     if not campaign_names(events):
         return ProvenanceTier.EXECUTION_LOGS
@@ -140,7 +129,7 @@ def observed_software_metadata(
     from repro.gauges.model import SoftwareMetadata
 
     base = base or SoftwareMetadata()
-    has_logs = bool(task_attempts(events))
+    has_logs = bool(_finished_attempts(events))
     if context is None:
         names = campaign_names(events)
         if names:

@@ -60,7 +60,6 @@ from repro.savanna.service import (
     ThreadSafeBus,
     service_bus,
 )
-from repro.savanna.provenance import record_campaign_result, straggler_report
 from repro.savanna.backends import (
     register_backend,
     unregister_backend,
@@ -101,6 +100,4 @@ __all__ = [
     "SubmissionState",
     "ThreadSafeBus",
     "service_bus",
-    "record_campaign_result",
-    "straggler_report",
 ]

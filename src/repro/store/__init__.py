@@ -2,14 +2,11 @@
 
 The paper's §II-C argues the product of a codesign campaign is a
 *machine-queriable catalog*.  This package is that catalog made durable
-at scale: a batched, sqlite-backed (pluggable — see
-:mod:`repro.store.engine`) store for campaigns, sweep groups, runs,
-parameters, and metrics, with chunked write-behind bulk ingestion,
+at scale: a batched, sqlite-backed store for campaigns, sweep groups,
+runs, parameters, and metrics, with chunked write-behind bulk ingestion,
 catalog queries pushed down to SQL, migration from file-based campaign
 directories, and an opt-in per-run JSON export for human inspection.
 
-- :mod:`repro.store.engine`  — the pluggable storage-engine contract +
-  the in-tree sqlite engine.
 - :mod:`repro.store.schema`  — the relational schema and its indexes.
 - :mod:`repro.store.store`   — :class:`CampaignStore`: ingestion,
   status, outcomes, reports.
@@ -21,13 +18,6 @@ CLI: ``python -m repro.store migrate|query|status|export|info``.
 """
 
 from repro.store.catalog import StoreCatalog
-from repro.store.engine import (
-    SqliteEngine,
-    StorageEngine,
-    engine_for,
-    register_engine,
-    registered_engines,
-)
 from repro.store.migrate import export_directory, ingest_directory
 from repro.store.schema import SCHEMA_VERSION
 from repro.store.store import CampaignStore, StoreError, metrics_from_value
@@ -36,12 +26,7 @@ __all__ = [
     "CampaignStore",
     "StoreCatalog",
     "StoreError",
-    "StorageEngine",
-    "SqliteEngine",
     "SCHEMA_VERSION",
-    "engine_for",
-    "register_engine",
-    "registered_engines",
     "ingest_directory",
     "export_directory",
     "metrics_from_value",

@@ -9,12 +9,11 @@ Commands::
     query  TARGET impact  --metric M [--parameter P]
     status TARGET [--campaign NAME]       status counts from SQL
     export DIR [--db PATH]                store -> per-run result.json files
-    info   TARGET                         campaigns, run counts, engine
+    info   TARGET                         database path, campaigns, run counts
 
 ``TARGET`` (and ``--db``) accept a campaign directory (the store at
-``.cheetah/store.sqlite`` is used), a sqlite file path, or an engine URL
-(``sqlite:///...``).  With a single-campaign store ``--campaign`` may be
-omitted.
+``.cheetah/store.sqlite`` is used) or a sqlite file path.  With a
+single-campaign store ``--campaign`` may be omitted.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from repro.store import CampaignStore, StoreError, ingest_directory, export_dire
 
 
 def _store_target(target: str) -> str:
-    """Resolve a CLI target to an engine path/URL (campaign dirs point
-    at their ``.cheetah/store.sqlite``)."""
+    """Resolve a CLI target to a sqlite path (campaign dirs point at
+    their ``.cheetah/store.sqlite``)."""
     path = Path(target)
     if (path / CampaignDirectory.METADATA_DIR).is_dir():
         return str(path / CampaignDirectory.METADATA_DIR / "store.sqlite")
@@ -95,8 +94,9 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    with CampaignStore(_store_target(args.target)) as store:
-        print(f"engine: {store.engine.describe()} (schema v{store.version})")
+    target = _store_target(args.target)
+    with CampaignStore(target) as store:
+        print(f"database: {target} (schema v{store.version})")
         for campaign in store.campaigns():
             counts = store.summary(campaign)
             catalog = store.catalog(campaign)
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--campaign", default=None)
     status.set_defaults(fn=_cmd_status)
 
-    info = sub.add_parser("info", help="engine, campaigns, result counts")
+    info = sub.add_parser("info", help="database path, campaigns, result counts")
     info.add_argument("target")
     info.set_defaults(fn=_cmd_info)
 

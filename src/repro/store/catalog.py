@@ -3,7 +3,7 @@
 :class:`StoreCatalog` answers the same queries as the in-memory
 :class:`repro.cheetah.CampaignCatalog` — ``best``, ``rank``, the Pareto
 front, per-parameter impact — but evaluates them *inside* the store's
-SQL engine and builds a :class:`RunRecord` only for the runs an answer
+sqlite database and builds a :class:`RunRecord` only for the runs an answer
 returns, never for the whole campaign:
 
 - ``best``/``rank`` are one ``ORDER BY`` scan over the metric (ties
@@ -42,8 +42,8 @@ from repro.cheetah.objectives import Direction, Objective
 #: as the first parameter) that were really executed.
 _SCOPE = "r.campaign_id = ? AND r.status = 'done' AND r.attempts IS NOT NULL"
 
-#: Run keys per ``IN (...)`` lookup, well under every engine's bound on
-#: query parameters.
+#: Run keys per ``IN (...)`` lookup, well under sqlite's bound on query
+#: parameters.
 _FETCH_CHUNK = 500
 
 

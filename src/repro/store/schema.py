@@ -93,12 +93,7 @@ CREATE INDEX IF NOT EXISTS idx_parameters_name_value
 
 def create_schema(conn) -> None:
     """Create (idempotently) every table and index, and stamp the version."""
-    if hasattr(conn, "executescript"):
-        conn.executescript(DDL)
-    else:  # pragma: no cover - non-sqlite engines take statements one by one
-        for statement in DDL.split(";"):
-            if statement.strip():
-                conn.execute(statement)
+    conn.executescript(DDL)
     conn.execute(
         "INSERT OR IGNORE INTO store_meta (key, value) VALUES ('schema_version', ?)",
         (str(SCHEMA_VERSION),),

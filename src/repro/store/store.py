@@ -2,8 +2,7 @@
 
 Per-run ``result.json`` files and an in-memory catalog do not survive
 millions of runs; this store does.  One :class:`CampaignStore` holds any
-number of campaigns in one database (sqlite by default — see
-:mod:`repro.store.engine` for pluggability) and is the durable system of
+number of campaigns in one sqlite database and is the durable system of
 record behind :class:`~repro.cheetah.directory.CampaignDirectory`, the
 drive pipeline, and the §II-C catalog queries.
 
@@ -24,13 +23,37 @@ an answer returns.
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 from pathlib import Path
 
 from repro._util import dumps_tagged, loads_tagged
 from repro.cheetah.manifest import CampaignManifest, manifest_from_json, manifest_to_json
-from repro.store.engine import StorageEngine, engine_for
 from repro.store.schema import create_schema, schema_version
+
+
+def _connect(path: str) -> sqlite3.Connection:
+    """Open the sqlite database at ``path`` (or ``":memory:"``).
+
+    Tuned for the store's write pattern: WAL journal (concurrent readers
+    during bulk ingestion), ``synchronous=NORMAL`` (fsync at WAL
+    checkpoints: durable against process crash, fast for chunked
+    batches), and foreign keys enforced.  ``check_same_thread`` is off
+    because the store serializes access with its own lock; the campaign
+    service runs drives on worker threads.
+    """
+    if "://" in path:
+        raise ValueError(
+            f"campaign store targets are sqlite paths or ':memory:', not URLs: {path!r}"
+        )
+    if path != ":memory:":
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(path, check_same_thread=False)
+    conn.execute("PRAGMA foreign_keys = ON")
+    if path != ":memory:":
+        conn.execute("PRAGMA journal_mode = WAL")
+        conn.execute("PRAGMA synchronous = NORMAL")
+    return conn
 
 
 def metrics_from_value(value) -> dict:
@@ -57,25 +80,24 @@ class StoreError(RuntimeError):
 
 
 class CampaignStore:
-    """Durable campaign/result store over a pluggable SQL engine.
+    """Durable campaign/result store in one sqlite database.
 
     Parameters
     ----------
-    engine:
-        A :class:`~repro.store.engine.StorageEngine`, a path to a sqlite
-        file, ``":memory:"``, or an engine URL (``"sqlite:///..."``).
+    path:
+        The sqlite file (its parent directory is created), or
+        ``":memory:"``.
     chunk_size:
         Write-behind buffer depth: results are bulk-inserted in chunks
         of this many rows inside one transaction.
     """
 
-    def __init__(self, engine: StorageEngine | str | Path = ":memory:", chunk_size: int = 500):
+    def __init__(self, path: str | Path = ":memory:", chunk_size: int = 500):
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.engine = engine_for(engine)
         self.chunk_size = chunk_size
         self._lock = threading.RLock()
-        self._conn = self.engine.connect()
+        self._conn = _connect(str(path))
         self._buffer: list[tuple] = []
         self._campaign_ids: dict[str, int] = {}
         create_schema(self._conn)

@@ -92,3 +92,20 @@ class TestStatus:
         cd.create()
         assert len(cd.pending_runs(group="g")) == 4
         assert cd.pending_runs(group="other") == ()
+
+    def test_queries_read_the_journal_like_resume(self, tmp_path):
+        """A drive killed before compaction: the status queries agree
+        with resume; ``read_status`` stays the compacted record."""
+        from repro.resilience.checkpoint import CampaignCheckpoint
+
+        cd = CampaignDirectory(tmp_path, make_manifest())
+        cd.create()
+        checkpoint = CampaignCheckpoint(cd)
+        checkpoint.record("g/run-0000", RunStatus.RUNNING)
+        checkpoint.record("g/run-0000", RunStatus.DONE)
+        checkpoint.record("g/run-0001", RunStatus.RUNNING)
+        assert {r.run_id for r in cd.pending_runs()} == checkpoint.pending()
+        assert len(cd.pending_runs()) == 3
+        assert cd.summary() == {"pending": 2, "running": 1, "done": 1, "failed": 0}
+        assert [r.run_id for r in cd.runs_where(status=RunStatus.DONE)] == ["g/run-0000"]
+        assert cd.read_status()["g/run-0000"] is RunStatus.PENDING

@@ -124,8 +124,9 @@ class TestSpanTrace:
         emit_task(bus, 7, 110.0, 120.0, attempt=3)
         bus.emit(CAMPAIGN, phase=END, time=120.0, campaign="c")
         trace = SpanTrace.from_events(seen)
-        assert trace.retries_by_task[(bus.pid, 7)] == 2
-        assert trace.backoff_by_task[(bus.pid, 7)] == 90.0
+        # Each grant lands on the attempt it followed.
+        assert [t.retries_granted for t in trace.tasks] == [1, 1, 0]
+        assert [t.backoff for t in trace.tasks] == [30.0, 60.0, 0.0]
 
 
 class TestCampaignReport:

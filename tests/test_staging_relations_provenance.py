@@ -140,26 +140,30 @@ class TestModelRelations:
 
 class TestProvenanceCapture:
     def run_campaign(self):
+        """Run four tasks (one straggler) on a recorded cluster; its events."""
         from conftest import make_cluster
 
         from repro.cluster.job import Task
+        from repro.observability import TraceRecorder
         from repro.savanna import PilotExecutor
 
         tasks = [
             Task(name=f"t{i}", duration=d, payload={"i": i})
             for i, d in enumerate([10, 10, 10, 300])  # one straggler
         ]
-        return PilotExecutor(make_cluster(nodes=2)).run(tasks, nodes=2, walltime=5000.0)
+        cluster = make_cluster(nodes=2)
+        recorder = TraceRecorder().attach(cluster.bus)
+        PilotExecutor(cluster).run(tasks, nodes=2, walltime=5000.0)
+        recorder.detach()
+        return recorder.events
 
     def test_records_every_attempt_with_campaign(self):
-        from repro.metadata.provenance import CampaignContext, ProvenanceStore
-        from repro.savanna import record_campaign_result
+        from repro.metadata.provenance import CampaignContext
+        from repro.observability import provenance_store_from_trace
 
-        result = self.run_campaign()
-        store = ProvenanceStore()
-        ctx = CampaignContext("cap", "test")
-        added = record_campaign_result(result, store, ctx)
-        assert added == 4
+        store = provenance_store_from_trace(
+            self.run_campaign(), context=CampaignContext("cap", "test")
+        )
         summary = store.summarize_campaign("cap")
         assert summary["runs"] == 4
         assert summary["outcomes"] == {"done": 4}
@@ -167,32 +171,32 @@ class TestProvenanceCapture:
         assert record.parameters == {"i": 2}
 
     def test_idempotent_campaign_registration(self):
-        from repro.metadata.provenance import CampaignContext, ProvenanceStore
-        from repro.savanna import record_campaign_result
+        from repro.metadata.provenance import CampaignContext
+        from repro.observability import provenance_store_from_trace
 
-        store = ProvenanceStore()
         ctx = CampaignContext("cap", "test")
-        result = self.run_campaign()
-        record_campaign_result(result, store, ctx)
-        record_campaign_result(self.run_campaign(), store, ctx)  # same name, no raise
+        store = provenance_store_from_trace(self.run_campaign(), context=ctx)
+        # Same campaign name again: no raise, records accumulate.
+        provenance_store_from_trace(self.run_campaign(), context=ctx, store=store)
         assert len(store.query(campaign="cap")) == 8
 
     def test_straggler_report_finds_the_long_run(self):
-        from repro.metadata.provenance import CampaignContext, ProvenanceStore
-        from repro.savanna import record_campaign_result, straggler_report
+        from repro.observability.analysis import analyze_events
 
-        store = ProvenanceStore()
-        record_campaign_result(self.run_campaign(), store, CampaignContext("cap", "t"))
-        stragglers = straggler_report(store, "cap", threshold=3.0)
-        assert [r.component for r in stragglers] == ["t3"]
+        (report,) = analyze_events(self.run_campaign())
+        assert [s["task"] for s in report.stragglers] == ["t3"]
 
     def test_straggler_report_empty_campaign(self):
-        from repro.metadata.provenance import CampaignContext, ProvenanceStore
-        from repro.savanna import straggler_report
+        from repro.observability import EventBus
+        from repro.observability.analysis import analyze_events
 
-        store = ProvenanceStore()
-        store.register_campaign(CampaignContext("empty", "t"))
-        assert straggler_report(store, "empty") == []
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        with bus.span("campaign", campaign="empty"):
+            pass
+        (report,) = analyze_events(events)
+        assert report.stragglers == []
 
 
 class TestGtf2Psl:

@@ -1,4 +1,4 @@
-"""Tests for repro.store: engines, ingestion, catalog, migration, CLI."""
+"""Tests for repro.store: store targets, ingestion, catalog, migration, CLI."""
 
 import json
 import subprocess
@@ -11,14 +11,10 @@ from repro.cheetah import AppSpec, Campaign, Objective, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.store import (
     CampaignStore,
-    SqliteEngine,
     StoreError,
-    engine_for,
     export_directory,
     ingest_directory,
     metrics_from_value,
-    register_engine,
-    registered_engines,
 )
 
 from conftest import make_cluster
@@ -49,27 +45,26 @@ def fill(store, manifest, loss=lambda i: float(i % 5) + 0.5):
 
 
 class TestEngineRegistry:
-    def test_sqlite_registered_by_default(self):
-        assert "sqlite" in registered_engines()
-
-    def test_engine_for_path_and_url(self, tmp_path):
-        by_path = engine_for(tmp_path / "a.sqlite")
-        by_url = engine_for(f"sqlite://{tmp_path / 'b.sqlite'}")
-        assert isinstance(by_path, SqliteEngine)
-        assert isinstance(by_url, SqliteEngine)
-        assert str(tmp_path) in by_url.describe()
-
-    def test_engine_passthrough(self):
-        engine = SqliteEngine(":memory:")
-        assert engine_for(engine) is engine
-
-    def test_duplicate_scheme_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine("sqlite", lambda location: SqliteEngine(location))
+    """The store opens a sqlite path or ``":memory:"``; URLs are refused."""
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="no storage engine registered"):
-            engine_for("voldb://nope")
+        with pytest.raises(ValueError, match="not URLs"):
+            CampaignStore("voldb://nope")
+
+    def test_path_opens_tuned_sqlite(self, tmp_path):
+        import threading
+
+        with CampaignStore(tmp_path / "nested" / "c.sqlite") as store:
+            pragma = lambda name: store._conn.execute(f"PRAGMA {name}").fetchone()[0]
+            assert pragma("journal_mode") == "wal"
+            assert pragma("synchronous") == 1  # NORMAL
+            assert pragma("foreign_keys") == 1
+            # check_same_thread is off: another thread may use the store.
+            seen = []
+            worker = threading.Thread(target=lambda: seen.append(store.campaigns()))
+            worker.start()
+            worker.join()
+            assert seen == [store.campaigns()]
 
 
 class TestIngestion:
