@@ -67,7 +67,7 @@ def main() -> None:
             ),
         }
 
-    results = RealExecutor(max_workers=4).run(manifest, run_one)
+    results = RealExecutor(max_workers=4).execute(manifest, run_one).results
 
     # -- 3. Build the catalog: the campaign's queryable product. -------------
     catalog = CampaignCatalog(manifest.campaign)

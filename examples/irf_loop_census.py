@@ -44,7 +44,7 @@ def real_irf_loop() -> None:
         )
         return result.adjacency[:, params["feature"]]
 
-    results = RealExecutor(max_workers=4).run(manifest, fit_one)
+    results = RealExecutor(max_workers=4).execute(manifest, fit_one).results
     print(f"executed {len(results)} iRF runs "
           f"({sum(r.status == 'done' for r in results.values())} succeeded)")
 

@@ -12,9 +12,10 @@ Everything is deterministic: backoff jitter derives from an explicit seed
 and the retry index, never from wall-clock entropy, so a campaign executed
 twice under the same fault seed produces identical traces.
 
-The legacy ``max_retries`` integer on the executors remains as a shim —
-:func:`as_policy` converts it to a :class:`RetryPolicy` (and rejects the
-negative values that previously disabled tasks silently).
+Every backend takes its policy under one spelling, ``retry_policy=``:
+a :class:`RetryPolicy`, or ``None`` for the backend's default (the pilot
+retries twice with no delay; static sets and the real pools do not
+retry).  :func:`as_policy` is the one check they share.
 """
 
 from __future__ import annotations
@@ -167,21 +168,17 @@ def no_retry(task_timeout: float | None = None) -> RetryPolicy:
 
 
 def as_policy(value) -> RetryPolicy:
-    """Normalize a policy argument: a :class:`RetryPolicy` passes through,
-    a legacy ``max_retries`` integer becomes an immediate-retry policy,
-    and ``None`` means "no retries" (the :func:`no_retry` default the
-    real-execution engine assumes when no policy is given).
+    """Check a ``retry_policy=`` argument: a :class:`RetryPolicy` passes
+    through and ``None`` means "no retries" (the :func:`no_retry` default
+    of the real-execution engine).
 
-    Raises ``ValueError`` for negative integers — before the policy layer,
-    a negative ``max_retries`` silently disabled every retry.
+    Raises ``ValueError`` for anything else, integers included — a retry
+    budget is spelled ``RetryPolicy(max_retries=n)`` on every backend.
     """
     if value is None:
         return no_retry()
     if isinstance(value, RetryPolicy):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return RetryPolicy(max_retries=value)
     raise ValueError(
-        f"expected a RetryPolicy, a non-negative int, or None, "
-        f"got {type(value).__name__}"
+        f"retry_policy must be a RetryPolicy or None, got {type(value).__name__}"
     )

@@ -36,7 +36,6 @@ prints the live backend registry.
 from repro.savanna.executor import (
     AllocationOutcome,
     CampaignResult,
-    RealExecutorProtocol,
     tasks_from_manifest,
     DurationModel,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "LocalRunResult",
     "RealCampaignResult",
     "RealExecutor",
-    "RealExecutorProtocol",
     "RealTaskSpec",
     "seed_for_run",
     "wall_clock_bus",

@@ -37,7 +37,7 @@ from repro.observability import (
     TASK_RETRY,
     TASK_TIMEOUT,
 )
-from repro.resilience.policy import RetryPolicy, as_policy
+from repro.resilience.policy import RetryPolicy
 from repro.savanna.executor import AllocationOutcome
 
 #: C-speed ``task.nodes`` accessor for whole-list scans.
@@ -53,7 +53,7 @@ class _BaseAllocationRun:
         alloc: Allocation,
         tasks: list[Task],
         outcome: AllocationOutcome,
-        done_cb=None,
+        done_cb,
         policy: RetryPolicy | None = None,
     ):
         self.cluster = cluster
@@ -235,8 +235,7 @@ class _BaseAllocationRun:
         """Signal the runner when no work remains in this allocation."""
         if not self.finished and not self.running and self.exhausted():
             self.finished = True
-            if self.done_cb is not None:
-                self.done_cb()
+            self.done_cb()
 
     def exhausted(self) -> bool:
         """True when the dispatcher has nothing left to launch."""
@@ -256,16 +255,11 @@ class PilotRun(_BaseAllocationRun):
         alloc,
         tasks,
         outcome,
-        done_cb=None,
-        retry_failed=True,
-        max_retries=2,
+        done_cb,
         policy: RetryPolicy | None = None,
     ):
-        if policy is None:
-            policy = as_policy(max_retries)
         super().__init__(cluster, alloc, tasks, outcome, done_cb, policy=policy)
         self.pending = deque(tasks)
-        self.retry_failed = retry_failed
         #: backoff timers currently in flight (delayed requeues)
         self._backing_off = 0
 
@@ -279,7 +273,7 @@ class PilotRun(_BaseAllocationRun):
 
     def after_task_end(self, task: Task, result: TaskState) -> None:
         if result is TaskState.FAILED:
-            index = self.grant_retry(task) if self.retry_failed else None
+            index = self.grant_retry(task)
             if index is not None:
                 delay = self.policy.delay(index)
                 self._backing_off += 1
@@ -336,7 +330,7 @@ class StaticSetRun(_BaseAllocationRun):
         alloc,
         tasks,
         outcome,
-        done_cb=None,
+        done_cb,
         set_gap: float = 0.0,
         policy: RetryPolicy | None = None,
     ):

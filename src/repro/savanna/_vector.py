@@ -281,8 +281,7 @@ class _VectorAllocationMixin:
         self._specs = None
         if done_time is not None:
             self.finished = True
-            if self.done_cb is not None:
-                self.cluster.sim.schedule_at(done_time, self.done_cb)
+            self.cluster.sim.schedule_at(done_time, self.done_cb)
 
 
 class VectorPilotRun(_VectorAllocationMixin, PilotRun):
@@ -324,7 +323,6 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         completed = outcome.completed
         failed = outcome.failed
         policy = self.policy
-        retry_failed = self.retry_failed
         retry_counts = self._retry_counts
         timeout = self._timeout
         timeout_for = None if self._timeout_const else policy.timeout_for
@@ -564,11 +562,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                     else:
                         free_push(node)
                         retries = retry_counts.get(task.task_id, 0)
-                        if (
-                            retry_failed
-                            and policy.allows(retries)
-                            and self.budget_left()
-                        ):
+                        if policy.allows(retries) and self.budget_left():
                             index = retries + 1
                             retry_counts[task.task_id] = index
                             self.allocation_retries += 1

@@ -14,9 +14,14 @@ Backends come in two kinds, and the drive layer routes on the kind:
   with ``make_run(alloc, tasks, outcome, done_cb)`` plus the
   ``run(tasks, nodes=..., walltime=..., ...)`` campaign loop;
 - ``"real"`` — factory takes pool options and returns an object with
-  ``execute(manifest, app_fn, run_filter=..., bus=..., name=...)``
-  (see :class:`~repro.savanna.executor.RealExecutorProtocol`) that
+  ``execute(manifest, app_fn, bus=..., name=..., cancel=..., trace_id=...)``
+  (see :meth:`~repro.savanna.realexec.RealExecutor.execute`) that
   executes genuine Python on wall-clock time.
+
+Every built-in factory takes the retry setting under one spelling,
+``retry_policy=`` (a :class:`~repro.resilience.RetryPolicy`, or ``None``
+for the backend's default), so a campaign's settings survive a backend
+swap unchanged.
 """
 
 from __future__ import annotations

@@ -78,26 +78,30 @@ def _pool_of(backend: str) -> str:
 
 @dataclass
 class _DriveArgs:
-    """Output of the argument-check stage: how to execute, and on which bus.
+    """Output of the argument-check stage: the executor, and its bus.
 
-    ``app_fn`` is ``None`` for simulated backends; ``executor_kwargs`` is
-    what the backend's factory takes (the cluster for simulated ones,
-    ``backend_kwargs`` without the drive's own ``app_fn``/``bus``).
+    ``app_fn`` is ``None`` for simulated backends; ``executor`` is what
+    the backend's factory built from the cluster (simulated) or from
+    ``backend_kwargs`` without the drive's own ``app_fn``/``bus`` (real).
     """
 
     kind: str
     bus: object
     app_fn: object
-    executor_kwargs: dict
+    executor: object
 
 
 def _check_args(manifest, backend, duration_model, cluster, backend_kwargs) -> _DriveArgs:
-    """Pipeline stage: check what the backend's kind needs, pick the bus.
+    """Pipeline stage: check what the backend's kind needs, pick the bus,
+    build the executor.
 
     Simulated backends need a ``duration_model`` and a ``cluster`` and
     narrate on the cluster's bus.  Real backends need an ``app_fn=``
     keyword and narrate on ``bus=`` when given, else the cluster's bus,
-    else a fresh wall-clock bus.
+    else a fresh wall-clock bus.  The executor is built here, before the
+    lint gate writes anything, so an option the backend does not take
+    (``TypeError``) or a malformed ``retry_policy=`` (``ValueError``)
+    fails with no campaign directory on disk.
     """
     kind = backend_kind(backend)
     if kind == "simulated":
@@ -106,7 +110,8 @@ def _check_args(manifest, backend, duration_model, cluster, backend_kwargs) -> _
                 f"backend {backend!r} is simulated and requires both a "
                 "duration_model and a cluster"
             )
-        return _DriveArgs(kind, cluster.bus, None, dict(backend_kwargs, cluster=cluster))
+        executor = create_executor(backend, cluster=cluster, **backend_kwargs)
+        return _DriveArgs(kind, cluster.bus, None, executor)
     executor_kwargs = dict(backend_kwargs)
     app_fn = executor_kwargs.pop("app_fn", None)
     if app_fn is None:
@@ -120,10 +125,10 @@ def _check_args(manifest, backend, duration_model, cluster, backend_kwargs) -> _
         bus = cluster.bus if cluster is not None else wall_clock_bus(
             f"drive-{manifest.campaign}"
         )
-    return _DriveArgs(kind, bus, app_fn, executor_kwargs)
+    return _DriveArgs(kind, bus, app_fn, create_executor(backend, **executor_kwargs))
 
 
-def _pre_run_lint(manifest, bus, cluster, backend_kwargs, app_fn=None, pool="threads"):
+def _pre_run_lint(manifest, bus, cluster, retry_policy, app_fn=None, pool="threads"):
     """The ``repro.lint`` gate: refuse campaigns with ERROR findings.
 
     Runs the manifest rules with the cluster spec (when there is a
@@ -139,11 +144,7 @@ def _pre_run_lint(manifest, bus, cluster, backend_kwargs, app_fn=None, pool="thr
     misconfiguration surfaces at submit time, not mid-allocation.
     Returns the merged report so callers can persist it.
     """
-    report = lint_manifest(
-        manifest,
-        cluster=cluster,
-        retry_policy=backend_kwargs.get("retry_policy"),
-    )
+    report = lint_manifest(manifest, cluster=cluster, retry_policy=retry_policy)
     if app_fn is not None:
         report = report.merged(
             lint_app_fn(app_fn, pool=pool, suppress=suppressions_of(manifest))
@@ -175,7 +176,7 @@ def _gate(manifest, backend, args: _DriveArgs, cluster, directory, lint):
     report = None
     if lint:
         report = _pre_run_lint(
-            manifest, args.bus, cluster, args.executor_kwargs,
+            manifest, args.bus, cluster, getattr(args.executor, "retry_policy", None),
             app_fn=args.app_fn, pool=_pool_of(backend),
         )
     if directory is not None and not isinstance(directory, CampaignDirectory):
@@ -263,7 +264,7 @@ def execute_campaign(
     cluster: SimulatedCluster | None = None,
     backend: str = "pilot",
     directory: CampaignDirectory | None = None,
-    max_allocations_per_group: int = 1,
+    max_allocations: int = 1,
     inter_allocation_gap: float = 0.0,
     resume: bool = True,
     lint: bool = True,
@@ -282,7 +283,9 @@ def execute_campaign(
     The whole campaign is linted once up front (see
     :func:`execute_manifest`'s ``lint`` parameter) and a path
     ``directory`` is resolved once, with the verdict persisted there;
-    per-group calls then skip the redundant re-analysis.
+    per-group calls then skip the redundant re-analysis.  Every other
+    keyword means what it means to :func:`execute_manifest`;
+    ``max_allocations`` is each group's allocation budget.
     ``report=True`` analyzes each group's trace as it completes (see
     :func:`execute_manifest`).
 
@@ -317,7 +320,7 @@ def execute_campaign(
             group=meta["name"],
             backend=backend,
             directory=directory,
-            max_allocations=max_allocations_per_group,
+            max_allocations=max_allocations,
             inter_allocation_gap=inter_allocation_gap,
             resume=resume,
             lint=False,
@@ -353,8 +356,9 @@ def execute_manifest(
     The **middleware order** is fixed:
 
     1. **argument check and bus** — what the backend's kind needs
-       (``duration_model`` + ``cluster``, or ``app_fn``) and the bus the
-       drive narrates on;
+       (``duration_model`` + ``cluster``, or ``app_fn``), the bus the
+       drive narrates on, and the executor (an option the backend does
+       not take fails here, before anything is written);
     2. **lint gate** (``lint=True``) — manifest rules against the
        cluster spec + retry policy (plus the FAIR5xx pass over a real
        ``app_fn``); ERROR findings refuse the campaign
@@ -395,11 +399,14 @@ def execute_manifest(
         nodes/walltime envelope is unambiguous).
     backend:
         Executor backend name (see :mod:`repro.savanna.backends`).
-        Simulated backends need ``cluster``; real backends need an
+        Every backend takes ``retry_policy=`` (a
+        :class:`~repro.resilience.RetryPolicy`, or ``None`` for the
+        backend's default).  Simulated backends need ``cluster``;
+        ``"static-sets"`` also takes ``set_gap=``.  Real backends need an
         ``app_fn=`` keyword (picklable ``callable(parameters) -> value``
         — module-level, not a lambda, for ``"local-processes"``) and
-        accept ``max_workers=``, ``retry_policy=``, ``seed=``,
-        ``chunk_size=`` and ``bus=``.
+        accept ``max_workers=``, ``seed=``, ``profile_interval=`` and
+        ``bus=``.
     directory:
         If given, per-run progress is journaled incrementally (the
         resume record survives a killed driver) and compacted back into
@@ -447,7 +454,7 @@ def execute_manifest(
 
     bus = args.bus
     name = f"{manifest.campaign}/{group}"
-    executor = create_executor(backend, **args.executor_kwargs)
+    executor = args.executor
     # Streaming analysis: events fold into report state as they are
     # emitted (batch-aware, O(1) memory per event) instead of being
     # buffered whole and replayed after the run.

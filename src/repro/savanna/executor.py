@@ -1,9 +1,12 @@
-"""Shared executor machinery: outcome types and manifest→task mapping.
+"""Shared machinery of the simulated executors: outcome types and
+manifest→task mapping.
 
-An executor consumes :class:`~repro.cluster.job.Task` objects.  Campaign
-manifests carry parameters, not durations — durations belong to the
-*application* — so :func:`tasks_from_manifest` takes a
-:class:`DurationModel` mapping parameters to nominal run seconds.
+A simulated executor consumes :class:`~repro.cluster.job.Task` objects.
+Campaign manifests carry parameters, not durations — durations belong to
+the *application* — so :func:`tasks_from_manifest` takes a
+:class:`DurationModel` mapping parameters to nominal run seconds.  Real
+backends consume the manifest itself; their one engine,
+:class:`~repro.savanna.realexec.RealExecutor`, defines their contract.
 """
 
 from __future__ import annotations
@@ -19,28 +22,6 @@ class DurationModel(Protocol):
     """Anything mapping a run's parameters to nominal wall seconds."""
 
     def __call__(self, parameters: dict) -> float: ...
-
-
-class RealExecutorProtocol(Protocol):
-    """The executor protocol of ``kind="real"`` backends.
-
-    A real backend consumes the manifest directly (no duration model —
-    real code takes however long it takes) and calls
-    ``app_fn(parameters)`` per run, narrating ``campaign``/``alloc``/
-    ``task`` spans onto ``bus``.  See
-    :class:`~repro.savanna.realexec.RealExecutor`, the reference
-    implementation behind ``"local-threads"`` and ``"local-processes"``.
-    """
-
-    def execute(
-        self,
-        manifest,
-        app_fn: Callable[[dict], object],
-        *,
-        run_filter: Callable[[str], bool] | None = None,
-        bus=None,
-        name: str | None = None,
-    ): ...
 
 
 def tasks_from_manifest(manifest, duration_model: Callable[[dict], float]) -> list[Task]:
@@ -144,11 +125,3 @@ class CampaignResult:
                 f"{len(outcome.attempts)} attempts"
             )
         return "\n".join(lines)
-
-    def check_conservation(self) -> None:
-        """Invariant: every task is in exactly one terminal/pending bucket."""
-        states = [t.state for t in self.tasks]
-        done = sum(1 for s in states if s is TaskState.DONE)
-        other = len(states) - done
-        if done + other != len(self.tasks):  # pragma: no cover - tautology guard
-            raise AssertionError("task conservation violated")

@@ -32,40 +32,23 @@ class PilotExecutor:
     ----------
     cluster:
         The simulated machine to execute on.
-    retry_failed:
-        Requeue failed tasks at the tail of the pending queue (subject to
-        the retry policy's budgets).
-    max_retries:
-        Legacy per-allocation retry budget for a failing task; kept as a
-        shim and converted to an immediate-retry
-        :class:`~repro.resilience.RetryPolicy`.  Must be >= 0.
     retry_policy:
-        Full :class:`~repro.resilience.RetryPolicy` (backoff delays,
-        per-task timeouts, per-allocation budgets).  Overrides
-        ``max_retries`` when given.
+        :class:`~repro.resilience.RetryPolicy` for failed tasks (backoff
+        delays, per-task timeouts, per-allocation budgets); failed tasks
+        re-enter the tail of the pending queue while it grants retries.
+        ``None`` (default) retries each task up to twice with no delay;
+        ``no_retry()`` records every failure as terminal.
     """
 
     def __init__(
         self,
         cluster: SimulatedCluster,
-        retry_failed: bool = True,
-        max_retries: int = 2,
         retry_policy: RetryPolicy | None = None,
     ):
         self.cluster = cluster
-        self.retry_failed = retry_failed
-        # as_policy validates: a negative max_retries used to silently
-        # disable every retry — now it raises.
-        self.retry_policy = retry_policy if retry_policy is not None else as_policy(max_retries)
-        if not isinstance(self.retry_policy, RetryPolicy):
-            raise ValueError(
-                f"retry_policy must be a RetryPolicy, got {type(retry_policy).__name__}"
-            )
-
-    @property
-    def max_retries(self) -> int:
-        """Per-task retry budget (read from the policy; legacy surface)."""
-        return self.retry_policy.max_retries
+        self.retry_policy = (
+            RetryPolicy(max_retries=2) if retry_policy is None else as_policy(retry_policy)
+        )
 
     def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> PilotRun:
         """Build the within-allocation engine for one granted allocation.
@@ -79,15 +62,7 @@ class PilotExecutor:
         patching this module's ``vector_eligible``.
         """
         run_cls = VectorPilotRun if vector_eligible(self.cluster, tasks) else PilotRun
-        return run_cls(
-            self.cluster,
-            alloc,
-            tasks,
-            outcome,
-            done_cb=done_cb,
-            retry_failed=self.retry_failed,
-            policy=self.retry_policy,
-        )
+        return run_cls(self.cluster, alloc, tasks, outcome, done_cb, policy=self.retry_policy)
 
     def run(
         self,
@@ -96,7 +71,6 @@ class PilotExecutor:
         walltime: float,
         max_allocations: int = 1,
         inter_allocation_gap: float = 0.0,
-        end_early: bool = True,
         name: str = "pilot",
     ) -> CampaignResult:
         """Execute ``tasks`` over up to ``max_allocations`` batch jobs.
@@ -115,6 +89,5 @@ class PilotExecutor:
             walltime=walltime,
             max_allocations=max_allocations,
             inter_allocation_gap=inter_allocation_gap,
-            end_early=end_early,
             name=name,
         )

@@ -39,11 +39,9 @@ truth test) to :meth:`RealExecutor.execute` and set it from another
 thread — this is how :class:`repro.savanna.service.CampaignService`
 cancels a running submission without owning the executing thread.
 
-Caveats (documented, not hidden): a *running* attempt cannot be killed
+Caveat (documented, not hidden): a *running* attempt cannot be killed
 mid-flight by either pool, so a timed-out attempt is marked failed and
-its worker slot is reclaimed only when the stale call actually returns;
-with ``chunk_size > 1`` task spans cover their whole chunk (submission
-batching trades span fidelity for IPC amortization).
+its worker slot is reclaimed only when the stale call actually returns.
 """
 
 from __future__ import annotations
@@ -221,9 +219,9 @@ class RealCampaignResult:
 
     @property
     def all_done(self) -> bool:
-        return bool(self.results) and all(
-            r.status == "done" for r in self.results.values()
-        )
+        """True when every run is done — vacuously for an empty result (a
+        fully resumed group), as :attr:`CampaignResult.all_done` is."""
+        return all(r.status == "done" for r in self.results.values())
 
     def summary(self) -> str:
         parts = [
@@ -250,9 +248,9 @@ class _AttemptOutcome:
 
 
 def _run_attempt(app_fn, spec: RealTaskSpec, ensure_picklable: bool) -> _AttemptOutcome:
-    """Execute one attempt inside a worker.  Catches ``Exception`` (never
-    ``KeyboardInterrupt``) so a failing run reports instead of raising —
-    process workers mangle remote tracebacks otherwise."""
+    """Worker entry point: execute one attempt.  Catches ``Exception``
+    (never ``KeyboardInterrupt``) so a failing run reports instead of
+    raising — process workers mangle remote tracebacks otherwise."""
     random.seed(spec.seed)
     try:  # numpy is the dominant science dependency; seed it when present
         import numpy
@@ -292,18 +290,13 @@ def _run_attempt(app_fn, spec: RealTaskSpec, ensure_picklable: bool) -> _Attempt
         )
 
 
-def _run_chunk(app_fn, specs, ensure_picklable: bool) -> list:
-    """Worker entry point: execute a chunk of specs sequentially."""
-    return [_run_attempt(app_fn, spec, ensure_picklable) for spec in specs]
-
-
 @dataclass
 class _Inflight:
-    """Book-keeping for one submitted chunk."""
+    """Book-keeping for one submitted attempt."""
 
-    chunk: list  # list[RealTaskSpec]
+    spec: RealTaskSpec
     slot: int
-    task_ids: dict  # {run_id: task_id} for the open task spans
+    task_id: int  # of the open task span
     deadline: float | None  # monotonic seconds, None = uncapped
     timeout: float | None  # the per-attempt cap that set the deadline
 
@@ -319,21 +312,13 @@ class RealExecutor:
         ``"threads"`` or ``"processes"`` (see module docstring for when
         each wins).
     retry_policy:
-        A :class:`~repro.resilience.RetryPolicy`, a legacy ``max_retries``
-        int, or ``None`` for no retries.  Backoff delays are real sleeps;
-        per-attempt timeouts mark overdue attempts failed (the stale call
-        keeps its slot until it actually returns — neither pool can kill
-        a running call).
+        A :class:`~repro.resilience.RetryPolicy`, or ``None`` (default)
+        for no retries.  Backoff delays are real sleeps; per-attempt
+        timeouts mark overdue attempts failed (the stale call keeps its
+        slot until it actually returns — neither pool can kill a running
+        call).
     seed:
         Base seed for per-run deterministic seeding (:func:`seed_for_run`).
-    chunk_size:
-        Specs submitted per worker call.  ``1`` (default) preserves
-        per-task span fidelity; larger values amortize IPC for very short
-        tasks (spans then cover the whole chunk; failed specs retry
-        individually).
-    mp_context:
-        Optional multiprocessing start-method name (``"fork"``,
-        ``"spawn"``, ``"forkserver"``) for the process pool.
     profile_interval:
         When set (seconds), run a
         :class:`~repro.observability.live.WorkerResourceProfiler` for
@@ -349,14 +334,11 @@ class RealExecutor:
         self,
         max_workers: int = 4,
         pool: str = "threads",
-        retry_policy: RetryPolicy | int | None = None,
+        retry_policy: RetryPolicy | None = None,
         seed: int = 0,
-        chunk_size: int = 1,
-        mp_context: str | None = None,
         profile_interval: float | None = None,
     ):
         check_positive("max_workers", max_workers)
-        check_positive("chunk_size", chunk_size)
         if pool not in POOLS:
             raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
         if profile_interval is not None:
@@ -365,8 +347,6 @@ class RealExecutor:
         self.pool = pool
         self.retry_policy = as_policy(retry_policy)
         self.seed = int(seed)
-        self.chunk_size = int(chunk_size)
-        self.mp_context = mp_context
         self.profile_interval = profile_interval
 
     # -- pool construction ---------------------------------------------------
@@ -376,28 +356,7 @@ class RealExecutor:
             return ThreadPoolExecutor(
                 max_workers=self.max_workers, thread_name_prefix="realexec"
             )
-        kwargs = {}
-        if self.mp_context is not None:
-            import multiprocessing
-
-            kwargs["mp_context"] = multiprocessing.get_context(self.mp_context)
-        return ProcessPoolExecutor(max_workers=self.max_workers, **kwargs)
-
-    # -- compat surface ------------------------------------------------------
-
-    def run(
-        self,
-        manifest: CampaignManifest,
-        app_fn: Callable[[dict], Any],
-        run_filter: Callable[[str], bool] | None = None,
-    ) -> dict:
-        """Execute the campaign; returns ``{run_id: LocalRunResult}``.
-
-        The plain bag-of-tasks contract, kept for the examples and
-        anyone holding the manifest directly; :meth:`execute` is the
-        full-featured engine entry the drive layer uses.
-        """
-        return self.execute(manifest, app_fn, run_filter=run_filter).results
+        return ProcessPoolExecutor(max_workers=self.max_workers)
 
     # -- the engine ----------------------------------------------------------
 
@@ -406,13 +365,13 @@ class RealExecutor:
         manifest: CampaignManifest,
         app_fn: Callable[[dict], Any],
         *,
-        run_filter: Callable[[str], bool] | None = None,
         bus: EventBus | None = None,
         name: str | None = None,
         cancel=None,
         trace_id: str | None = None,
     ) -> RealCampaignResult:
-        """Execute (a filtered subset of) a manifest on the worker pool.
+        """Execute every run of a manifest on the worker pool, one attempt
+        per worker call.
 
         Emits one ``campaign`` span wrapping one ``alloc`` span (the pool
         session; worker slots are its "nodes") wrapping one ``task`` span
@@ -437,12 +396,9 @@ class RealExecutor:
         echoes it back — the ``task`` END events carry the worker-
         round-tripped value, proving propagation into the pool.
         """
-        selected = [
-            r for r in manifest.runs if run_filter is None or run_filter(r.run_id)
-        ]
         seen: set = set()
         duplicates = sorted(
-            {r.run_id for r in selected if r.run_id in seen or seen.add(r.run_id)}
+            {r.run_id for r in manifest.runs if r.run_id in seen or seen.add(r.run_id)}
         )
         if duplicates:
             raise ValueError(
@@ -492,12 +448,9 @@ class RealExecutor:
                 seed=seed_for_run(self.seed, r.run_id),
                 trace_id=trace_id,
             )
-            for r in selected
+            for r in manifest.runs
         ]
-        pending: deque = deque(
-            list(specs[i : i + self.chunk_size])
-            for i in range(0, len(specs), self.chunk_size)
-        )
+        pending: deque = deque(specs)
         delayed: list = []  # heap[(ready_at_monotonic, tiebreak, spec)]
         running: dict = {}  # {future: _Inflight}
         abandoned: dict = {}  # {stale future: slot} (timed out, still running)
@@ -508,11 +461,11 @@ class RealExecutor:
         if ensure_picklable:
             # Fail before the pool spins up, naming the offending key —
             # otherwise the pickle error surfaces as an opaque result-pipe
-            # failure on whichever chunk carried the bad spec.
+            # failure on whichever attempt carried the bad spec.
             for spec in specs:
                 spec.ensure_picklable()
 
-        emit(CAMPAIGN, BEGIN, campaign=name, tasks=len(selected), max_allocations=1)
+        emit(CAMPAIGN, BEGIN, campaign=name, tasks=len(specs), max_allocations=1)
         emit(ALLOC_SUBMITTED, job=job, nodes=self.max_workers, walltime=None)
         emit(ALLOC, BEGIN, alloc=0, job=job, nodes=list(slots), deadline=None)
 
@@ -559,94 +512,65 @@ class RealExecutor:
             else:
                 record_terminal(spec, outcome, "failed")
 
-        def submit(pool, chunk) -> None:
+        def submit(pool, spec) -> None:
             slot = free_slots.pop()
-            ids = {}
-            for spec in chunk:
-                tid = next(task_ids)
-                ids[spec.run_id] = tid
-                emit(
-                    TASK,
-                    BEGIN,
-                    task=spec.run_id,
-                    task_id=tid,
-                    node=slot,
-                    nodes=[slot],
-                    attempt=spec.attempt,
-                    payload=dict(spec.parameters),
-                )
-            timeout = self.retry_policy.timeout_for(chunk[0])
-            deadline = (
-                time.monotonic() + timeout * len(chunk) if timeout is not None else None
+            tid = next(task_ids)
+            emit(
+                TASK,
+                BEGIN,
+                task=spec.run_id,
+                task_id=tid,
+                node=slot,
+                nodes=[slot],
+                attempt=spec.attempt,
+                payload=dict(spec.parameters),
             )
+            timeout = self.retry_policy.timeout_for(spec)
+            deadline = time.monotonic() + timeout if timeout is not None else None
             try:
-                future = pool.submit(_run_chunk, app_fn, chunk, ensure_picklable)
-            except Exception as exc:  # broken pool: fail the chunk, keep draining
+                future = pool.submit(_run_attempt, app_fn, spec, ensure_picklable)
+            except Exception as exc:  # broken pool: fail the attempt, keep draining
                 free_slots.append(slot)
-                for spec in chunk:
-                    synthetic = _AttemptOutcome(
-                        run_id=spec.run_id,
-                        ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback.format_exc(),
-                    )
-                    emit(
-                        TASK,
-                        END,
-                        task=spec.run_id,
-                        task_id=ids[spec.run_id],
-                        node=slot,
-                        outcome="failed",
-                    )
-                    record_terminal(spec, synthetic, "failed")
+                synthetic = _AttemptOutcome(
+                    run_id=spec.run_id,
+                    ok=False,
+                    error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(),
+                )
+                emit(TASK, END, task=spec.run_id, task_id=tid, node=slot, outcome="failed")
+                record_terminal(spec, synthetic, "failed")
                 return
             running[future] = _Inflight(
-                chunk=list(chunk),
-                slot=slot,
-                task_ids=ids,
-                deadline=deadline,
-                timeout=timeout,
+                spec=spec, slot=slot, task_id=tid, deadline=deadline, timeout=timeout
             )
 
-        def settle(info: _Inflight, outcomes: list) -> None:
-            """Fold one finished chunk's outcomes into results/retries.
+        def settle(info: _Inflight, outcome: _AttemptOutcome) -> None:
+            """Fold one finished attempt's outcome into results/retries.
 
             The END event's trace id is the *worker-echoed* one (from the
             outcome, not the driver's variable) — its presence on the
             monitoring stream proves the id crossed the pool boundary.
             """
-            for spec, outcome in zip(info.chunk, outcomes):
-                tid = info.task_ids[spec.run_id]
-                echoed = (
-                    {"trace_id": outcome.trace_id}
-                    if outcome.trace_id is not None
-                    else {}
-                )
-                if outcome.ok:
-                    emit(
-                        TASK,
-                        END,
-                        task=spec.run_id,
-                        task_id=tid,
-                        node=info.slot,
-                        outcome="done",
-                        **echoed,
-                    )
-                    record_terminal(spec, outcome, "done")
-                else:
-                    emit(
-                        TASK,
-                        END,
-                        task=spec.run_id,
-                        task_id=tid,
-                        node=info.slot,
-                        outcome="failed",
-                        **echoed,
-                    )
-                    consider_retry(spec, tid, outcome, reason="exception")
+            spec = info.spec
+            echoed = (
+                {"trace_id": outcome.trace_id} if outcome.trace_id is not None else {}
+            )
+            emit(
+                TASK,
+                END,
+                task=spec.run_id,
+                task_id=info.task_id,
+                node=info.slot,
+                outcome="done" if outcome.ok else "failed",
+                **echoed,
+            )
+            if outcome.ok:
+                record_terminal(spec, outcome, "done")
+            else:
+                consider_retry(spec, info.task_id, outcome, reason="exception")
 
         def expire_overdue() -> None:
-            """Per-attempt timeout: mark overdue chunks failed.  A chunk
+            """Per-attempt timeout: mark overdue attempts failed.  An attempt
             that cannot be cancelled keeps running detached; its slot
             comes back when the stale call returns."""
             mono = time.monotonic()
@@ -658,33 +582,25 @@ class RealExecutor:
                     free_slots.append(info.slot)
                 else:
                     abandoned[future] = info.slot
-                for spec in info.chunk:
-                    tid = info.task_ids[spec.run_id]
-                    emit(
-                        TASK_TIMEOUT,
-                        task=spec.run_id,
-                        task_id=tid,
-                        node=info.slot,
-                        timeout=info.timeout,
-                    )
-                    emit(
-                        TASK,
-                        END,
-                        task=spec.run_id,
-                        task_id=tid,
-                        node=info.slot,
-                        outcome="failed",
-                    )
-                    synthetic = _AttemptOutcome(
-                        run_id=spec.run_id,
-                        ok=False,
-                        error=(
-                            f"TimeoutError: attempt exceeded the "
-                            f"{info.timeout}s per-attempt cap"
-                        ),
-                        elapsed=info.timeout or 0.0,
-                    )
-                    consider_retry(spec, tid, synthetic, reason="timeout")
+                spec, tid = info.spec, info.task_id
+                emit(
+                    TASK_TIMEOUT,
+                    task=spec.run_id,
+                    task_id=tid,
+                    node=info.slot,
+                    timeout=info.timeout,
+                )
+                emit(TASK, END, task=spec.run_id, task_id=tid, node=info.slot, outcome="failed")
+                synthetic = _AttemptOutcome(
+                    run_id=spec.run_id,
+                    ok=False,
+                    error=(
+                        f"TimeoutError: attempt exceeded the "
+                        f"{info.timeout}s per-attempt cap"
+                    ),
+                    elapsed=info.timeout or 0.0,
+                )
+                consider_retry(spec, tid, synthetic, reason="timeout")
 
         pool = self._make_pool()
         profiler = None
@@ -712,7 +628,7 @@ class RealExecutor:
                     raise CampaignCancelled
                 mono = time.monotonic()
                 while delayed and delayed[0][0] <= mono:
-                    pending.append([heapq.heappop(delayed)[2]])
+                    pending.append(heapq.heappop(delayed)[2])
                 while pending and free_slots:
                     submit(pool, pending.popleft())
                 wakeups = [d[0] for d in delayed[:1]]
@@ -737,10 +653,10 @@ class RealExecutor:
                     info = running.pop(future)
                     free_slots.append(info.slot)
                     try:
-                        outcomes = future.result()
+                        outcome = future.result()
                     except (KeyboardInterrupt, SystemExit):
                         # Re-shelve so the interrupt handler below records
-                        # this chunk's runs as interrupted too.
+                        # this run as interrupted too.
                         running[future] = info
                         raise
                     except CancelledError:  # pragma: no cover - defensive
@@ -748,17 +664,14 @@ class RealExecutor:
                     except Exception as exc:
                         # Result-pipe failures (unpicklable value without
                         # the guard, a worker killed under us, a broken
-                        # pool): synthesize per-spec failures.
-                        outcomes = [
-                            _AttemptOutcome(
-                                run_id=spec.run_id,
-                                ok=False,
-                                error=f"{type(exc).__name__}: {exc}",
-                                traceback=traceback.format_exc(),
-                            )
-                            for spec in info.chunk
-                        ]
-                    settle(info, outcomes)
+                        # pool): synthesize the attempt's failure.
+                        outcome = _AttemptOutcome(
+                            run_id=info.spec.run_id,
+                            ok=False,
+                            error=f"{type(exc).__name__}: {exc}",
+                            traceback=traceback.format_exc(),
+                        )
+                    settle(info, outcome)
                 expire_overdue()
             pool.shutdown(wait=not abandoned, cancel_futures=False)
         except (KeyboardInterrupt, CampaignCancelled):
@@ -767,32 +680,21 @@ class RealExecutor:
             # ones are left to die with the pool; nothing blocks.
             pool.shutdown(wait=False, cancel_futures=True)
             for info in running.values():
-                for spec in info.chunk:
-                    if spec.run_id in result.results:
-                        continue
-                    emit(
-                        TASK,
-                        END,
-                        task=spec.run_id,
-                        task_id=info.task_ids[spec.run_id],
-                        node=info.slot,
-                        outcome="interrupted",
-                    )
-                    record_terminal(
-                        spec, _AttemptOutcome(run_id=spec.run_id, ok=False), "interrupted"
-                    )
-            for chunk in pending:
-                for spec in chunk:
-                    result.results.setdefault(
-                        spec.run_id,
-                        LocalRunResult(
-                            run_id=spec.run_id,
-                            status="interrupted",
-                            attempts=spec.attempt,
-                            seed=spec.seed,
-                        ),
-                    )
-            for _ready, _tb, spec in delayed:
+                spec = info.spec
+                if spec.run_id in result.results:
+                    continue
+                emit(
+                    TASK,
+                    END,
+                    task=spec.run_id,
+                    task_id=info.task_id,
+                    node=info.slot,
+                    outcome="interrupted",
+                )
+                record_terminal(
+                    spec, _AttemptOutcome(run_id=spec.run_id, ok=False), "interrupted"
+                )
+            for spec in itertools.chain(pending, (entry[2] for entry in delayed)):
                 result.results.setdefault(
                     spec.run_id,
                     LocalRunResult(

@@ -41,14 +41,15 @@ def run_campaign(
     walltime: float,
     max_allocations: int = 1,
     inter_allocation_gap: float = 0.0,
-    end_early: bool = True,
     name: str = "campaign",
 ) -> CampaignResult:
     """Drive ``executor`` over up to ``max_allocations`` sequential batch jobs.
 
     Emits a ``campaign`` span on ``cluster.bus`` covering the whole loop
     (begin at submission time, end at the final simulation time), with
-    every allocation and task event nested inside it.
+    every allocation and task event nested inside it.  An allocation is
+    released as soon as its engine has no work left, not at the walltime
+    (real job scripts exit when done).
 
     Parameters
     ----------
@@ -58,9 +59,6 @@ def run_campaign(
     inter_allocation_gap:
         Human think-time before each resubmission (zero for Savanna's
         mechanical resubmit; hours for the manually curated original).
-    end_early:
-        Release the allocation when no work remains instead of idling to
-        the walltime (real job scripts exit when done).
     """
     check_positive("max_allocations", max_allocations)
     check_nonnegative("inter_allocation_gap", inter_allocation_gap)
@@ -84,7 +82,7 @@ def run_campaign(
         def on_start(alloc):
             outcome = AllocationOutcome(allocation=alloc)
             result.outcomes.append(outcome)
-            done_cb = (lambda: cluster.scheduler.finish(alloc)) if end_early else None
+            done_cb = lambda: cluster.scheduler.finish(alloc)
             # Single fused pass: select the unfinished tasks and reset
             # killed/failed ones to PENDING so the new allocation
             # retries them (one task scan instead of two; the store is

@@ -418,9 +418,10 @@ class CampaignService:
         ``drive_kwargs`` are handed verbatim to
         :func:`~repro.savanna.drive.execute_campaign` — the full
         per-submission middleware surface: ``duration_model`` +
-        ``cluster`` (simulated backends), ``app_fn`` + ``max_workers`` +
-        ``retry_policy`` + ``seed`` (real backends), and ``directory``,
-        ``resume``, ``lint``, ``report`` for everyone.  Higher
+        ``cluster`` + ``max_allocations`` (simulated backends),
+        ``app_fn`` + ``max_workers`` + ``seed`` (real backends), and
+        ``retry_policy``, ``directory``, ``resume``, ``lint``,
+        ``report`` for everyone.  Higher
         ``priority`` schedules sooner; ``tenant`` is the fair-share
         accounting unit.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro._util import check_nonnegative
 from repro.cluster.cluster import SimulatedCluster
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import RetryPolicy, as_policy
 from repro.savanna._alloc import StaticSetRun
 from repro.savanna._vector import VectorStaticSetRun, vector_eligible
 from repro.savanna.executor import AllocationOutcome, CampaignResult
@@ -49,13 +49,9 @@ class StaticSetExecutor:
         retry_policy: RetryPolicy | None = None,
     ):
         check_nonnegative("set_gap", set_gap)
-        if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
-            raise ValueError(
-                f"retry_policy must be a RetryPolicy, got {type(retry_policy).__name__}"
-            )
         self.cluster = cluster
         self.set_gap = set_gap
-        self.retry_policy = retry_policy
+        self.retry_policy = retry_policy if retry_policy is None else as_policy(retry_policy)
 
     def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> StaticSetRun:
         """Build the within-allocation engine.
@@ -86,7 +82,6 @@ class StaticSetExecutor:
         walltime: float,
         max_allocations: int = 1,
         inter_allocation_gap: float = 0.0,
-        end_early: bool = True,
         name: str = "static",
     ) -> CampaignResult:
         """Execute ``tasks`` over up to ``max_allocations`` batch jobs."""
@@ -98,6 +93,5 @@ class StaticSetExecutor:
             walltime=walltime,
             max_allocations=max_allocations,
             inter_allocation_gap=inter_allocation_gap,
-            end_early=end_early,
             name=name,
         )

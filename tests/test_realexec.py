@@ -106,15 +106,6 @@ class TestEngine:
         assert seed_for_run(0, "g/run-0001") == seed_for_run(0, "g/run-0001")
         assert seed_for_run(0, "g/run-0001") != seed_for_run(1, "g/run-0001")
 
-    @pytest.mark.parametrize("pool", ["threads", "processes"])
-    def test_chunked_submission(self, pool):
-        man = make_manifest(values=tuple(range(7)))
-        result = RealExecutor(max_workers=2, pool=pool, chunk_size=3).execute(
-            man, square
-        )
-        assert result.all_done
-        assert result.values()["g/run-0006"] == 36
-
     def test_failure_captures_traceback(self):
         result = RealExecutor(max_workers=2).execute(make_manifest(), fail_on_two)
         failed = result.results["g/run-0001"]
@@ -418,8 +409,9 @@ class TestDriveRealBackends:
 
 class TestPolicyNormalization:
     def test_as_policy_none_means_no_retry(self):
-        from repro.resilience.policy import as_policy
-
-        policy = as_policy(None)
-        assert policy.max_retries == 0
-        assert not policy.allows(0)
+        executor = RealExecutor(retry_policy=None)
+        assert executor.retry_policy.max_retries == 0
+        assert not executor.retry_policy.allows(0)
+        result = executor.execute(make_manifest(), fail_on_two)
+        assert result.results["g/run-0001"].status == "failed"
+        assert result.results["g/run-0001"].attempts == 1

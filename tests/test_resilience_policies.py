@@ -95,20 +95,17 @@ class TestAsPolicyShim:
         policy = FixedDelayPolicy()
         assert as_policy(policy) is policy
 
-    def test_int_becomes_immediate_retry_policy(self):
-        policy = as_policy(3)
-        assert isinstance(policy, RetryPolicy)
-        assert policy.max_retries == 3
-        assert policy.delay(1) == 0.0
-
     def test_negative_int_rejected(self):
-        with pytest.raises(ValueError, match="silently disable"):
+        # Integers are not a retry spelling: rejected like any non-policy.
+        with pytest.raises(ValueError, match="must be a RetryPolicy or None, got int"):
             as_policy(-1)
+        with pytest.raises(ValueError, match="must be a RetryPolicy or None, got int"):
+            as_policy(3)
 
     def test_bool_and_other_types_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="RetryPolicy"):
             as_policy(True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="RetryPolicy"):
             as_policy("twice")
 
     def test_no_retry_helper(self):
@@ -122,15 +119,7 @@ class TestExecutorPolicyWiring:
         # Regression: a negative max_retries used to silently disable
         # every retry instead of failing loudly.
         with pytest.raises(ValueError, match="silently disable"):
-            PilotExecutor(make_cluster(), max_retries=-1)
-
-    def test_pilot_max_retries_reads_from_policy(self):
-        executor = PilotExecutor(make_cluster(), max_retries=4)
-        assert executor.max_retries == 4
-        executor = PilotExecutor(
-            make_cluster(), retry_policy=FixedDelayPolicy(max_retries=7)
-        )
-        assert executor.max_retries == 7
+            PilotExecutor(make_cluster(), retry_policy=RetryPolicy(max_retries=-1))
 
     def test_pilot_rejects_non_policy(self):
         with pytest.raises(ValueError, match="RetryPolicy"):

@@ -89,7 +89,7 @@ class TestBuiltins:
         for name in ("local-threads", "local-processes"):
             ex = create_executor(name, max_workers=2)
             assert callable(getattr(ex, "execute"))
-            assert callable(getattr(ex, "run"))  # legacy dict-returning face
+            assert not hasattr(ex, "run")  # one entry point: execute
 
     def test_real_builtins_pool_choice(self):
         assert create_executor("local-threads").pool == "threads"

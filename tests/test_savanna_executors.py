@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.job import Task, TaskState
+from repro.resilience import RetryPolicy, no_retry
 from repro.savanna import PilotExecutor, StaticSetExecutor, tasks_from_manifest
 from repro.savanna.executor import CampaignResult
 
@@ -70,7 +71,9 @@ class TestPilot:
     def test_failed_task_requeued_and_retried(self):
         cluster = make_cluster(nodes=1, mttf=30.0, seed=5)  # very failure-prone
         tasks = tasks_of([5.0] * 10)
-        result = PilotExecutor(cluster, max_retries=5).run(tasks, nodes=1, walltime=10000.0)
+        result = PilotExecutor(cluster, retry_policy=RetryPolicy(max_retries=5)).run(
+            tasks, nodes=1, walltime=10000.0
+        )
         outcome = result.outcomes[0]
         # with retries, most tasks eventually finish; attempts > tasks
         assert len(outcome.attempts) > 10
@@ -78,7 +81,7 @@ class TestPilot:
     def test_no_retry_mode_records_failures(self):
         cluster = make_cluster(nodes=1, mttf=10.0, seed=5)
         tasks = tasks_of([30.0] * 5)
-        result = PilotExecutor(cluster, retry_failed=False).run(
+        result = PilotExecutor(cluster, retry_policy=no_retry()).run(
             tasks, nodes=1, walltime=10000.0
         )
         outcome = result.outcomes[0]
@@ -169,13 +172,6 @@ class TestRunner:
         )
         # simulation clock should end near 10s, not at walltime
         assert cluster.now < 100.0
-
-    def test_no_end_early_waits_for_walltime(self):
-        cluster = make_cluster(nodes=1, queue_wait=0.0)
-        PilotExecutor(cluster).run(
-            tasks_of([10.0]), nodes=1, walltime=500.0, end_early=False
-        )
-        assert cluster.now == pytest.approx(500.0)
 
     def test_empty_task_list_no_allocations(self):
         cluster = make_cluster(nodes=1)

@@ -1,9 +1,9 @@
-"""Tests for the thread-pool real executor's bag-of-tasks ``run``."""
+"""Tests for the thread-pool real executor as a plain bag of tasks."""
 
 import pytest
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
-from repro.savanna import RealExecutor
+from repro.savanna import RealExecutor, execute_manifest
 
 
 def make_manifest(values=(1, 2, 3)):
@@ -15,13 +15,15 @@ def make_manifest(values=(1, 2, 3)):
 
 class TestLocalExecutor:
     def test_runs_every_configuration(self):
-        results = RealExecutor(max_workers=2).run(make_manifest(), lambda p: p["x"] ** 2)
+        results = (
+            RealExecutor(max_workers=2).execute(make_manifest(), lambda p: p["x"] ** 2).results
+        )
         assert len(results) == 3
         assert results["g/run-0001"].value == 4
         assert all(r.status == "done" for r in results.values())
 
     def test_elapsed_recorded(self):
-        results = RealExecutor().run(make_manifest((1,)), lambda p: p["x"])
+        results = RealExecutor().execute(make_manifest((1,)), lambda p: p["x"]).results
         assert results["g/run-0000"].elapsed >= 0
 
     def test_exception_isolated_per_run(self):
@@ -30,17 +32,11 @@ class TestLocalExecutor:
                 raise ValueError("boom")
             return p["x"]
 
-        results = RealExecutor(max_workers=2).run(make_manifest(), app)
+        results = RealExecutor(max_workers=2).execute(make_manifest(), app).results
         assert results["g/run-0001"].status == "failed"
         assert "ValueError: boom" in results["g/run-0001"].error
         assert results["g/run-0000"].status == "done"
         assert results["g/run-0002"].status == "done"
-
-    def test_run_filter_selects_subset(self):
-        results = RealExecutor().run(
-            make_manifest(), lambda p: p["x"], run_filter=lambda rid: rid.endswith("0002")
-        )
-        assert set(results) == {"g/run-0002"}
 
     def test_resume_via_directory_pending(self, tmp_path):
         """The directory's pending set drives resumption of a partial campaign."""
@@ -50,9 +46,10 @@ class TestLocalExecutor:
         cd = CampaignDirectory(tmp_path, man)
         cd.create()
         cd.set_status("g/run-0000", RunStatus.DONE)
-        pending_ids = {r.run_id for r in cd.pending_runs()}
-        results = RealExecutor().run(man, lambda p: p["x"], run_filter=pending_ids.__contains__)
-        assert set(results) == {"g/run-0001", "g/run-0002"}
+        result = execute_manifest(
+            man, backend="local-threads", app_fn=lambda p: p["x"], directory=cd, resume=True
+        )
+        assert set(result.results) == {"g/run-0001", "g/run-0002"}
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -64,7 +61,7 @@ class TestLocalExecutor:
                 raise ValueError("boom")
             return p["x"]
 
-        results = RealExecutor(max_workers=2).run(make_manifest(), app)
+        results = RealExecutor(max_workers=2).execute(make_manifest(), app).results
         tb = results["g/run-0001"].traceback
         assert tb is not None
         assert "Traceback (most recent call last)" in tb
@@ -72,7 +69,7 @@ class TestLocalExecutor:
         assert results["g/run-0000"].traceback is None  # success carries none
 
     def test_per_run_seed_recorded(self):
-        results = RealExecutor(seed=5).run(make_manifest(), lambda p: p["x"])
+        results = RealExecutor(seed=5).execute(make_manifest(), lambda p: p["x"]).results
         seeds = {r.seed for r in results.values()}
         assert None not in seeds
         assert len(seeds) == 3  # distinct per run
