@@ -11,8 +11,17 @@ Layout::
       .cheetah/status.json          # per-run status (the resume record)
       .cheetah/journal.jsonl        # transitions not yet compacted into it
       .cheetah/report.json          # trace analytics (drive report=True)
-      <group>/run-NNNN/params.json  # one directory per run
-      <group>/run-NNNN/result.json  # real-run outcome (real backends)
+      <group>/run-NNNN/params.json  # the run's parameters (exported view)
+      <group>/run-NNNN/result.json  # the run's outcome (exported view)
+
+:meth:`CampaignDirectory.create` writes only the two ``.cheetah/``
+records a drive needs, ``manifest.json`` and ``status.json``, so a fresh
+end point costs the same for ten runs or a million.  A run's directory
+appears when something writes into it: :meth:`~CampaignDirectory.write_run_result`,
+or ``python -m repro.store export``, which writes every run's
+``params.json`` (regenerated from ``manifest.json``) beside the
+``result.json`` files.  The per-run hierarchy of §IV is that exported
+view.
 
 Status is the machine-actionable face of "users may simply re-submit a
 partially completed SweepGroup ... to continue execution" (§V-D).  The
@@ -39,13 +48,7 @@ import enum
 import json
 from pathlib import Path
 
-from repro._util import (
-    atomic_write_text,
-    dumps_tagged,
-    loads_tagged,
-    path_lock,
-    tagged_default,
-)
+from repro._util import atomic_write_text, loads_tagged, path_lock, tagged_default
 from repro.cheetah.manifest import CampaignManifest, manifest_from_json, manifest_to_json
 
 
@@ -83,7 +86,12 @@ class CampaignDirectory:
     # -- creation ------------------------------------------------------------
 
     def create(self) -> Path:
-        """Materialize the directory schema; idempotent for same manifest."""
+        """Materialize the end point's metadata; idempotent for same manifest.
+
+        Writes ``.cheetah/manifest.json`` and, the first time,
+        ``.cheetah/status.json`` with every run PENDING.  No per-run
+        directory is made here: see the module docstring.
+        """
         meta = self.root / self.METADATA_DIR
         meta.mkdir(parents=True, exist_ok=True)
         manifest_path = meta / "manifest.json"
@@ -93,13 +101,6 @@ class CampaignDirectory:
                 f"campaign directory {self.root} already holds a different manifest"
             )
         atomic_write_text(manifest_path, text)
-        for run in self.manifest.runs:
-            run_dir = self.root / run.run_id
-            run_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                run_dir / "params.json",
-                dumps_tagged(run.parameters, indent=2, sort_keys=True),
-            )
         status_path = meta / "status.json"
         with path_lock(status_path):
             if not status_path.exists():
@@ -223,7 +224,8 @@ class CampaignDirectory:
 
         ``payload`` is the run's outcome record (status, value, error +
         traceback, elapsed, seed, attempts — whatever the real executor
-        reports).  The write is atomic, and values outside plain JSON
+        reports).  The run's directory is created if it does not exist
+        yet.  The write is atomic, and values outside plain JSON
         are encoded losslessly with the tagged form (numpy, complex,
         bytes, set, Path, datetime); a value that cannot round-trip
         raises :class:`repro._util.UnserializableValueError` instead of
@@ -272,17 +274,18 @@ class CampaignDirectory:
 
         Returns a :class:`repro.store.CampaignStore` bound to
         ``.cheetah/store.sqlite`` with this campaign's manifest already
-        ingested.  A store created here starts from ``status.json``, so
-        runs that finished before it existed are not mirrored as
-        pending.  Use as a context manager; the store flushes its
-        write-behind buffer and closes on exit.
+        ingested.  A store that did not yet hold the campaign starts it
+        from ``status.json``, so runs that finished before the store
+        existed (or while it was empty) are not mirrored as pending.
+        Use as a context manager; the store flushes its write-behind
+        buffer and closes on exit.
         """
         from repro.store import CampaignStore  # lazy: repro.store imports us
 
-        created = not self.store_path().exists()
         store = CampaignStore(self.store_path())
+        registered = self.manifest.campaign in store.campaigns()
         store.ensure_campaign(self.manifest)
-        if created:
+        if not registered:
             recorded = {
                 run_id: status
                 for run_id, status in self.read_status().items()

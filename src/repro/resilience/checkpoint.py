@@ -20,6 +20,14 @@ JSON line (O(1) per event — no rewrite of the full status map), and
 the base record, so a driver killed mid-campaign still resumes exactly
 the pending set.
 
+The journal is opened once per :meth:`~CampaignCheckpoint.attach` and
+closed by :meth:`~CampaignCheckpoint.detach`; each line is flushed to
+the OS before :meth:`~CampaignCheckpoint.record` returns, so a
+concurrent reader, or a driver killed with SIGKILL, sees every complete
+line.  Lines are not fsynced: they survive the death of the driver
+process, not of the machine, while every ``status.json`` write is
+fsynced.
+
 **Per-submission scoping**: with the campaign service
 (:mod:`repro.savanna.service`) many drive pipelines run concurrently in
 one process, each attaching its own checkpoint.  The journal format is
@@ -78,16 +86,26 @@ class CampaignCheckpoint:
         )
         self._known = {run.run_id for run in directory.manifest.runs}
         self._unsubscribe = None
+        self._journal = None  # the journal file, open while attached
 
     # -- journal -------------------------------------------------------------
 
     def record(self, run_id: str, status: RunStatus, time: float | None = None) -> None:
-        """Append one status transition to the journal (O(1))."""
+        """Append one status transition to the journal (O(1)).
+
+        The complete line reaches the OS before this returns.  While
+        attached, it goes through the journal opened by :meth:`attach`;
+        otherwise the journal is opened and closed for this one line.
+        """
         if run_id not in self._known:
             raise KeyError(f"unknown run_id {run_id!r}")
-        line = json.dumps({"run": run_id, "status": status.value, "time": time})
+        line = json.dumps({"run": run_id, "status": status.value, "time": time}) + "\n"
+        if self._journal is not None:
+            self._journal.write(line)
+            self._journal.flush()
+            return
         with self._journal_path.open("a") as fh:
-            fh.write(line + "\n")
+            fh.write(line)
 
     def journal_entries(self) -> list[dict]:
         """Parsed journal lines, in append order (empty if no journal).
@@ -145,23 +163,25 @@ class CampaignCheckpoint:
     # -- compaction ----------------------------------------------------------
 
     def compact(self) -> None:
-        """Fold the journal into ``status.json`` and truncate it.
+        """Fold the journal into ``status.json`` and delete it.
 
         A run interrupted while RUNNING compacts to PENDING — an
         in-flight attempt whose outcome was never journaled must be
-        re-queued, not trusted.
+        re-queued, not trusted.  Call it after :meth:`detach`: an
+        attached writer would keep appending to the deleted file.
         """
+        if self._journal is not None:
+            raise RuntimeError("detach the checkpoint before compacting its journal")
         entries = self.journal_entries()
-        if not entries:
-            return
-        updates: dict[str, RunStatus] = {}
-        for entry in entries:
-            status = RunStatus(entry["status"])
-            if status is RunStatus.RUNNING:
-                status = RunStatus.PENDING
-            updates[entry["run"]] = status
-        self.directory.update_status(updates)
-        self._journal_path.unlink()
+        if entries:
+            updates: dict[str, RunStatus] = {}
+            for entry in entries:
+                status = RunStatus(entry["status"])
+                if status is RunStatus.RUNNING:
+                    status = RunStatus.PENDING
+                updates[entry["run"]] = status
+            self.directory.update_status(updates)
+        self._journal_path.unlink(missing_ok=True)
 
     # -- bus wiring ----------------------------------------------------------
 
@@ -179,6 +199,8 @@ class CampaignCheckpoint:
         submissions from interleaving transitions into one journal.
         ``owner`` labels this writer (e.g. a submission id) for that
         error message.
+
+        The journal is opened here and stays open until :meth:`detach`.
         """
         if self._unsubscribe is not None:
             raise RuntimeError("checkpoint already attached to a bus")
@@ -192,6 +214,7 @@ class CampaignCheckpoint:
                     "finish (or be cancelled) before it is re-submitted "
                     "against the same directory"
                 )
+            self._journal = self._journal_path.open("a")
             self._ATTACHED[key] = owner or f"checkpoint@{id(self):#x}"
 
         def observe(event) -> None:
@@ -210,9 +233,14 @@ class CampaignCheckpoint:
         self._unsubscribe = bus.subscribe(observe)
 
     def detach(self) -> None:
-        """Stop observing the bus and release the writer slot (idempotent)."""
+        """Stop observing the bus, close the journal and release the
+        writer slot (idempotent)."""
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-            with self._ATTACHED_LOCK:
-                self._ATTACHED.pop(str(self._journal_path), None)
+            journal, self._journal = self._journal, None
+            try:
+                journal.close()
+            finally:
+                with self._ATTACHED_LOCK:
+                    self._ATTACHED.pop(str(self._journal_path), None)

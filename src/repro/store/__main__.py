@@ -8,12 +8,15 @@ Commands::
     query  TARGET pareto  --objective M:DIR [--objective M:DIR ...]
     query  TARGET impact  --metric M [--parameter P]
     status TARGET [--campaign NAME]       status counts from SQL
-    export DIR [--db PATH]                store -> per-run result.json files
+    export DIR [--db PATH]                per-run params.json + result.json files
     info   TARGET                         database path, campaigns, run counts
 
 ``TARGET`` (and ``--db``) accept a campaign directory (the store at
 ``.cheetah/store.sqlite`` is used) or a sqlite file path.  With a
-single-campaign store ``--campaign`` may be omitted.
+single-campaign store ``--campaign`` may be omitted.  Only ``migrate``
+creates a store; the other commands fail on a target without one,
+except ``export`` of a campaign directory, which then writes the
+``params.json`` files alone.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ def _store_target(target: str) -> str:
     if (path / CampaignDirectory.METADATA_DIR).is_dir():
         return str(path / CampaignDirectory.METADATA_DIR / "store.sqlite")
     return target
+
+
+def _open_existing(target: str) -> CampaignStore:
+    """Open the store ``target`` resolves to, never creating one."""
+    path = _store_target(target)
+    if not Path(path).is_file():
+        raise StoreError(f"no store at {path}")
+    return CampaignStore(path)
 
 
 def _pick_campaign(store: CampaignStore, requested: str | None) -> str:
@@ -75,15 +86,19 @@ def _cmd_migrate(args) -> int:
 
 def _cmd_export(args) -> int:
     for root in args.directories:
-        target = _store_target(args.db if args.db is not None else root)
-        with CampaignStore(target) as store:
-            written = export_directory(store, root)
-        print(f"exported {written} result.json files into {root}")
+        if args.db is None and not Path(_store_target(root)).is_file():
+            # No store (a simulated drive's end point): params.json alone.
+            written = export_directory(None, root)
+        else:
+            with _open_existing(args.db or root) as store:
+                written = export_directory(store, root)
+        print(f"exported {written} result.json files and every run's params.json "
+              f"into {root}")
     return 0
 
 
 def _cmd_status(args) -> int:
-    with CampaignStore(_store_target(args.target)) as store:
+    with _open_existing(args.target) as store:
         campaign = _pick_campaign(store, args.campaign)
         counts = store.summary(campaign)
     total = sum(counts.values())
@@ -95,7 +110,7 @@ def _cmd_status(args) -> int:
 
 def _cmd_info(args) -> int:
     target = _store_target(args.target)
-    with CampaignStore(target) as store:
+    with _open_existing(target) as store:
         print(f"database: {target} (schema v{store.version})")
         for campaign in store.campaigns():
             counts = store.summary(campaign)
@@ -108,7 +123,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    with CampaignStore(_store_target(args.target)) as store:
+    with _open_existing(args.target) as store:
         campaign = _pick_campaign(store, args.campaign)
         catalog = store.catalog(campaign)
         if args.what in ("best", "rank") and not args.metric:
@@ -160,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--db", default=None, help="store target (default: in-place)")
     migrate.set_defaults(fn=_cmd_migrate)
 
-    export = sub.add_parser("export", help="store -> per-run result.json files")
+    export = sub.add_parser(
+        "export", help="per-run params.json + result.json files (the §IV layout)"
+    )
     export.add_argument("directories", nargs="+")
     export.add_argument("--db", default=None)
     export.set_defaults(fn=_cmd_export)

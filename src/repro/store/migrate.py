@@ -6,7 +6,8 @@ A campaign that ran before the store existed left its state as files —
 ``result.json`` per really-executed run.  :func:`ingest_directory`
 folds all of it into the store so the §II-C catalog queries run over
 SQL, and :func:`export_directory` goes the other way, materializing the
-per-run JSON files for human inspection.
+per-run JSON files — the §IV directory hierarchy — for human
+inspection.
 
 The migration trusts exactly what resume trusts: run statuses are the
 base ``status.json`` *overlaid with the checkpoint journal* (later
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro._util import atomic_write_text, dumps_tagged, loads_tagged
 from repro.cheetah.directory import CampaignDirectory, resolve_campaign_dir
 
 
@@ -75,8 +77,6 @@ def ingest_directory(store, root: str | Path) -> dict:
 def _read_result_file(directory: CampaignDirectory, run_id: str) -> dict | None:
     """One run's ``result.json`` payload — *files only*, so migration
     never reads back what a partially-ingested store already holds."""
-    from repro._util import loads_tagged
-
     path = directory.run_dir(run_id) / "result.json"
     if not path.exists():
         return None
@@ -84,16 +84,28 @@ def _read_result_file(directory: CampaignDirectory, run_id: str) -> dict | None:
 
 
 def export_directory(store, root: str | Path) -> int:
-    """Materialize per-run ``result.json`` files from the store.
+    """Materialize the per-run files of a campaign end point.
 
-    The inverse of :func:`ingest_directory`'s result pass — the opt-in
-    human-inspection export.  Returns the number of files written.
+    Every run gets ``<group>/run-NNNN/params.json``, its parameters from
+    ``manifest.json``, and each run with an outcome in ``store`` gets
+    ``result.json`` beside it — the inverse of :func:`ingest_directory`'s
+    result pass, as the opt-in human-inspection export.  ``store`` is
+    ``None`` for an end point without one (a simulated drive's): only
+    the ``params.json`` files are written.  Every file is written
+    atomically (temp file, fsync, rename).  Returns the number of
+    ``result.json`` files written.
     """
     directory = resolve_campaign_dir(root)
     campaign = directory.manifest.campaign
     written = 0
     for run in directory.manifest.runs:
-        payload = store.read_run_result(campaign, run.run_id)
+        run_dir = directory.run_dir(run.run_id)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(
+            run_dir / "params.json",
+            dumps_tagged(run.parameters, indent=2, sort_keys=True),
+        )
+        payload = None if store is None else store.read_run_result(campaign, run.run_id)
         if payload is None:
             continue
         directory.write_run_result(run.run_id, payload)

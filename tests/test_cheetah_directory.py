@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro._util import dumps_tagged, loads_tagged
 from repro.cheetah.campaign import AppSpec, Campaign, Sweep
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.cheetah.parameters import SweepParameter
+from repro.store import export_directory
 
 
 def make_manifest(n=4):
@@ -18,18 +20,39 @@ def make_manifest(n=4):
 
 class TestCreation:
     def test_layout(self, tmp_path):
+        """The §IV layout is the export's: create() writes the metadata,
+        ``python -m repro.store export`` the per-run directories."""
         man = make_manifest()
         root = CampaignDirectory(tmp_path, man).create()
         assert (root / ".cheetah" / "manifest.json").exists()
         assert (root / ".cheetah" / "status.json").exists()
+        export_directory(None, root)
         assert (root / "g" / "run-0000" / "params.json").exists()
 
     def test_params_json_content(self, tmp_path):
         man = make_manifest()
         cd = CampaignDirectory(tmp_path, man)
         cd.create()
+        export_directory(None, cd.root)
         params = json.loads((cd.run_dir("g/run-0002") / "params.json").read_text())
         assert params == {"x": 2}
+        for run in man.runs:
+            text = (cd.run_dir(run.run_id) / "params.json").read_text()
+            assert text == dumps_tagged(run.parameters, indent=2, sort_keys=True)
+            assert loads_tagged(text) == run.parameters
+
+    def test_fresh_end_point_holds_only_metadata(self, tmp_path):
+        root = CampaignDirectory(tmp_path, make_manifest()).create()
+        assert [p.name for p in root.iterdir()] == [".cheetah"]
+
+    def test_write_run_result_creates_the_run_directory(self, tmp_path):
+        cd = CampaignDirectory(tmp_path, make_manifest())
+        cd.create()
+        assert not cd.run_dir("g/run-0001").exists()
+        path = cd.write_run_result("g/run-0001", {"status": "done", "value": 3})
+        assert path == cd.run_dir("g/run-0001") / "result.json"
+        assert cd.read_run_result("g/run-0001") == {"status": "done", "value": 3}
+        assert not cd.run_dir("g/run-0000").exists()
 
     def test_idempotent_create(self, tmp_path):
         man = make_manifest()

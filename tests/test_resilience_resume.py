@@ -1,5 +1,8 @@
 """Tests for campaign checkpointing and resumable SweepGroups."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
@@ -22,6 +25,32 @@ def make_directory(tmp_path, manifest):
     directory = CampaignDirectory(tmp_path, manifest)
     directory.create()
     return directory
+
+
+def journal_path(directory):
+    return directory.root / ".cheetah" / CampaignCheckpoint.JOURNAL_NAME
+
+
+def open_descriptors(path):
+    """This process's descriptors on ``path``, deleted or not (Linux /proc)."""
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    target = os.path.realpath(path)
+    held = []
+    for fd in os.listdir(fd_dir):
+        try:
+            link = os.readlink(fd_dir / fd)
+        except OSError:  # closed between listdir and readlink
+            continue
+        if link == target or link == f"{target} (deleted)":
+            held.append(fd)
+    return held
+
+
+def emit_run(bus, run_id, time=0.0):
+    bus.emit(TASK, phase=BEGIN, task=run_id, time=time)
+    bus.emit(TASK, phase=END, task=run_id, outcome="done", time=time + 1.0)
 
 
 class TestCampaignCheckpoint:
@@ -87,6 +116,73 @@ class TestCampaignCheckpoint:
         checkpoint.detach()
         checkpoint.attach(bus)  # re-attachable after detach
         checkpoint.detach()
+
+    def test_attached_writer_lines_reach_a_concurrent_reader(self, tmp_path):
+        # Every line is flushed before record returns: a reader sees the
+        # whole journal while the writer still holds it open.
+        directory = make_directory(tmp_path, make_manifest())
+        writer = CampaignCheckpoint(directory)
+        bus = EventBus()
+        writer.attach(bus)
+        try:
+            for i in range(4):
+                emit_run(bus, f"g/run-{i:04d}", time=float(i))
+            reader = CampaignCheckpoint(directory)
+            assert len(reader.journal_entries()) == 8
+            assert reader.completed() == {f"g/run-{i:04d}" for i in range(4)}
+        finally:
+            writer.detach()
+
+    def test_attach_detach_attach_leaves_no_handle_open(self, tmp_path):
+        directory = make_directory(tmp_path, make_manifest())
+        checkpoint = CampaignCheckpoint(directory)
+        bus = EventBus()
+        checkpoint.attach(bus)
+        emit_run(bus, "g/run-0000")
+        assert len(open_descriptors(journal_path(directory))) == 1
+        checkpoint.detach()
+        assert open_descriptors(journal_path(directory)) == []
+        checkpoint.attach(bus)
+        emit_run(bus, "g/run-0001")
+        checkpoint.detach()
+        assert open_descriptors(journal_path(directory)) == []
+        assert [e["run"] for e in checkpoint.journal_entries()] == [
+            "g/run-0000", "g/run-0000", "g/run-0001", "g/run-0001",
+        ]
+        checkpoint.compact()
+        assert not journal_path(directory).exists()
+        assert checkpoint.completed() == {"g/run-0000", "g/run-0001"}
+
+    def test_compact_refuses_an_attached_writer(self, tmp_path):
+        checkpoint = CampaignCheckpoint(make_directory(tmp_path, make_manifest()))
+        bus = EventBus()
+        checkpoint.attach(bus)
+        with pytest.raises(RuntimeError, match="detach"):
+            checkpoint.compact()
+        checkpoint.detach()
+
+    def test_failed_execution_closes_the_journal_and_compacts(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.savanna.pilot import PilotExecutor
+
+        def run_then_raise(self, tasks, **kwargs):
+            emit_run(self.cluster.bus, "g/run-0000")
+            self.cluster.bus.emit(TASK, phase=BEGIN, task="g/run-0001", time=2.0)
+            raise RuntimeError("executor crashed")
+
+        monkeypatch.setattr(PilotExecutor, "run", run_then_raise)
+        manifest = make_manifest()
+        directory = make_directory(tmp_path, manifest)
+        with pytest.raises(RuntimeError, match="executor crashed"):
+            execute_manifest(
+                manifest, lambda p: 10.0, make_cluster(nodes=2), directory=directory
+            )
+        assert open_descriptors(journal_path(directory)) == []
+        assert not journal_path(directory).exists()
+        status = directory.read_status()
+        assert status["g/run-0000"] is RunStatus.DONE
+        assert status["g/run-0001"] is RunStatus.PENDING
 
 
 class TestInterruptedCampaignResume:

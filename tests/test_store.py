@@ -352,6 +352,18 @@ class TestDriveIntegration:
         with directory.open_store() as store:
             assert store.statuses(manifest.campaign) == status
 
+    def test_empty_store_file_starts_from_status_json(self, tmp_path):
+        # A store file that does not hold the campaign (older store CLIs
+        # created empty ones) still starts from the finished runs, not
+        # from a campaign of pending ones.
+        manifest = make_manifest()
+        directory = CampaignDirectory(tmp_path, manifest)
+        directory.create()
+        directory.update_status({r.run_id: RunStatus.DONE for r in manifest.runs})
+        CampaignStore(directory.store_path()).close()
+        with directory.open_store() as store:
+            assert set(store.statuses(manifest.campaign).values()) == {"done"}
+
 
 def _loss_app(parameters):
     return {"loss": float(parameters["x"]) + (0.25 if parameters["mode"] == "b" else 0.0)}
@@ -374,6 +386,18 @@ class TestCli:
         manifest = make_manifest()
         directory = TestMigration().make_directory(tmp_path, manifest)
         return directory.root
+
+    @pytest.fixture()
+    def simulated_dir(self, tmp_path):
+        """A simulated drive's end point: every run DONE, and no store."""
+        from repro.savanna import execute_manifest
+
+        manifest = make_manifest(n=2, campaign="simx")
+        result = execute_manifest(
+            manifest, lambda p: 1.0, make_cluster(nodes=2), directory=tmp_path
+        )
+        assert result.all_done
+        return tmp_path / manifest.campaign
 
     def test_migrate_then_query(self, campaign_dir):
         migrated = self.run_cli("migrate", str(campaign_dir))
@@ -427,3 +451,27 @@ class TestCli:
         assert json.loads(
             (campaign_dir / "g" / "run-0000" / "result.json").read_text()
         )["status"] == "done"
+
+    def test_export_without_a_store_writes_the_params_view(self, simulated_dir):
+        export = self.run_cli("export", str(simulated_dir))
+        assert export.returncode == 0, export.stderr
+        assert "exported 0 result.json files" in export.stdout
+        directory = CampaignDirectory.open(simulated_dir)
+        assert not directory.store_path().exists()
+        for run in directory.manifest.runs:
+            run_dir = directory.run_dir(run.run_id)
+            assert json.loads((run_dir / "params.json").read_text()) == run.parameters
+            assert not (run_dir / "result.json").exists()
+
+    @pytest.mark.parametrize(
+        "command", [["status"], ["info"], ["query", "best", "--metric", "loss"]]
+    )
+    def test_read_commands_never_create_a_store(self, simulated_dir, command):
+        result = self.run_cli(command[0], str(simulated_dir), *command[1:])
+        assert result.returncode == 1
+        store_path = simulated_dir / ".cheetah" / "store.sqlite"
+        assert f"error: no store at {store_path}" in result.stderr
+        assert not store_path.exists()
+        # the end point still reads as the drive left it
+        directory = CampaignDirectory.open(simulated_dir)
+        assert directory.summary()["done"] == len(directory.manifest.runs)

@@ -7,7 +7,7 @@ campaign:
 1. drive a ``local-threads`` campaign (outcomes land in
    ``.cheetah/store.sqlite``), then ``python -m repro.store export`` it
    so the end point holds *both* persistence forms (per-run
-   ``result.json`` files too);
+   ``params.json`` and ``result.json`` files too);
 2. build the pre-store answer: read every result file, assemble the
    in-memory ``CampaignCatalog``, answer ``best`` / ``rank`` / Pareto /
    impact;
@@ -17,7 +17,10 @@ campaign:
 4. delete the result files, assert ``directory.read_run_result`` still
    answers from the in-place store, and re-export the files with
    ``python -m repro.store export``;
-5. spot-check the ``status`` / ``info`` / ``query`` subcommands.
+5. spot-check the ``status`` / ``info`` / ``query`` subcommands;
+6. drive the same manifest on the simulated pilot, which leaves no
+   store, and assert its export still writes every ``params.json`` and
+   creates no store.
 
 Usage: ``python tools/smoke_store.py`` (creates a temp campaign root).
 """
@@ -82,9 +85,22 @@ def answers_of(catalog) -> dict:
     }
 
 
+def assert_params_exported(directory, manifest) -> None:
+    """Every run has a ``params.json`` holding its manifest parameters."""
+    from repro._util import loads_tagged
+
+    for run in manifest.runs:
+        path = directory.run_dir(run.run_id) / "params.json"
+        assert path.exists(), f"export wrote no params.json for {run.run_id}"
+        assert loads_tagged(path.read_text()) == run.parameters, (
+            f"{path} disagrees with the manifest"
+        )
+
+
 def main() -> int:
     from repro.cheetah.catalog import CampaignCatalog
     from repro.cheetah.directory import CampaignDirectory
+    from repro.cluster import ClusterSpec, SimulatedCluster
     from repro.savanna import execute_manifest
     from repro.store import CampaignStore, metrics_from_value
 
@@ -109,6 +125,7 @@ def main() -> int:
             assert (directory.run_dir(run.run_id) / "result.json").exists(), (
                 f"export wrote no result.json for {run.run_id}"
             )
+        assert_params_exported(directory, manifest)
 
         # 2. the pre-store answer from the files
         mem = CampaignCatalog(manifest.campaign)
@@ -154,6 +171,23 @@ def main() -> int:
         info = run_cli("info", str(campaign_dir))
         assert manifest.campaign in info.stdout, info.stdout
         print("[smoke-store] CLI query/status/info ok")
+
+        # 6. a simulated drive has no store; its export is the params view
+        sim_root = root / "simulated"
+        result = execute_manifest(
+            manifest,
+            lambda params: 1.0,
+            SimulatedCluster(ClusterSpec(nodes=2), seed=1),
+            directory=sim_root,
+        )
+        assert result.all_done, result.summary()
+        sim_dir = CampaignDirectory.open(sim_root / manifest.campaign)
+        assert not sim_dir.store_path().exists(), "a simulated drive made a store"
+        out = run_cli("export", str(sim_dir.root))
+        assert out.stdout.startswith("exported 0 result.json files"), out.stdout
+        assert_params_exported(sim_dir, manifest)
+        assert not sim_dir.store_path().exists(), "export created a store"
+        print("[smoke-store] simulated end point: params.json export, no store")
 
     print("[smoke-store] PASS")
     return 0
