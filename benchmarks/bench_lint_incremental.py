@@ -30,14 +30,12 @@ full (default)
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
 import shutil
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from _artifact import arguments, timed, write_mode
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -136,14 +134,7 @@ def drop_caches(root: Path) -> None:
 
 
 def timed_lint(root: Path) -> tuple[float, int]:
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        report = lint_path(root)
-        elapsed = time.perf_counter() - t0
-    finally:
-        gc.enable()
+    elapsed, report = timed(lint_path, root)
     return elapsed, len(report)
 
 
@@ -197,17 +188,7 @@ def run_bench(mode: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="CI shape (60 campaigns)"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=f"where to write the JSON (default {DEFAULT_OUTPUT})",
-    )
-    args = parser.parse_args(argv)
+    args = arguments(__doc__, "CI shape (60 campaigns)", DEFAULT_OUTPUT).parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     result = run_bench(mode)
@@ -218,20 +199,7 @@ def main(argv=None) -> int:
         f"{result['touched_seconds']:.3f}s "
         f"({result['speedup_cold_over_touched']:.1f}x)"
     )
-
-    output = args.output or DEFAULT_OUTPUT
-    output.parent.mkdir(parents=True, exist_ok=True)
-    document = {"schema": SCHEMA, "modes": {}}
-    if output.exists():
-        try:
-            existing = json.loads(output.read_text())
-            if existing.get("schema") == SCHEMA:
-                document = existing
-        except (json.JSONDecodeError, OSError):
-            pass
-    document.setdefault("modes", {})[mode] = result
-    output.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"[wrote {output} ({mode} entry)]")
+    write_mode(args.output or DEFAULT_OUTPUT, SCHEMA, result)
     return 0
 
 

@@ -59,8 +59,6 @@ scanned every task at each step.
 
 from __future__ import annotations
 
-import argparse
-import gc
 import json
 import resource
 import sys
@@ -71,6 +69,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from _artifact import arguments, timed, write_mode
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -164,23 +163,17 @@ def one_round(n_tasks: int, nodes: int, walltime: float) -> tuple[float, int]:
     c_pilot = SimulatedCluster(spec, seed=SEED)
     t_static = irf_tasks(n_tasks)
     t_pilot = irf_tasks(n_tasks)
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        r1 = StaticSetExecutor(c_static, set_gap=60.0).run(
-            t_static, nodes=nodes, walltime=walltime, max_allocations=1
-        )
-        r2 = PilotExecutor(c_pilot).run(
-            t_pilot, nodes=nodes, walltime=walltime, max_allocations=1
-        )
-        elapsed = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    attempts = sum(len(o.attempts) for o in r1.outcomes) + sum(
-        len(o.attempts) for o in r2.outcomes
+    elapsed, results = timed(
+        lambda: [
+            StaticSetExecutor(c_static, set_gap=60.0).run(
+                t_static, nodes=nodes, walltime=walltime, max_allocations=1
+            ),
+            PilotExecutor(c_pilot).run(
+                t_pilot, nodes=nodes, walltime=walltime, max_allocations=1
+            ),
+        ]
     )
-    return elapsed, attempts
+    return elapsed, sum(len(o.attempts) for result in results for o in result.outcomes)
 
 
 def measure_engines(n_tasks: int, nodes: int, walltime: float, rounds: int):
@@ -209,15 +202,12 @@ def measure_report_fold() -> dict:
         return {"trace": None, "events": 0, "seconds": None, "events_per_sec": None}
     events = events_from_trace(FOLD_TRACE)
     builder = StreamingCampaignReport()
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
+
+    def fold():
         builder.on_batch(events)
-        reports = builder.reports()
-        elapsed = time.perf_counter() - t0
-    finally:
-        gc.enable()
+        return builder.reports()
+
+    elapsed, reports = timed(fold)
     return {
         "trace": FOLD_TRACE.name,
         "events": len(events),
@@ -267,14 +257,8 @@ def measure_report_finalize(mode: str) -> dict:
         for name, events in captured.items():
             builder = StreamingCampaignReport()
             builder.on_batch(events)
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                (reports[name],) = builder.reports()
-                best[name] = min(best[name], time.perf_counter() - t0)
-            finally:
-                gc.enable()
+            seconds, (reports[name],) = timed(builder.reports)
+            best[name] = min(best[name], seconds)
         rounds += 1
     workloads = {}
     for name, report in reports.items():
@@ -425,16 +409,7 @@ def _judge(label, cur, base, tolerance, lower_is_better, spec):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="CI shape (8000 tasks / 100 nodes)"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=f"where to write the JSON (default {DEFAULT_OUTPUT})",
-    )
+    parser = arguments(__doc__, "CI shape (8000 tasks / 100 nodes)", DEFAULT_OUTPUT)
     parser.add_argument(
         "--check",
         type=Path,
@@ -484,25 +459,12 @@ def main(argv=None) -> int:
         exit_code = check_against(result, args.check, args.tolerance)
 
     # The committed file carries one entry per mode (full = the headline
-    # speedup evidence, quick = the CI gate baseline); writing one mode
-    # merges into the other's entry instead of discarding it.  Under
-    # --check the fresh result is only written when --output names an
-    # explicit destination (CI uploads it as an artifact) so a gate run
-    # never clobbers the committed baseline it just compared against.
+    # speedup evidence, quick = the CI gate baseline).  Under --check the
+    # fresh result is only written when --output names an explicit
+    # destination (CI uploads it as an artifact) so a gate run never
+    # clobbers the committed baseline it just compared against.
     if args.check is None or args.output is not None:
-        output = args.output or DEFAULT_OUTPUT
-        output.parent.mkdir(parents=True, exist_ok=True)
-        document = {"schema": SCHEMA, "modes": {}}
-        if output.exists():
-            try:
-                existing = json.loads(output.read_text())
-                if existing.get("schema") == SCHEMA:
-                    document = existing
-            except (json.JSONDecodeError, OSError):
-                pass
-        document.setdefault("modes", {})[mode] = result
-        output.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"[wrote {output} ({mode} entry)]")
+        write_mode(args.output or DEFAULT_OUTPUT, SCHEMA, result)
     return exit_code
 
 

@@ -44,14 +44,12 @@ The Pareto front is in the query set at every tier.
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
 import shutil
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from _artifact import arguments, timed, write_mode
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -111,17 +109,6 @@ def outcome_of(i: int, run) -> dict:
         "attempts": 1,
         "seed": i,
     }
-
-
-def timed(fn):
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        out = fn()
-        return time.perf_counter() - t0, out
-    finally:
-        gc.enable()
 
 
 def ingest_files(workdir: Path, manifest) -> float:
@@ -315,15 +302,7 @@ def run_bench(mode: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--quick", action="store_true", help="CI shape (one 2k tier)")
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=f"where to write the JSON (default {DEFAULT_OUTPUT})",
-    )
-    args = parser.parse_args(argv)
+    args = arguments(__doc__, "CI shape (one 2k tier)", DEFAULT_OUTPUT).parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     result = run_bench(mode)
@@ -336,20 +315,7 @@ def main(argv=None) -> int:
             f"-> {tier['speedup_ingest']:.1f}x ingest; store queries "
             f"{tier['store_query_seconds']:.3f}s, match={tier['queries_match']}"
         )
-
-    output = args.output or DEFAULT_OUTPUT
-    output.parent.mkdir(parents=True, exist_ok=True)
-    document = {"schema": SCHEMA, "modes": {}}
-    if output.exists():
-        try:
-            existing = json.loads(output.read_text())
-            if existing.get("schema") == SCHEMA:
-                document = existing
-        except (json.JSONDecodeError, OSError):
-            pass
-    document.setdefault("modes", {})[mode] = result
-    output.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"[wrote {output} ({mode} entry)]")
+    write_mode(args.output or DEFAULT_OUTPUT, SCHEMA, result)
     return 0
 
 

@@ -32,15 +32,14 @@ full (default)
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import gc
-import json
 import os
 import sys
 import time
 import urllib.request
 from pathlib import Path
+
+from _artifact import arguments, gc_paused, write_mode
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -137,12 +136,8 @@ async def run_fleet(n_campaigns: int, runs: int, telemetry: bool) -> dict:
 
 
 def timed_round(n_campaigns: int, runs: int, telemetry: bool) -> dict:
-    gc.collect()
-    gc.disable()
-    try:
+    with gc_paused():
         return asyncio.run(run_fleet(n_campaigns, runs, telemetry))
-    finally:
-        gc.enable()
 
 
 def run_bench(mode: str) -> dict:
@@ -182,17 +177,7 @@ def run_bench(mode: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="CI shape (4 campaigns)"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=f"where to write the JSON (default {DEFAULT_OUTPUT})",
-    )
-    args = parser.parse_args(argv)
+    args = arguments(__doc__, "CI shape (4 campaigns)", DEFAULT_OUTPUT).parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     result = run_bench(mode)
@@ -204,20 +189,7 @@ def main(argv=None) -> int:
         f"events, wrote {tel['log_lines']} log lines, "
         f"{tel['worker_samples']} worker samples"
     )
-
-    output = args.output or DEFAULT_OUTPUT
-    output.parent.mkdir(parents=True, exist_ok=True)
-    document = {"schema": SCHEMA, "modes": {}}
-    if output.exists():
-        try:
-            existing = json.loads(output.read_text())
-            if existing.get("schema") == SCHEMA:
-                document = existing
-        except (json.JSONDecodeError, OSError):
-            pass
-    document.setdefault("modes", {})[mode] = result
-    output.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"[wrote {output} ({mode} entry)]")
+    write_mode(args.output or DEFAULT_OUTPUT, SCHEMA, result)
     return 0
 
 

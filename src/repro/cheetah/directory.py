@@ -52,18 +52,6 @@ from repro._util import atomic_write_text, loads_tagged, path_lock, tagged_defau
 from repro.cheetah.manifest import CampaignManifest, manifest_from_json, manifest_to_json
 
 
-def _jsonable(value):
-    """json.dumps ``default=`` hook: lossless tagged encoding.
-
-    Known non-JSON types (numpy, complex, bytes, set, Path, datetime)
-    are encoded with an explicit ``__repro__`` tag and round-trip
-    exactly; anything else raises
-    :class:`repro._util.UnserializableValueError` instead of silently
-    persisting a non-round-trippable ``repr`` string into the record.
-    """
-    return tagged_default(value)
-
-
 class RunStatus(enum.Enum):
     """Lifecycle of a run within a campaign directory."""
 
@@ -242,7 +230,7 @@ class CampaignDirectory:
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(
             path,
-            json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n",
+            json.dumps(payload, indent=2, sort_keys=True, default=tagged_default) + "\n",
         )
         return path
 

@@ -15,16 +15,13 @@ Hot-path representation: a queued event is a plain 5-slot ``list``
 ordered fields.  List comparison happens entirely in C — ``time`` differs
 almost always, and ``seq`` is unique so the comparison never reaches the
 callback slot — which removes the per-comparison Python ``__lt__`` dispatch
-that previously dominated heap maintenance.  :meth:`Simulator.schedule_batch`
-amortizes bulk insertion further (one heapify instead of n pushes when the
-batch dwarfs the queue), which is what the vectorized executors and bench
-harnesses feed.
+that previously dominated heap maintenance.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from repro._util import check_nonnegative
 
@@ -73,22 +70,11 @@ class Simulator:
         self._queue: list[list] = []
         self._now = 0.0
         self._seq = 0
-        self._fired = 0
 
     @property
     def now(self) -> float:
         """Current simulation time (seconds)."""
         return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Total callbacks fired so far — the engine's own work metric.
-
-        Observability layers report this alongside the task/allocation
-        counters so simulation cost (event volume) is visible next to the
-        science quantities it produced.
-        """
-        return self._fired
 
     def schedule(self, delay: float, callback: Callable, *args) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
@@ -106,53 +92,6 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
-    def schedule_batch(
-        self,
-        times: Iterable[float],
-        callback: Callable,
-        args_seq: Sequence[tuple] | None = None,
-    ) -> list[EventHandle]:
-        """Bulk-schedule one callback at many absolute times.
-
-        Equivalent to ``[schedule_at(t, callback, *args) for t, args in
-        zip(times, args_seq)]`` — handles are returned in input order and
-        sequence numbers are assigned in input order, so ties still fire
-        first-scheduled-first — but the queue is rebuilt with a single
-        ``heapify`` when the batch is large relative to the pending queue,
-        which is O(n + m) instead of O(m log(n + m)).  ``times`` accepts
-        any iterable (a numpy array included); ``args_seq`` defaults to
-        no-argument callbacks.
-        """
-        entries: list[list] = []
-        seq = self._seq
-        now = self._now
-        if args_seq is None:
-            for t in times:
-                t = float(t)
-                if t < now:
-                    raise ValueError(
-                        f"cannot schedule in the past: time={t} < now={now}"
-                    )
-                entries.append([t, seq, callback, (), False])
-                seq += 1
-        else:
-            for t, args in zip(times, args_seq):
-                t = float(t)
-                if t < now:
-                    raise ValueError(
-                        f"cannot schedule in the past: time={t} < now={now}"
-                    )
-                entries.append([t, seq, callback, tuple(args), False])
-                seq += 1
-        self._seq = seq
-        if len(entries) > max(8, len(self._queue)):
-            self._queue.extend(entries)
-            heapq.heapify(self._queue)
-        else:
-            for entry in entries:
-                heapq.heappush(self._queue, entry)
-        return [EventHandle(entry) for entry in entries]
-
     def step(self) -> bool:
         """Fire the next pending event.  Returns False when the queue is empty."""
         queue = self._queue
@@ -161,7 +100,6 @@ class Simulator:
             if event[_CANCELLED]:
                 continue
             self._now = event[_TIME]
-            self._fired += 1
             event[_CALLBACK](*event[_ARGS])
             return True
         return False
@@ -186,15 +124,12 @@ class Simulator:
         if until is None:
             # Hot path: drain everything with the loop inlined (no
             # peek/step function-call pair per event).
-            fired = 0
             while queue:
                 event = pop(queue)
                 if event[_CANCELLED]:
                     continue
                 self._now = event[_TIME]
-                fired += 1
                 event[_CALLBACK](*event[_ARGS])
-            self._fired += fired
             return self._now
         while True:
             nxt = self.peek()

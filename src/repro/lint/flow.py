@@ -342,10 +342,6 @@ class FlowAnalysis:
     #: entry first, then callees in breadth-first call-graph order.
     scopes: list = field(default_factory=list)
 
-    @property
-    def reachable_names(self) -> list[str]:
-        return [s.name for s in self.scopes]
-
 
 def analyze_function(module: ModuleIndex, node) -> FlowAnalysis:
     """Build the call graph rooted at ``node``.

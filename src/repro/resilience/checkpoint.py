@@ -24,9 +24,10 @@ The journal is opened once per :meth:`~CampaignCheckpoint.attach` and
 closed by :meth:`~CampaignCheckpoint.detach`; each line is flushed to
 the OS before :meth:`~CampaignCheckpoint.record` returns, so a
 concurrent reader, or a driver killed with SIGKILL, sees every complete
-line.  Lines are not fsynced: they survive the death of the driver
-process, not of the machine, while every ``status.json`` write is
-fsynced.
+line.  A driver killed mid-write leaves a torn final line, which the
+next ``attach`` cuts back to the last newline before appending.  Lines
+are not fsynced: they survive the death of the driver process, not of
+the machine, while every ``status.json`` write is fsynced.
 
 **Per-submission scoping**: with the campaign service
 (:mod:`repro.savanna.service`) many drive pipelines run concurrently in
@@ -37,13 +38,18 @@ transitions from unrelated attempts — so :meth:`CampaignCheckpoint.attach`
 enforces one attached writer per journal path process-wide and raises
 ``RuntimeError`` on the second.  A concurrent re-submission of a
 still-running campaign fails loudly at attach time instead of silently
-corrupting the resume record.
+corrupting the resume record.  :meth:`CampaignCheckpoint.compact` holds
+the same writer slot while it folds and deletes the journal, and leaves
+alone a journal another writer holds: that writer's own compaction folds
+it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
+from pathlib import Path
 
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.observability import BEGIN, END, TASK
@@ -59,6 +65,27 @@ _OUTCOME_TO_STATUS = {
     "killed": RunStatus.PENDING,
     "interrupted": RunStatus.PENDING,
 }
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Cut ``path`` back to its last newline (no-op if it ends in one).
+
+    A driver killed mid-write leaves a final line without its newline;
+    appending to it would glue the next line onto the fragment and turn
+    a droppable torn tail into an interior line that does not parse.
+    """
+    try:
+        fh = path.open("r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) != b"\n":
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 class CampaignCheckpoint:
@@ -169,19 +196,34 @@ class CampaignCheckpoint:
         in-flight attempt whose outcome was never journaled must be
         re-queued, not trusted.  Call it after :meth:`detach`: an
         attached writer would keep appending to the deleted file.
+
+        Compaction holds the writer slot :meth:`attach` takes, so no
+        writer can attach between the fold and the delete.  If another
+        checkpoint already holds the slot (a re-submission that attached
+        after this one detached), the journal is left to that writer,
+        whose own compaction folds it.
         """
         if self._journal is not None:
             raise RuntimeError("detach the checkpoint before compacting its journal")
-        entries = self.journal_entries()
-        if entries:
-            updates: dict[str, RunStatus] = {}
-            for entry in entries:
-                status = RunStatus(entry["status"])
-                if status is RunStatus.RUNNING:
-                    status = RunStatus.PENDING
-                updates[entry["run"]] = status
-            self.directory.update_status(updates)
-        self._journal_path.unlink(missing_ok=True)
+        key = str(self._journal_path)
+        with self._ATTACHED_LOCK:
+            if key in self._ATTACHED:
+                return
+            self._ATTACHED[key] = f"compaction@{id(self):#x}"
+        try:
+            entries = self.journal_entries()
+            if entries:
+                updates: dict[str, RunStatus] = {}
+                for entry in entries:
+                    status = RunStatus(entry["status"])
+                    if status is RunStatus.RUNNING:
+                        status = RunStatus.PENDING
+                    updates[entry["run"]] = status
+                self.directory.update_status(updates)
+            self._journal_path.unlink(missing_ok=True)
+        finally:
+            with self._ATTACHED_LOCK:
+                self._ATTACHED.pop(key, None)
 
     # -- bus wiring ----------------------------------------------------------
 
@@ -200,7 +242,9 @@ class CampaignCheckpoint:
         ``owner`` labels this writer (e.g. a submission id) for that
         error message.
 
-        The journal is opened here and stays open until :meth:`detach`.
+        The journal is opened here and stays open until :meth:`detach`;
+        a torn final line left by a driver killed mid-write is cut off
+        first, so the next line starts on a line of its own.
         """
         if self._unsubscribe is not None:
             raise RuntimeError("checkpoint already attached to a bus")
@@ -214,6 +258,7 @@ class CampaignCheckpoint:
                     "finish (or be cancelled) before it is re-submitted "
                     "against the same directory"
                 )
+            _cut_torn_tail(self._journal_path)
             self._journal = self._journal_path.open("a")
             self._ATTACHED[key] = owner or f"checkpoint@{id(self):#x}"
 

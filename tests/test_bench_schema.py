@@ -83,6 +83,11 @@ def _simcore_third_finalize_workload(doc):
     workloads["pilot-third"] = copy.deepcopy(workloads["pilot-campaign"])
 
 
+def _simcore_boolean_attempts(doc):
+    # bool subclasses int in Python, but JSON's true is not a count.
+    doc["modes"]["quick"]["attempts"] = True
+
+
 def _unknown_schema(doc):
     doc["schema"] = "repro.bench.nonesuch/v1"
 
@@ -102,6 +107,7 @@ def _case(name, breaks, expect):
         _case("store", _store_full_without_10k, "must include a >=10k-run tier"),
         _case("simcore", _simcore_missing_trace, "is not committed"),
         _case("simcore", _simcore_third_finalize_workload, "must be exactly"),
+        _case("simcore", _simcore_boolean_attempts, "'attempts' must be a positive integer"),
         _case("lint", _unknown_schema, "unregistered schema id"),
     ],
 )

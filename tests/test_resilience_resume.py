@@ -1,6 +1,9 @@
 """Tests for campaign checkpointing and resumable SweepGroups."""
 
 import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -152,6 +155,117 @@ class TestCampaignCheckpoint:
         checkpoint.compact()
         assert not journal_path(directory).exists()
         assert checkpoint.completed() == {"g/run-0000", "g/run-0001"}
+
+    def test_attach_cuts_a_torn_final_line(self, tmp_path):
+        # A driver SIGKILLed mid-write left a fragment without a newline;
+        # the resumed drive's lines must not be glued onto it.
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        done = '{"run": "g/run-0000", "status": "done", "time": 1.0}\n'
+        journal_path(directory).write_text(done + '{"run": "g/run-0001", "sta')
+        checkpoint = CampaignCheckpoint(directory)
+        bus = EventBus()
+        checkpoint.attach(bus)
+        emit_run(bus, "g/run-0002", time=2.0)
+        checkpoint.detach()
+        assert journal_path(directory).read_text().startswith(
+            done + '{"run": "g/run-0002", "status": "running"'
+        )
+        assert [e["run"] for e in checkpoint.journal_entries()] == [
+            "g/run-0000", "g/run-0002", "g/run-0002",
+        ]
+        checkpoint.compact()
+        assert CampaignCheckpoint(directory).pending() == {"g/run-0001", "g/run-0003"}
+
+    def test_attach_leaves_a_whole_journal_byte_identical(self, tmp_path):
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        text = '{"run": "g/run-0000", "status": "done", "time": 1.0}\n'
+        journal_path(directory).write_text(text)
+        checkpoint = CampaignCheckpoint(directory)
+        checkpoint.attach(EventBus())
+        checkpoint.detach()
+        assert journal_path(directory).read_text() == text
+
+    def test_compaction_leaves_a_live_writers_journal_alone(self, tmp_path):
+        # A detaches; B (a re-submission) attaches before A compacts.  A's
+        # compaction must not delete the journal B is still writing.
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        first, second = CampaignCheckpoint(directory), CampaignCheckpoint(directory)
+        bus_a, bus_b = EventBus(), EventBus()
+        first.attach(bus_a)
+        emit_run(bus_a, "g/run-0000")
+        first.detach()
+        second.attach(bus_b)
+        emit_run(bus_b, "g/run-0001")
+        first.compact()
+        emit_run(bus_b, "g/run-0002")
+        second.detach()
+        second.compact()
+        status = directory.read_status()
+        assert [status[f"g/run-{i:04d}"] for i in range(4)] == [
+            RunStatus.DONE, RunStatus.DONE, RunStatus.DONE, RunStatus.PENDING,
+        ]
+        assert not journal_path(directory).exists()
+
+    def test_a_writer_cannot_attach_while_compaction_holds_the_slot(
+        self, tmp_path, monkeypatch
+    ):
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        compacting, late = CampaignCheckpoint(directory), CampaignCheckpoint(directory)
+        compacting.record("g/run-0000", RunStatus.DONE)
+        update_status = directory.update_status
+        raised = []
+
+        def attach_mid_compaction(updates):
+            with pytest.raises(RuntimeError, match="live checkpoint writer"):
+                late.attach(EventBus())
+            raised.append(True)
+            return update_status(updates)
+
+        monkeypatch.setattr(directory, "update_status", attach_mid_compaction)
+        compacting.compact()
+        assert raised == [True]
+        late.attach(EventBus())  # the slot is free again once compaction ends
+        late.detach()
+
+    def test_concurrent_drives_and_compactions_lose_no_transition(self, tmp_path):
+        # Stress: more writers than cores, each attaching (retrying while
+        # another writer or a compaction holds the slot), journaling its
+        # runs DONE, detaching and compacting.  A compaction that deleted
+        # a live writer's journal would leave that writer's runs pending.
+        writers, runs_each = 8, 4
+        directory = make_directory(tmp_path, make_manifest(n=writers * runs_each))
+        errors = []
+
+        def drive(k):
+            try:
+                for j in range(runs_each):
+                    checkpoint, bus = CampaignCheckpoint(directory), EventBus()
+                    while True:
+                        try:
+                            checkpoint.attach(bus)
+                            break
+                        except RuntimeError:
+                            time.sleep(0.001)
+                    emit_run(bus, f"g/run-{k * runs_each + j:04d}")
+                    checkpoint.detach()
+                    checkpoint.compact()
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(k,)) for k in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert not journal_path(directory).exists()
+        assert set(directory.read_status().values()) == {RunStatus.DONE}
 
     def test_compact_refuses_an_attached_writer(self, tmp_path):
         checkpoint = CampaignCheckpoint(make_directory(tmp_path, make_manifest()))
