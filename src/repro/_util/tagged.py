@@ -110,11 +110,21 @@ def tagged_object_hook(obj: dict):
     return obj  # unknown tag from a future version: hand back verbatim
 
 
+#: ``json.dumps`` with any keyword, and ``json.loads`` with an
+#: ``object_hook``, build a fresh encoder or decoder on every call; keep
+#: one decoder, and one encoder for the ``sort_keys=True`` form the store
+#: writes for every run's value and parameters.
+_SORTED_ENCODER = json.JSONEncoder(default=tagged_default, sort_keys=True)
+_DECODER = json.JSONDecoder(object_hook=tagged_object_hook)
+
+
 def dumps_tagged(value, **kwargs) -> str:
     """``json.dumps`` with the tagged encoder installed."""
+    if kwargs == {"sort_keys": True}:
+        return _SORTED_ENCODER.encode(value)
     return json.dumps(value, default=tagged_default, **kwargs)
 
 
 def loads_tagged(text: str):
     """``json.loads`` with the tagged decoder installed."""
-    return json.loads(text, object_hook=tagged_object_hook)
+    return _DECODER.decode(text)

@@ -49,8 +49,10 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import ExitStack
 from pathlib import Path
 
+from repro._util import path_lock
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.observability import BEGIN, END, TASK
 
@@ -143,10 +145,12 @@ class CampaignCheckpoint:
         trusted.  A malformed line anywhere *else* is a real corruption
         and raises.
         """
-        if not self._journal_path.exists():
+        try:
+            text = self._journal_path.read_text()
+        except FileNotFoundError:  # never written, or compacted away
             return []
         entries = []
-        lines = [ln.strip() for ln in self._journal_path.read_text().splitlines()]
+        lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln]
         for i, line in enumerate(lines):
             try:
@@ -161,10 +165,22 @@ class CampaignCheckpoint:
 
     def effective_status(self) -> dict:
         """``{run_id: RunStatus}``: the base record overlaid with the
-        journal (later lines win).  This is what resume must trust."""
-        status = self.directory.read_status()
-        for entry in self.journal_entries():
-            status[entry["run"]] = RunStatus(entry["status"])
+        journal (later lines win).  This is what resume must trust.
+
+        Both reads happen under the ``status.json`` lock that
+        :meth:`compact` holds from its fold to its delete, so the pair is
+        one snapshot: never the old base record without the journal that
+        a concurrent compaction just folded into the new one.  A reader
+        that may not open the lock file (a read-only mount, an archived
+        or another user's campaign directory) reads unlocked instead."""
+        with ExitStack() as stack:
+            try:
+                stack.enter_context(path_lock(self.directory._status_path()))
+            except OSError:  # no write access to .cheetah/
+                pass
+            status = self.directory.read_status()
+            for entry in self.journal_entries():
+                status[entry["run"]] = RunStatus(entry["status"])
         return status
 
     def completed(self) -> set:
@@ -201,7 +217,9 @@ class CampaignCheckpoint:
         writer can attach between the fold and the delete.  If another
         checkpoint already holds the slot (a re-submission that attached
         after this one detached), the journal is left to that writer,
-        whose own compaction folds it.
+        whose own compaction folds it.  It also holds the ``status.json``
+        lock from the journal read to the delete, which keeps
+        :meth:`effective_status` readers out of that window.
         """
         if self._journal is not None:
             raise RuntimeError("detach the checkpoint before compacting its journal")
@@ -211,16 +229,17 @@ class CampaignCheckpoint:
                 return
             self._ATTACHED[key] = f"compaction@{id(self):#x}"
         try:
-            entries = self.journal_entries()
-            if entries:
-                updates: dict[str, RunStatus] = {}
-                for entry in entries:
-                    status = RunStatus(entry["status"])
-                    if status is RunStatus.RUNNING:
-                        status = RunStatus.PENDING
-                    updates[entry["run"]] = status
-                self.directory.update_status(updates)
-            self._journal_path.unlink(missing_ok=True)
+            with path_lock(self.directory._status_path()):
+                entries = self.journal_entries()
+                if entries:
+                    updates: dict[str, RunStatus] = {}
+                    for entry in entries:
+                        status = RunStatus(entry["status"])
+                        if status is RunStatus.RUNNING:
+                            status = RunStatus.PENDING
+                        updates[entry["run"]] = status
+                    self.directory.update_status(updates)  # re-enters the lock
+                self._journal_path.unlink(missing_ok=True)
         finally:
             with self._ATTACHED_LOCK:
                 self._ATTACHED.pop(key, None)

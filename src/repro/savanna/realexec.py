@@ -5,12 +5,36 @@ efficient implementations for workflow patterns such as bag-of-tasks" can
 be swapped in behind the campaign abstraction (§IV).  This module is the
 production face of that promise: one engine, two pools —
 
-- ``pool="threads"`` — :class:`concurrent.futures.ThreadPoolExecutor`;
+- ``pool="threads"`` — a :class:`concurrent.futures.ThreadPoolExecutor`;
   right when the workload releases the GIL (numpy kernels, I/O).
-- ``pool="processes"`` — :class:`concurrent.futures.ProcessPoolExecutor`;
-  right when the workload is CPU-bound Python that *holds* the GIL.
-  Task specs are picklable by construction and the app callable must be
-  too (a module-level function, not a lambda or closure).
+- ``pool="processes"`` — one worker process per slot, each on its own
+  duplex :func:`multiprocessing.Pipe`; right when the workload is
+  CPU-bound Python that *holds* the GIL.  Task specs are picklable by
+  construction and the app callable must be too (a module-level
+  function, not a lambda or closure).
+
+Both pools show the engine one small interface (``submit`` an attempt
+to a slot, ``wait`` for finished attempts, ``shutdown``, ``pids`` for
+the profiler).  The engine never has more than one attempt in flight per
+slot, so the process pool needs no queue: the driver sends
+``(app_fn, spec)`` down an idle slot's pipe, waits on the busy pipes and
+their workers' process sentinels with
+:func:`multiprocessing.connection.wait`, and receives either the
+attempt's outcome or the ``BaseException`` the app raised.  Each outcome
+is pickled once, in the worker; one whose return value does not pickle
+comes back as a failed attempt naming the value's type.
+
+A worker's lifecycle: it starts (with the default start method) on its
+slot's first call, closes the driver-side pipe ends it inherited from a
+fork, then serves calls until the driver sends it a stop message or goes
+away.  Worker starts are serialized process-wide, so a fork made for one
+pool never copies another pool's half-made pipe.  If the driver dies,
+even by SIGKILL, each worker reads end-of-file or a broken pipe once its
+current call returns, and exits.  If a worker dies mid-attempt
+(``os._exit``, a segfault, the OOM killer), its sentinel wakes the
+driver, only that attempt fails, with a ``WorkerLost`` error naming the
+process; the retry policy decides whether it runs again, and the slot
+starts a fresh worker for its next call.
 
 Unlike the original side-door thread runner, the engine speaks the same
 language as the simulated backends: it enforces a
@@ -29,15 +53,15 @@ and its ``run_id`` alone (:func:`seed_for_run`); the worker seeds
 campaign executed twice — or resumed on a different pool — reproduces
 per-run randomness exactly.
 
-Cancellation: ``KeyboardInterrupt`` is caught, queued futures are
-cancelled (``shutdown(cancel_futures=True)``), one
-``campaign.interrupted`` instant is emitted, and the partial results come
-back with ``status="interrupted"`` on everything unfinished — a resumed
-drive re-queues exactly those runs.  The same graceful path is reachable
-programmatically: pass ``cancel=threading.Event()`` (or any zero-argument
-truth test) to :meth:`RealExecutor.execute` and set it from another
-thread — this is how :class:`repro.savanna.service.CampaignService`
-cancels a running submission without owning the executing thread.
+Cancellation: ``KeyboardInterrupt`` is caught, no further attempt is
+started, one ``campaign.interrupted`` instant is emitted, and the
+partial results come back with ``status="interrupted"`` on everything
+unfinished — a resumed drive re-queues exactly those runs.  The same
+graceful path is reachable programmatically: pass
+``cancel=threading.Event()`` (or any zero-argument truth test) to
+:meth:`RealExecutor.execute` and set it from another thread — this is
+how :class:`repro.savanna.service.CampaignService` cancels a running
+submission without owning the executing thread.
 
 Caveat (documented, not hidden): a *running* attempt cannot be killed
 mid-flight by either pool, so a timed-out attempt is marked failed and
@@ -48,6 +72,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing
 import os
 import pickle
 import random
@@ -55,14 +80,9 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from multiprocessing import connection
 from typing import Any, Callable
 from zlib import crc32
 
@@ -87,7 +107,7 @@ from repro.resilience.policy import RetryPolicy, as_policy
 POOLS = ("threads", "processes")
 
 #: How often (seconds) the engine loop re-checks an external ``cancel=``
-#: signal while blocked waiting on in-flight futures.
+#: signal while blocked waiting on in-flight calls.
 _CANCEL_POLL_INTERVAL = 0.05
 
 
@@ -247,7 +267,7 @@ class _AttemptOutcome:
     trace_id: str | None = None
 
 
-def _run_attempt(app_fn, spec: RealTaskSpec, ensure_picklable: bool) -> _AttemptOutcome:
+def _run_attempt(app_fn, spec: RealTaskSpec) -> _AttemptOutcome:
     """Worker entry point: execute one attempt.  Catches ``Exception``
     (never ``KeyboardInterrupt``) so a failing run reports instead of
     raising — process workers mangle remote tracebacks otherwise."""
@@ -261,17 +281,6 @@ def _run_attempt(app_fn, spec: RealTaskSpec, ensure_picklable: bool) -> _Attempt
     t0 = time.perf_counter()
     try:
         value = app_fn(dict(spec.parameters))
-        if ensure_picklable:
-            # Fail *here*, with a clear message, rather than poisoning
-            # the result pipe back to the driver.
-            try:
-                pickle.dumps(value)
-            except Exception as exc:  # noqa: BLE001 - named, not bisected
-                raise TypeError(
-                    f"run {spec.run_id!r}: unpicklable return value "
-                    f"({type(value).__module__}.{type(value).__qualname__}); "
-                    "pool='processes' requires picklable results"
-                ) from exc
         return _AttemptOutcome(
             run_id=spec.run_id,
             ok=True,
@@ -299,6 +308,209 @@ class _Inflight:
     task_id: int  # of the open task span
     deadline: float | None  # monotonic seconds, None = uncapped
     timeout: float | None  # the per-attempt cap that set the deadline
+
+
+class WorkerLost(RuntimeError):
+    """A worker process died in the middle of an attempt."""
+
+
+class _ThreadSlots:
+    """``pool="threads"``: a thread pool behind the slot interface."""
+
+    def __init__(self, slots: int):
+        self._executor = ThreadPoolExecutor(max_workers=slots, thread_name_prefix="realexec")
+        self._busy: dict = {}  # {future: slot}
+
+    def submit(self, slot: int, app_fn, spec: RealTaskSpec) -> None:
+        self._busy[self._executor.submit(_run_attempt, app_fn, spec)] = slot
+
+    def wait(self, timeout: float | None) -> list:
+        """``[(slot, ok, value or raised exception)]`` for every call that
+        returned within ``timeout`` seconds (``None``: until one does)."""
+        done, _ = wait(self._busy, timeout=timeout, return_when=FIRST_COMPLETED)
+        replies = []
+        for future in done:
+            exc = future.exception()
+            reply = future.result() if exc is None else exc
+            replies.append((self._busy.pop(future), exc is None, reply))
+        return replies
+
+    def shutdown(self, wait: bool) -> None:
+        self._executor.shutdown(wait=wait, cancel_futures=True)
+
+    def pids(self) -> dict:
+        """``{label: pid}`` to profile: every thread shares the driver."""
+        return {"driver": os.getpid()}
+
+
+#: Driver ends of every live worker pipe in this process.  A worker
+#: forked from the driver closes its copies of all of them, so that a
+#: dead driver leaves its workers reading end-of-file, not blocking on a
+#: pipe that a sibling worker still holds open.
+_DRIVER_ENDS: set = set()
+#: Guards ``_DRIVER_ENDS`` and makes starting a worker one step, so that
+#: a fork made for one pool (a campaign service drives pools on several
+#: threads) never copies another pool's half-made pipe: a worker end not
+#: yet closed in the driver, or a driver end not yet in ``_DRIVER_ENDS``.
+_START_LOCK = threading.Lock()
+
+
+def _serve(conn) -> None:
+    """A worker process: run each attempt ``(app_fn, spec)`` received on
+    ``conn`` and send back ``(True, outcome)`` or ``(False, the
+    BaseException the app raised)``, until a ``None`` call or the
+    driver's end of the pipe goes away."""
+    global _START_LOCK
+    _START_LOCK = threading.Lock()  # the fork copied it held; an app may start a pool
+    for inherited in list(_DRIVER_ENDS):
+        inherited.close()
+    _DRIVER_ENDS.clear()
+    while True:
+        try:
+            call = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):  # the driver is gone
+            return
+        if call is None:
+            return
+        app_fn, spec = call
+        try:
+            outcome = _run_attempt(app_fn, spec)
+        except BaseException as exc:  # noqa: BLE001 - the driver re-raises it
+            reply = pickle.dumps((False, exc))
+        else:
+            try:
+                reply = pickle.dumps((True, outcome))
+            except Exception as exc:  # noqa: BLE001 - the value does not pickle
+                reply = pickle.dumps((True, _unpicklable(spec, outcome, exc)))
+        try:
+            conn.send_bytes(reply)
+        except OSError:  # the driver is gone
+            return
+
+
+def _unpicklable(spec: RealTaskSpec, outcome: _AttemptOutcome, cause) -> _AttemptOutcome:
+    """The failed outcome of an attempt whose return value does not pickle."""
+    value = outcome.value
+    try:
+        raise TypeError(
+            f"run {spec.run_id!r}: unpicklable return value "
+            f"({type(value).__module__}.{type(value).__qualname__}); "
+            "pool='processes' requires picklable results"
+        ) from cause
+    except TypeError as exc:
+        return replace(
+            outcome,
+            ok=False,
+            value=None,
+            error=f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
+        )
+
+
+def _close_driver_end(driver_end) -> None:
+    with _START_LOCK:
+        _DRIVER_ENDS.discard(driver_end)
+        driver_end.close()
+
+
+class _ProcessSlots:
+    """``pool="processes"``: one worker process and pipe per slot, each
+    started on its slot's first call."""
+
+    def __init__(self, slots: int):
+        self._workers: list = [None] * slots  # (process, driver end) per slot
+        self._busy: dict = {}  # {driver end or worker sentinel: slot}
+        self._ready: list = []  # replies settled without a round trip
+
+    def _start(self, slot: int) -> tuple:
+        with _START_LOCK:
+            driver_end, worker_end = multiprocessing.Pipe()
+            _DRIVER_ENDS.add(driver_end)
+            process = multiprocessing.Process(
+                target=_serve, args=(worker_end,), name=f"realexec-{slot}"
+            )
+            process.start()
+            worker_end.close()
+        self._workers[slot] = (process, driver_end)
+        return process, driver_end
+
+    def _lost(self, slot: int) -> WorkerLost:
+        """Reap a slot's dead worker; the slot's next call starts a fresh one."""
+        process, driver_end = self._workers[slot]
+        self._workers[slot] = None
+        _close_driver_end(driver_end)
+        process.join(timeout=1.0)
+        if process.exitcode is None:  # alive, but its end of the pipe is closed
+            process.kill()
+            process.join()
+        return WorkerLost(
+            f"worker process {process.pid} (slot {slot}) died mid-attempt "
+            f"with exit code {process.exitcode}"
+        )
+
+    def submit(self, slot: int, app_fn, spec: RealTaskSpec) -> None:
+        process, driver_end = self._workers[slot] or self._start(slot)
+        try:
+            driver_end.send((app_fn, spec))
+        except OSError:  # the idle worker died
+            self._ready.append((slot, False, self._lost(slot)))
+        except Exception as exc:  # noqa: BLE001 - the call does not pickle
+            self._ready.append((slot, False, exc))
+        else:
+            self._busy[driver_end] = self._busy[process.sentinel] = slot
+
+    def wait(self, timeout: float | None) -> list:
+        """``[(slot, ok, value or raised exception)]`` for every call that
+        returned within ``timeout`` seconds (``None``: until one does).
+
+        A busy worker's exit is seen on its process sentinel too, not only
+        as end-of-file on its pipe, which never comes while some other
+        process (a fork made elsewhere in the driver) holds the pipe's
+        worker end."""
+        if self._ready:
+            replies, self._ready = self._ready, []
+            return replies
+        replies = []
+        ready = connection.wait(list(self._busy), timeout)
+        for slot in {self._busy[handle] for handle in ready}:
+            process, driver_end = self._workers[slot]
+            del self._busy[driver_end], self._busy[process.sentinel]
+            try:
+                if driver_end not in ready and not driver_end.poll():
+                    raise EOFError  # the worker exited without a reply
+                replies.append((slot, *driver_end.recv()))
+            except (EOFError, OSError):
+                replies.append((slot, False, self._lost(slot)))
+            except Exception as exc:  # noqa: BLE001 - the reply does not unpickle here
+                replies.append((slot, False, exc))
+        return replies
+
+    def shutdown(self, wait: bool) -> None:
+        """Stop every worker.  ``wait=False`` leaves a busy worker to
+        finish its call; it then finds the driver's end closed and exits."""
+        workers = [worker for worker in self._workers if worker is not None]
+        self._workers = [None] * len(self._workers)
+        self._busy.clear()
+        for _, driver_end in workers:
+            try:
+                driver_end.send(None)
+            except OSError:  # already gone
+                pass
+        for process, driver_end in workers:
+            if wait:
+                process.join()
+            _close_driver_end(driver_end)
+
+    def pids(self) -> dict:
+        """``{label: pid}`` to profile: one per started worker process."""
+        return {
+            f"worker-{worker[0].pid}": worker[0].pid
+            for worker in list(self._workers)
+            if worker is not None
+        }
+
+
+_SLOT_POOLS = {"threads": _ThreadSlots, "processes": _ProcessSlots}
 
 
 class RealExecutor:
@@ -349,15 +561,6 @@ class RealExecutor:
         self.seed = int(seed)
         self.profile_interval = profile_interval
 
-    # -- pool construction ---------------------------------------------------
-
-    def _make_pool(self):
-        if self.pool == "threads":
-            return ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="realexec"
-            )
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
     # -- the engine ----------------------------------------------------------
 
     def execute(
@@ -384,8 +587,8 @@ class RealExecutor:
         ``threading.Event`` or any zero-argument callable returning
         truthy to stop.  It is polled between submissions (and at least
         every ``0.05s`` while blocked on in-flight work); once set, the
-        engine takes the same graceful path as ``Ctrl-C``: queued futures
-        are cancelled, one ``campaign.interrupted`` instant is emitted,
+        engine takes the same graceful path as ``Ctrl-C``: no further
+        attempt starts, one ``campaign.interrupted`` instant is emitted,
         and unfinished runs come back ``status="interrupted"`` (resumable
         — they compact to PENDING in the checkpoint journal).  Running
         attempts still cannot be killed mid-flight; they are abandoned to
@@ -452,15 +655,14 @@ class RealExecutor:
         ]
         pending: deque = deque(specs)
         delayed: list = []  # heap[(ready_at_monotonic, tiebreak, spec)]
-        running: dict = {}  # {future: _Inflight}
-        abandoned: dict = {}  # {stale future: slot} (timed out, still running)
+        running: dict = {}  # {slot: _Inflight}
+        abandoned: set = set()  # slots whose timed-out call still runs
         free_slots = list(reversed(slots))
         retries_used: dict = {}  # {run_id: retries granted}
         budget_spent = 0
-        ensure_picklable = self.pool == "processes"
-        if ensure_picklable:
-            # Fail before the pool spins up, naming the offending key —
-            # otherwise the pickle error surfaces as an opaque result-pipe
+        if self.pool == "processes":
+            # Fail before any worker starts, naming the offending key —
+            # otherwise the pickle error surfaces as an opaque pipe
             # failure on whichever attempt carried the bad spec.
             for spec in specs:
                 spec.ensure_picklable()
@@ -527,20 +729,8 @@ class RealExecutor:
             )
             timeout = self.retry_policy.timeout_for(spec)
             deadline = time.monotonic() + timeout if timeout is not None else None
-            try:
-                future = pool.submit(_run_attempt, app_fn, spec, ensure_picklable)
-            except Exception as exc:  # broken pool: fail the attempt, keep draining
-                free_slots.append(slot)
-                synthetic = _AttemptOutcome(
-                    run_id=spec.run_id,
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                )
-                emit(TASK, END, task=spec.run_id, task_id=tid, node=slot, outcome="failed")
-                record_terminal(spec, synthetic, "failed")
-                return
-            running[future] = _Inflight(
+            pool.submit(slot, app_fn, spec)
+            running[slot] = _Inflight(
                 spec=spec, slot=slot, task_id=tid, deadline=deadline, timeout=timeout
             )
 
@@ -570,18 +760,14 @@ class RealExecutor:
                 consider_retry(spec, info.task_id, outcome, reason="exception")
 
         def expire_overdue() -> None:
-            """Per-attempt timeout: mark overdue attempts failed.  An attempt
-            that cannot be cancelled keeps running detached; its slot
-            comes back when the stale call returns."""
+            """Per-attempt timeout: mark overdue attempts failed.  The call
+            keeps running detached; its slot comes back when it returns."""
             mono = time.monotonic()
-            for future, info in list(running.items()):
+            for slot, info in list(running.items()):
                 if info.deadline is None or mono < info.deadline:
                     continue
-                del running[future]
-                if future.cancel():
-                    free_slots.append(info.slot)
-                else:
-                    abandoned[future] = info.slot
+                del running[slot]
+                abandoned.add(slot)
                 spec, tid = info.spec, info.task_id
                 emit(
                     TASK_TIMEOUT,
@@ -602,26 +788,18 @@ class RealExecutor:
                 )
                 consider_retry(spec, tid, synthetic, reason="timeout")
 
-        pool = self._make_pool()
+        pool = _SLOT_POOLS[self.pool](self.max_workers)
         profiler = None
         if self.profile_interval is not None:
             from repro.observability.live import WorkerResourceProfiler
 
-            def worker_pids() -> dict:
-                """Current ``{label: pid}`` — per worker process for the
-                process pool (workers appear as the pool lazily spawns
-                them), the shared driver process for the thread pool."""
-                if self.pool == "processes":
-                    procs = getattr(pool, "_processes", None) or {}
-                    return {f"worker-{pid}": pid for pid in list(procs)}
-                return {"driver": os.getpid()}
-
             profiler = WorkerResourceProfiler(
                 emit,
-                worker_pids,
+                pool.pids,
                 interval=self.profile_interval,
                 trace_id=trace_id,
             ).start()
+        drained = False
         try:
             while pending or delayed or running:
                 if cancelled is not None and cancelled():
@@ -637,48 +815,42 @@ class RealExecutor:
                 ]
                 if cancelled is not None:  # poll the external stop signal
                     wakeups.append(time.monotonic() + _CANCEL_POLL_INTERVAL)
-                wait_for = set(running) | set(abandoned)
-                if not wait_for:
+                if not running and not abandoned:
                     if wakeups:  # only backoff delays remain: sleep them off
                         time.sleep(max(0.0, min(wakeups) - time.monotonic()))
                     continue
                 timeout = (
                     max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
                 )
-                done, _ = wait(wait_for, timeout=timeout, return_when=FIRST_COMPLETED)
-                for future in done:
-                    if future in abandoned:  # stale timed-out call finished
-                        free_slots.append(abandoned.pop(future))
+                for slot, ok, reply in pool.wait(timeout):
+                    free_slots.append(slot)
+                    if slot in abandoned:  # stale timed-out call finished
+                        abandoned.discard(slot)
                         continue
-                    info = running.pop(future)
-                    free_slots.append(info.slot)
-                    try:
-                        outcome = future.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        # Re-shelve so the interrupt handler below records
-                        # this run as interrupted too.
-                        running[future] = info
-                        raise
-                    except CancelledError:  # pragma: no cover - defensive
-                        continue
-                    except Exception as exc:
-                        # Result-pipe failures (unpicklable value without
-                        # the guard, a worker killed under us, a broken
-                        # pool): synthesize the attempt's failure.
-                        outcome = _AttemptOutcome(
+                    info = running.pop(slot)
+                    if not ok:
+                        if not isinstance(reply, Exception):
+                            # The app's own KeyboardInterrupt or SystemExit:
+                            # re-shelve so the interrupt handler below
+                            # records this run as interrupted too.
+                            running[slot] = info
+                            raise reply
+                        # The call never ran to an outcome (a lost worker,
+                        # a call that does not pickle, a reply that does
+                        # not unpickle here).
+                        reply = _AttemptOutcome(
                             run_id=info.spec.run_id,
                             ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            traceback=traceback.format_exc(),
+                            error=f"{type(reply).__name__}: {reply}",
+                            traceback="".join(traceback.format_exception(reply)),
                         )
-                    settle(info, outcome)
+                    settle(info, reply)
                 expire_overdue()
-            pool.shutdown(wait=not abandoned, cancel_futures=False)
+            drained = True
         except (KeyboardInterrupt, CampaignCancelled):
             result.interrupted = True
-            # Graceful cancellation: queued futures are cancelled, running
-            # ones are left to die with the pool; nothing blocks.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Graceful cancellation: running attempts are left to finish
+            # on their own (see the pool's shutdown); nothing blocks.
             for info in running.values():
                 spec = info.spec
                 if spec.run_id in result.results:
@@ -711,6 +883,7 @@ class RealExecutor:
                 pending=len(result.unfinished),
             )
         finally:
+            pool.shutdown(wait=drained and not abandoned)
             if profiler is not None:
                 profiler.stop()  # takes one final sample before the span closes
             emit(

@@ -27,7 +27,7 @@ import sqlite3
 import threading
 from pathlib import Path
 
-from repro._util import dumps_tagged, loads_tagged
+from repro._util import UnserializableValueError, dumps_tagged, loads_tagged
 from repro.cheetah.manifest import CampaignManifest, manifest_from_json, manifest_to_json
 from repro.store.schema import create_schema, schema_version
 
@@ -258,10 +258,7 @@ class CampaignStore:
         """
         from dataclasses import asdict, is_dataclass
 
-        for run_id, outcome in results.items():
-            payload = asdict(outcome) if is_dataclass(outcome) else dict(outcome)
-            if payload.get("status") == "interrupted":
-                continue
+        def add(run_id: str, payload: dict) -> None:
             self.add_result(
                 campaign,
                 run_id,
@@ -273,6 +270,20 @@ class CampaignStore:
                 attempts=payload.get("attempts", 1),
                 seed=payload.get("seed"),
             )
+
+        for run_id, outcome in results.items():
+            # A dataclass's own field dict: read, never copied ...
+            payload = vars(outcome) if is_dataclass(outcome) else outcome
+            if payload.get("status") == "interrupted":
+                continue
+            try:
+                add(run_id, payload)
+            except UnserializableValueError:
+                if not is_dataclass(outcome):
+                    raise
+                # ... unless its value holds a dataclass, which only
+                # ``asdict`` turns into the dict that encodes.
+                add(run_id, asdict(outcome))
         self.flush()
 
     def flush(self) -> None:

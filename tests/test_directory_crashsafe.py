@@ -207,6 +207,28 @@ class TestTaggedEncoding:
         assert out["tags"] == {1, 2, 3}
         assert out["where"] == Path("/data/out")
 
+    def test_codec_matches_plain_json_byte_for_byte(self):
+        import datetime
+
+        from repro._util import dumps_tagged, loads_tagged
+        from repro._util.tagged import tagged_default, tagged_object_hook
+
+        doc = {
+            "f64": np.float64(1.5), "i32": np.int32(-7), "flag": np.bool_(True),
+            "array": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "z": complex(1.0, -2.5), "raw": b"\x00\x01\xff", "blob": bytearray(b"ab"),
+            "tags": {3, 1, 2}, "frozen": frozenset({"b", "a"}), "where": Path("/data/out"),
+            "when": datetime.datetime(2021, 9, 7, 12, 30), "day": datetime.date(2021, 9, 7),
+            "plain": [1, 2.5, None, "é", {"b": 1, "a": [True]}],
+        }
+        for kwargs in ({}, {"sort_keys": True}, {"indent": 2, "sort_keys": True}):
+            text = dumps_tagged(doc, **kwargs)
+            assert text == json.dumps(doc, default=tagged_default, **kwargs)
+            decoded = loads_tagged(text)
+            expected = json.loads(text, object_hook=tagged_object_hook)
+            np.testing.assert_array_equal(decoded.pop("array"), expected.pop("array"))
+            assert decoded == expected
+
     def test_unserializable_value_raises_instead_of_repr(self, tmp_path):
         """The old repr fallback silently corrupted records; now the
         write refuses."""

@@ -8,12 +8,20 @@ filesystem state works across both threads and processes).
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory, RunStatus, resolve_campaign_dir
 from repro.observability import (
@@ -21,6 +29,7 @@ from repro.observability import (
     GROUP_RESUMED,
     TASK_RETRY,
     TASK_TIMEOUT,
+    WORKER_SAMPLE,
     validate_event_stream,
 )
 from repro.resilience import FixedDelayPolicy, RetryPolicy
@@ -64,6 +73,20 @@ def flaky_once(params):
 def sleepy(params):
     time.sleep(params.get("sleep", 0.5))
     return params["x"]
+
+
+def exit_once_on_two(params):
+    """Kills its own worker process for x==2 unless the marker exists."""
+    marker = Path(params["dir"]) / "exited-once"
+    if params["x"] == 2 and not marker.exists():
+        marker.write_text("")
+        os._exit(3)
+    return params["x"]
+
+
+def napping_pid(params):
+    time.sleep(0.1)
+    return os.getpid()
 
 
 def interrupt_on_two(params):
@@ -249,6 +272,208 @@ class TestEngine:
         # threads need no pickling: the same campaign runs fine
         result = RealExecutor(max_workers=1, pool="threads").execute(man, square)
         assert result.all_done
+
+
+class TestProcessSlots:
+    """The process pool: one worker process and pipe per slot."""
+
+    def flaky_manifest(self, tmp_path):
+        camp = Campaign("lost-worker", app=AppSpec("f"))
+        sg = camp.sweep_group("g", nodes=1, walltime=60.0)
+        sg.add(
+            Sweep(
+                [
+                    SweepParameter("x", (1, 2, 3, 4, 5, 6)),
+                    SweepParameter("dir", (str(tmp_path),)),
+                ]
+            )
+        )
+        return camp.to_manifest()
+
+    def test_lost_worker_fails_one_attempt_then_retries(self, tmp_path):
+        bus = wall_clock_bus()
+        events = []
+        bus.subscribe(events.append)
+        result = RealExecutor(
+            max_workers=2,
+            pool="processes",
+            retry_policy=FixedDelayPolicy(max_retries=1, delay_seconds=0.0),
+        ).execute(self.flaky_manifest(tmp_path), exit_once_on_two, bus=bus)
+        assert result.all_done, result.summary()
+        assert result.results["g/run-0001"].attempts == 2
+        assert all(
+            r.attempts == 1 for rid, r in result.results.items() if rid != "g/run-0001"
+        )
+        assert [e.fields["task"] for e in events if e.name == TASK_RETRY] == ["g/run-0001"]
+        validate_event_stream(events)
+
+    def test_lost_worker_without_retry_fails_only_its_run(self, tmp_path):
+        result = RealExecutor(max_workers=2, pool="processes").execute(
+            self.flaky_manifest(tmp_path), exit_once_on_two
+        )
+        assert [r.run_id for r in result.failed] == ["g/run-0001"]
+        assert len(result.completed) == 5
+        error = result.results["g/run-0001"].error
+        assert error.startswith("WorkerLost: worker process ")
+        assert "exit code 3" in error
+
+    def test_lost_worker_is_seen_while_its_pipe_is_held_elsewhere(
+        self, tmp_path, monkeypatch
+    ):
+        # A fork made elsewhere in the driver may hold a copy of a worker's
+        # pipe end, so no end-of-file comes when that worker dies; its exit
+        # must still fail the attempt (the timeout only bounds a failure).
+        held = []
+        real_pipe = multiprocessing.Pipe
+
+        def pipe_with_a_copy_held():
+            driver_end, worker_end = real_pipe()
+            held.append(os.dup(worker_end.fileno()))
+            return driver_end, worker_end
+
+        monkeypatch.setattr(multiprocessing, "Pipe", pipe_with_a_copy_held)
+        try:
+            result = RealExecutor(
+                max_workers=2,
+                pool="processes",
+                retry_policy=RetryPolicy(task_timeout=20.0),
+            ).execute(self.flaky_manifest(tmp_path), exit_once_on_two)
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert [r.run_id for r in result.failed] == ["g/run-0001"]
+        assert result.results["g/run-0001"].error.startswith("WorkerLost: ")
+        assert len(result.completed) == 5
+
+    def test_concurrent_pools_each_lose_only_their_own_attempt(self, tmp_path):
+        # Two drives at once, as a campaign service runs them: their worker
+        # starts interleave, and each pool's lost worker fails one attempt.
+        results = {}
+
+        def drive(name):
+            (tmp_path / name).mkdir()
+            results[name] = RealExecutor(max_workers=2, pool="processes").execute(
+                self.flaky_manifest(tmp_path / name), exit_once_on_two
+            )
+
+        drives = [threading.Thread(target=drive, args=(name,)) for name in "ab"]
+        for thread in drives:
+            thread.start()
+        for thread in drives:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in drives)
+        for result in results.values():
+            assert [r.run_id for r in result.failed] == ["g/run-0001"]
+            assert result.results["g/run-0001"].error.startswith("WorkerLost: ")
+            assert len(result.completed) == 5
+
+    def test_worker_starts_are_serialized_across_pools(self, monkeypatch):
+        # A fork made for one pool must not copy another pool's half-made
+        # pipe: while one worker is being started, no other pool makes one.
+        steps, rivals = [], []
+        real_pipe, real_start = multiprocessing.Pipe, multiprocessing.Process.start
+
+        def pipe(duplex=True):
+            steps.append("pipe")
+            return real_pipe(duplex)
+
+        def start(process):
+            if not rivals:  # the first start: race a second pool against it
+                rival = RealExecutor(max_workers=1, pool="processes")
+                rivals.append(
+                    threading.Thread(target=rival.execute, args=(make_manifest(), square))
+                )
+                rivals[0].start()
+                rivals[0].join(timeout=0.2)
+                steps.append("fork")
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        result = RealExecutor(max_workers=1, pool="processes").execute(
+            make_manifest(), square
+        )
+        rivals[0].join(timeout=30.0)
+        assert result.all_done and not rivals[0].is_alive()
+        assert steps == ["pipe", "fork", "pipe"]
+
+    def test_sigkilled_driver_leaves_no_worker(self, tmp_path):
+        src = Path(repro.__file__).resolve().parent.parent
+        script = tmp_path / "driver.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                import os, sys, threading, time
+                from pathlib import Path
+                sys.path.insert(0, {str(src)!r})
+                from repro.cheetah import AppSpec, Campaign, RangeParameter, Sweep
+                from repro.savanna import RealExecutor
+
+                def nap(params):
+                    Path({str(tmp_path)!r}, f"worker-{{os.getpid()}}").touch()
+                    time.sleep(0.2)
+                    return params["x"]
+
+                if __name__ == "__main__":
+                    camp = Campaign("orphans", app=AppSpec("nap"))
+                    camp.sweep_group("g", nodes=1, walltime=60.0).add(
+                        Sweep([RangeParameter("x", 0, 200)])
+                    )
+                    # Two pools at once, so their worker starts interleave.
+                    drives = [
+                        threading.Thread(
+                            target=RealExecutor(max_workers=2, pool="processes").execute,
+                            args=(camp.to_manifest(), nap),
+                        )
+                        for _ in range(2)
+                    ]
+                    for drive in drives:
+                        drive.start()
+                    for drive in drives:
+                        drive.join()
+                """
+            )
+        )
+        proc = subprocess.Popen([sys.executable, str(script)], start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(list(tmp_path.glob("worker-*"))) < 4:
+                assert proc.poll() is None, "driver exited before it was killed"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.02)
+            proc.kill()  # the driver alone, not its group
+            proc.wait()
+            deadline = time.monotonic() + 10.0
+            while _group_alive(proc.pid):
+                assert time.monotonic() < deadline, (
+                    "a worker outlived its SIGKILLed driver by 10 s"
+                )
+                time.sleep(0.05)
+        finally:
+            if _group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+    def test_profiler_samples_the_worker_processes(self):
+        bus = wall_clock_bus()
+        events = []
+        bus.subscribe(events.append)
+        result = RealExecutor(
+            max_workers=2, pool="processes", profile_interval=0.02
+        ).execute(make_manifest(values=(1, 2, 3, 4)), napping_pid, bus=bus)
+        assert result.all_done
+        sampled = {e.fields["pid"] for e in events if e.name == WORKER_SAMPLE}
+        assert sampled and sampled <= set(result.values().values())
+        assert os.getpid() not in sampled
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether any process is left in process group ``pgid``."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def make_unpicklable(params):

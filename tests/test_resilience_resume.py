@@ -299,6 +299,89 @@ class TestCampaignCheckpoint:
         assert status["g/run-0001"] is RunStatus.PENDING
 
 
+class TestSnapshotReads:
+    """``effective_status`` is one snapshot even while a compaction runs,
+    and needs no write access."""
+
+    def test_reads_during_compaction_never_undo_a_done_run(self, tmp_path):
+        # One thread journals RUNNING then DONE for each run and compacts
+        # after each; the other reads in a loop.  A read that took the old
+        # status.json and then found the journal already deleted would
+        # lose the transitions in between, or hit FileNotFoundError.
+        manifest = make_manifest(n=150)
+        directory = make_directory(tmp_path, manifest)
+        writer, reader = CampaignCheckpoint(directory), CampaignCheckpoint(directory)
+        finished = threading.Event()
+
+        def journal_and_compact():
+            try:
+                for run in manifest.runs:
+                    writer.record(run.run_id, RunStatus.RUNNING)
+                    writer.record(run.run_id, RunStatus.DONE)
+                    writer.compact()
+            finally:
+                finished.set()
+
+        errors, undone, reads, seen_done = [], 0, 0, set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=journal_and_compact)
+        try:
+            thread.start()
+            while not finished.is_set():
+                try:
+                    status = reader.effective_status()
+                except Exception as exc:  # noqa: BLE001 - counted, asserted below
+                    errors.append(repr(exc))
+                    continue
+                reads += 1
+                done = {rid for rid, st in status.items() if st is RunStatus.DONE}
+                undone += bool(seen_done - done)
+                seen_done |= done
+        finally:
+            thread.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert reads > 0
+        assert errors == []
+        assert undone == 0, f"{undone} of {reads} reads lost a DONE run"
+        assert reader.completed() == {run.run_id for run in manifest.runs}
+
+    def test_read_only_directory_is_still_queried(self, tmp_path, monkeypatch):
+        # An archived campaign: .cheetah/ chmod-ed read-only, no lock file
+        # left in it.  Permission bits do not bind root, so opening a file
+        # there for writing is also refused, as a read-only mount does.
+        import errno
+
+        import repro._util.io
+
+        manifest = make_manifest(n=4)
+        directory = make_directory(tmp_path, manifest)
+        directory.set_status(manifest.runs[0].run_id, RunStatus.DONE)
+        CampaignCheckpoint(directory).record(manifest.runs[1].run_id, RunStatus.DONE)
+        meta = directory.root / ".cheetah"
+        for lock in meta.glob("*.lock"):
+            lock.unlink()
+        real_open = open
+
+        def read_only_open(file, mode="r", *args, **kwargs):
+            if Path(file).parent == meta and set(mode) & set("wax+"):
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(repro._util.io, "open", read_only_open, raising=False)
+        meta.chmod(0o555)
+        try:
+            assert directory.summary()["done"] == 2
+            assert directory.pending_runs() == manifest.runs[2:]
+            assert len(directory.runs_where(status=RunStatus.DONE)) == 2
+            assert CampaignCheckpoint(directory).completed() == {
+                run.run_id for run in manifest.runs[:2]
+            }
+        finally:
+            meta.chmod(0o755)
+
+
 class TestInterruptedCampaignResume:
     def test_interrupted_then_resumed_completes_exactly_the_remainder(self, tmp_path):
         # Acceptance: a SweepGroup cut off by its allocation budget,

@@ -168,6 +168,58 @@ class TestIngestion:
             assert store.read_run_result(manifest.campaign, manifest.runs[0].run_id)
             assert store.read_run_result(manifest.campaign, manifest.runs[1].run_id) is None
 
+    def test_run_result_dataclass_and_dict_store_identical_rows(self):
+        from dataclasses import asdict, dataclass
+
+        from repro.savanna.realexec import LocalRunResult
+
+        @dataclass
+        class Point:
+            loss: float
+            cost: float
+
+        manifest = make_manifest()
+        outcomes = {
+            run.run_id: LocalRunResult(
+                run_id=run.run_id, status=status, value=value, error=error,
+                elapsed=0.25, traceback=error and "Traceback ...", attempts=2, seed=i,
+            )
+            for i, (run, status, value, error) in enumerate(
+                zip(
+                    manifest.runs,
+                    ("done", "failed", "interrupted", "done", "done", "done"),
+                    (
+                        {"loss": 1.5, "tags": {1, 2}}, None, None, [1, 2.5],
+                        # an app that returns dataclasses: stored as asdict stores them
+                        Point(1.5, 2.0), [Point(0.5, 1.0), {"p": Point(3.0, 4.0)}],
+                    ),
+                    (None, "ValueError: boom", None, None, None, None),
+                )
+            )
+        }
+        rows = []
+        for form in (outcomes, {rid: asdict(r) for rid, r in outcomes.items()}):
+            with CampaignStore(":memory:") as store:
+                store.ensure_campaign(manifest)
+                store.record_run_results(manifest.campaign, form)
+                rows.append(
+                    store.query(
+                        "SELECT r.run_id, r.status, r.value_json, r.error, r.traceback,"
+                        " r.elapsed, r.attempts, r.seed, m.name, m.value FROM runs r"
+                        " LEFT JOIN metrics m ON m.run_key = r.id ORDER BY r.run_id, m.name"
+                    )
+                )
+                listed = store.read_run_result(manifest.campaign, manifest.runs[5].run_id)
+        assert rows[0] == rows[1]
+        runs = {row[0]: row for row in rows[0]}
+        assert [runs[run.run_id][1] for run in manifest.runs[:4]] == [
+            "done", "failed", "pending", "done"
+        ]
+        assert [row[8:] for row in rows[0] if row[0] == manifest.runs[4].run_id] == [
+            ("cost", 2.0), ("loss", 1.5)
+        ]
+        assert listed["value"] == [{"loss": 0.5, "cost": 1.0}, {"p": {"loss": 3.0, "cost": 4.0}}]
+
     def test_reports_round_trip(self):
         manifest = make_manifest()
         with CampaignStore(":memory:") as store:

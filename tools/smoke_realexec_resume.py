@@ -1,10 +1,13 @@
 #!/usr/bin/env python
 """Kill + resume smoke test for the real-execution drive path (CI).
 
-Drives a ``local-processes`` campaign in a child process, SIGKILLs the
-child once the checkpoint journal records at least two runs DONE, then
-resumes in-process with ``resume=True`` and asserts that
+Drives a ``local-processes`` campaign in a child process started in its
+own session, SIGKILLs the child driver alone once the checkpoint journal
+records at least two runs DONE, then resumes in-process with
+``resume=True`` and asserts that
 
+- the killed driver's worker processes exit on their own: its process
+  group is empty within 10 s,
 - the journal's pending set is exactly what the resumed drive re-queues,
 - the resumed drive skips exactly the runs already recorded DONE, and
 - the campaign directory ends with every run DONE.
@@ -14,13 +17,15 @@ driver can suffer (SIGKILL: no handlers, no atexit, possibly a torn
 final journal line).
 
 Usage: ``python tools/smoke_realexec_resume.py`` (parent; creates a temp
-campaign root) — ``--child <root>`` is the internal child entry point.
+campaign root and removes it when done) — ``--child <root>`` is the
+internal child entry point.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -35,6 +40,7 @@ N_RUNS = 8
 SLEEP_PER_RUN = 0.3
 KILL_AFTER_DONE = 2
 TIMEOUT = 120.0
+ORPHAN_GRACE = 10.0
 
 
 def build_manifest():
@@ -82,13 +88,30 @@ def count_done(journal: Path) -> int:
     return len(done)
 
 
+def group_alive(pgid: int) -> bool:
+    """Whether any process is left in process group ``pgid``."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def parent() -> int:
     root = Path(tempfile.mkdtemp(prefix="smoke-realexec-"))
+    try:
+        return kill_and_resume(root)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def kill_and_resume(root: Path) -> int:
     journal = root / "smoke-realexec" / ".cheetah" / "journal.jsonl"
 
     proc = subprocess.Popen(
         [sys.executable, __file__, "--child", str(root)],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        start_new_session=True,  # its workers share its group, not ours
     )
     deadline = time.monotonic() + TIMEOUT
     try:
@@ -102,11 +125,21 @@ def parent() -> int:
                       f"{KILL_AFTER_DONE} done entries within {TIMEOUT}s")
                 return 1
             time.sleep(0.05)
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
+        proc.send_signal(signal.SIGKILL)  # the driver alone
         proc.wait()
-    print(f"killed child driver (pid {proc.pid}) mid-campaign")
+        print(f"killed child driver (pid {proc.pid}) mid-campaign")
+        t0 = time.monotonic()
+        while group_alive(proc.pid):
+            if time.monotonic() - t0 > ORPHAN_GRACE:
+                print("FAIL: a worker of the killed driver was still alive "
+                      f"{ORPHAN_GRACE:.0f}s later")
+                return 1
+            time.sleep(0.05)
+        print(f"its workers exited {time.monotonic() - t0:.1f}s after the kill")
+    finally:
+        if group_alive(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
     from repro.cheetah.directory import RunStatus, resolve_campaign_dir
     from repro.observability import GROUP_RESUMED
