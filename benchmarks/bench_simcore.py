@@ -8,10 +8,10 @@ Measures three things and writes them, schema-versioned, to
   (``repro.savanna._vector``) on the Figure-6 campaign workload — both
   executors (static set-synchronized + dynamic pilot), GC disabled,
   best-of-N rounds;
-- the same workload through the **per-event reference engine**
-  (selected by patching ``vector_eligible`` where the pilot and static
-  executors import it), with rounds *interleaved* vector/event so
-  machine drift hits both engines equally;
+- the same workload through the **per-event reference engine**, the
+  test suite's oracle in ``tests/_event_engine.py`` (selected through
+  ``tests/_oracle.py``, as the equivalence tests select it), with rounds
+  *interleaved* vector/event so machine drift hits both engines equally;
 - **report-fold latency**: events/sec of the streaming analytics builder
   (:class:`~repro.observability.analysis.StreamingCampaignReport`)
   folding the committed fig6 Chrome trace;
@@ -63,24 +63,24 @@ import json
 import resource
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 from math import inf
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from _artifact import arguments, timed, write_mode
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "tests"))
 
 from repro.cluster.cluster import ClusterSpec, SimulatedCluster  # noqa: E402
 from repro.cluster.job import Task  # noqa: E402
 from repro.observability.analysis import StreamingCampaignReport  # noqa: E402
 from repro.observability.recorder import events_from_trace  # noqa: E402
-from repro.savanna import pilot, static  # noqa: E402
 from repro.savanna.pilot import PilotExecutor  # noqa: E402
 from repro.savanna.static import StaticSetExecutor  # noqa: E402
+from _oracle import event_engine  # noqa: E402
 
 SCHEMA = "repro.bench.simcore/v1"
 RESULTS = REPO / "benchmarks" / "results"
@@ -182,15 +182,7 @@ def measure_engines(n_tasks: int, nodes: int, walltime: float, rounds: int):
     attempts = 0
     for _ in range(rounds):
         for engine in ("vector", "event"):
-            with ExitStack() as patches:
-                if engine == "event":
-                    # No allocation is vector-eligible: the reference runs.
-                    for module in (pilot, static):
-                        patches.enter_context(
-                            mock.patch.object(
-                                module, "vector_eligible", lambda cluster, tasks: False
-                            )
-                        )
+            with event_engine() if engine == "event" else nullcontext():
                 elapsed, attempts = one_round(n_tasks, nodes, walltime)
             best[engine] = min(best[engine], elapsed)
     return best, attempts

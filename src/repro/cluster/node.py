@@ -42,8 +42,10 @@ class Node:
         source on real machines beyond workload skew.
 
     A node may additionally carry a transient *slowdown* (a straggler
-    fault injected for the duration of one attempt); the executors place
-    work at :attr:`effective_speed`, which folds the slowdown in.
+    fault injected for the duration of one attempt); work placed through
+    the node's own bookkeeping runs at :attr:`effective_speed`, which
+    folds the slowdown in.  The simulated executors' engines apply the
+    same ``speed / slowdown`` to the struck attempt directly.
     """
 
     index: int
@@ -73,9 +75,8 @@ class Node:
     def degrade(self, factor: float) -> None:
         """Mark the node as a transient straggler (fault injection).
 
-        ``factor`` >= 1 divides the node's speed until :meth:`restore`;
-        the within-allocation engines call this for the span of one
-        attempt when the fault injector strikes.
+        ``factor`` >= 1 divides the node's speed until :meth:`restore`,
+        for the span of one attempt the fault injector strikes.
         """
         if factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1.0, got {factor}")

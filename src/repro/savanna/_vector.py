@@ -1,57 +1,51 @@
-"""Vectorized within-allocation fast path (internal).
+"""Within-allocation execution engines (internal).
 
-The event-driven engines in :mod:`repro.savanna._alloc` pay several
-Python function calls, one simulator event, and one scalar RNG draw per
-task attempt.  For the workloads the figure benches actually run —
-single-node bag-of-tasks campaigns with no fault injector — the whole
-allocation can instead be simulated *synchronously* inside ``start()``
-with a local event queue, batched failure draws, and direct
-busy-interval writes, then surfaced to the rest of the stack through a
-single simulator event (the early finish) or the scheduler's existing
-walltime kill.
+Both simulated executors share the same mechanics — place a task on free
+nodes, consult the fault injector and the failure model, time the end of
+the attempt, finalize attempts when the walltime kill arrives — and
+differ only in *dispatch*: :class:`VectorPilotRun` pulls the next task
+the moment nodes free; :class:`VectorStaticSetRun` launches fixed sets
+behind a barrier.  A :class:`~repro.resilience.RetryPolicy` caps any
+attempt's wall time, decides whether a failed task gets another try and
+after what backoff delay, and bounds total retries per allocation.
 
-There is one vector loop per dispatch policy: :class:`VectorPilotRun`
-and :class:`VectorStaticSetRun`.  Whether anything observes the cluster
-bus decides only whether that loop records the event batch as it goes.
+Each engine simulates its whole allocation *synchronously* inside
+``start()`` with a local event queue, batched failure draws, and direct
+busy-interval writes, then surfaces it through a single simulator event
+(the early finish) or the scheduler's existing walltime kill.  Whether
+anything observes the cluster bus decides only whether the loop records
+the event batch as it goes.
 
-The contract is **bit-exactness**, not approximation.  A vectorized run
-must be indistinguishable from the event-driven run it replaces:
-
-- identical task states, attempt records (start/end/outcome/placement),
-  and outcome lists (``attempts``/``completed``/``failed``/``killed``)
-  in identical order;
-- identical node ``busy_intervals``;
-- an identical event stream on the cluster bus when anyone is
-  subscribed, emitted once through
-  :meth:`~repro.observability.EventBus.publish_batch` with the same
-  names, phases, timestamps, field dicts, and sequence numbers the
-  per-event path would have produced;
-- identical failure-RNG stream consumption, so campaigns that mix
-  vectorized and event-driven allocations stay reproducible.  Batched
-  ``Generator.exponential`` draws are bit-identical to the equivalent
-  scalar draws, so :class:`_FailureDraws` samples speculatively from a
-  deep-copied generator and then advances the real stream by exactly
-  the number of draws consumed.
-
-Eligibility (:func:`vector_eligible`): no fault injector (its per-launch
-``decide`` consults a separate stream and can degrade nodes mid-attempt)
-and single-node tasks only.  Everything else — heterogeneous node
-speeds, failure sampling, retry policies with backoff and budgets,
-timeouts, walltime kills, multi-allocation resume — is handled here.
-Tests and benches select the event-driven reference by patching
-``vector_eligible`` where :mod:`repro.savanna.pilot` and
-:mod:`repro.savanna.static` import it.
+The contract is **bit-exactness** with the per-event reference engine
+(one simulator event and one scalar RNG draw per attempt) that the test
+suite keeps as its oracle, ``tests/_event_engine.py``: identical task
+states, attempt records and outcome lists, in identical order; identical
+node ``busy_intervals``; when anyone is subscribed, an identical event
+stream (same names, phases, timestamps, field dicts and sequence
+numbers), emitted once through
+:meth:`~repro.observability.EventBus.publish_batch`; identical
+failure-RNG consumption (see :class:`_FailureDraws`); and identical
+fault decisions, because the injector's draw is keyed on (seed, task
+name, attempt).  A straggler slows only the attempt it strikes
+(``node.speed / slowdown``); an injected crash lands at
+``fail_at / speed``; a multi-node attempt runs at its slowest node's
+speed.  The single-node, fault-free paths — the pilot's steady-state
+hand-off and whole-window batch, the static whole-set batch — stay
+inline: they are the simulator's throughput floor.  Every other launch
+goes through :meth:`_VectorAllocationRun._place`.
 
 The semantic fine print replicated from the event path, for the next
 reader who has to extend this: at equal timestamps the walltime-kill
 event always wins (it is scheduled before any task event, so it holds a
 lower sequence number) — an attempt ending exactly at the deadline is
 KILLED; freed nodes re-enter a FIFO free list and survive set barriers;
-a retry with no backoff relaunches (static) or requeues (pilot) at once,
+the pilot places multi-node tasks FIFO with head-of-line blocking; a
+retry with no backoff relaunches (static) or requeues (pilot) at once,
 inside the failed attempt's end event; killed tasks are finalized in
 launch order with busy intervals cut at the deadline; a backoff timer
 that outlives its allocation resolves to a terminal failure for that
-allocation's outcome without touching task state.
+allocation's outcome without touching task state, and a barrier timer
+that outlives it does nothing.
 """
 
 from __future__ import annotations
@@ -73,12 +67,12 @@ from repro.observability.events import (
     NODE_BUSY,
     NODE_IDLE,
     TASK,
+    TASK_FAULT_INJECTED,
     TASK_REQUEUED,
     TASK_RETRY,
     TASK_TIMEOUT,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.savanna._alloc import PilotRun, StaticSetRun
 
 _DONE = TaskState.DONE
 _FAILED = TaskState.FAILED
@@ -87,27 +81,25 @@ _PENDING = TaskState.PENDING
 _RUNNING = TaskState.RUNNING
 
 #: Local queue entry kinds.  An end entry is
-#: ``(time, seq, _END_EV, task, attempt, node, result, timeout)``, where
-#: ``timeout`` is the cap that cut the attempt short, or None.
-_END_EV, _REQUEUE_EV, _RELAUNCH_EV = 0, 1, 2
+#: ``(time, seq, kind, task, attempt, node, result, timeout)``: ``kind``
+#: is ``_END_EV`` with one node or ``_WIDE_END_EV`` with the attempt's
+#: node list, and ``timeout`` is the cap that cut the attempt, or None.
+_END_EV, _WIDE_END_EV, _REQUEUE_EV, _RELAUNCH_EV = 0, 1, 2, 3
 
 _task_nodes = attrgetter("nodes")
 
 
-def vector_eligible(cluster, tasks) -> bool:
-    """True when the allocation can take the vectorized fast path."""
-    if cluster.faults is not None:
-        return False
-    # set(map(...)) scans at C speed; campaigns hand us tens of
-    # thousands of tasks and this runs per allocation.
-    counts = set(map(_task_nodes, tasks))
-    return not counts or counts == {1}
-
-
-def _record_launch(rec, task, node, t: float) -> None:
-    """Record ``_launch``'s events: ``node.busy``, then the ``task`` begin."""
+def _record_launch(rec, task, node, t: float, wide=None) -> None:
+    """Record a launch: ``node.busy`` (for each of the ``wide`` nodes of
+    a multi-node attempt), then the ``task`` begin."""
     index = node.index
-    rec((NODE_BUSY, INSTANT, t, {"node": index}))
+    if wide is None:
+        indices = [index]
+        rec((NODE_BUSY, INSTANT, t, {"node": index}))
+    else:
+        indices = [other.index for other in wide]
+        for other in indices:
+            rec((NODE_BUSY, INSTANT, t, {"node": other}))
     rec(
         (
             TASK,
@@ -117,7 +109,7 @@ def _record_launch(rec, task, node, t: float) -> None:
                 "task": task.name,
                 "task_id": task.task_id,
                 "node": index,
-                "nodes": [index],
+                "nodes": indices,
                 "attempt": len(task.attempts),
                 "payload": dict(task.payload),
             },
@@ -135,11 +127,16 @@ def _task_end(task, index: int, t: float, result: TaskState) -> tuple:
     )
 
 
-def _record_end(rec, task, node, t: float, result: TaskState, timeout) -> None:
-    """Record ``_on_task_end``'s events: ``node.idle``, a ``task.timeout``
-    when ``timeout`` cut the attempt, then the ``task`` end."""
+def _record_end(rec, task, node, t: float, result: TaskState, timeout, wide=None) -> None:
+    """Record an attempt's end: ``node.idle`` (for each of the ``wide``
+    nodes of a multi-node attempt), a ``task.timeout`` when ``timeout``
+    cut the attempt, then the ``task`` end."""
     index = node.index
-    rec((NODE_IDLE, INSTANT, t, {"node": index}))
+    if wide is None:
+        rec((NODE_IDLE, INSTANT, t, {"node": index}))
+    else:
+        for other in wide:
+            rec((NODE_IDLE, INSTANT, t, {"node": other.index}))
     if timeout is not None:
         rec(
             (
@@ -153,7 +150,7 @@ def _record_end(rec, task, node, t: float, result: TaskState, timeout) -> None:
 
 
 def _record_retry(rec, task, t: float, index: int, delay: float) -> None:
-    """Record ``grant_retry``'s ``task.retry`` instant."""
+    """Record a retry grant's ``task.retry`` instant."""
     rec(
         (
             TASK_RETRY,
@@ -165,7 +162,7 @@ def _record_retry(rec, task, t: float, index: int, delay: float) -> None:
 
 
 def _record_requeue(rec, task, t: float, index: int) -> None:
-    """Record ``_requeue``'s ``task.requeued`` instant."""
+    """Record the pilot's ``task.requeued`` instant."""
     rec(
         (
             TASK_REQUEUED,
@@ -179,103 +176,214 @@ def _record_requeue(rec, task, t: float, index: int) -> None:
 class _FailureDraws:
     """Batched failure sampling that preserves the scalar RNG stream.
 
-    Draws come from a deep copy of the failure model's generator in
-    growing batches (batched ``exponential`` is bit-identical to the
-    same number of scalar draws); :meth:`commit` then advances the
-    *real* generator by exactly the consumed count, leaving its state
-    byte-identical to what the event-driven path (one scalar draw per
-    launch) would have produced.
+    Standard exponential draws come from a deep copy of the failure
+    model's generator in growing batches.  A launch on ``n`` nodes
+    scales its draw by ``1.0 / (n / mttf)``, the scale of the event
+    path's scalar ``exponential`` call; numpy computes that call as
+    ``scale * standard_exponential()``, so the product is bit-identical.
+    ``vals`` holds the draws scaled for one node, which the single-node
+    paths read directly; ``unit`` keeps the standard draws only when the
+    allocation has multi-node tasks.  Both lists only grow, so one
+    cursor, the allocation's launch count, indexes them.  :meth:`commit` then advances the *real* generator by exactly
+    the consumed count, leaving its state byte-identical to one scalar
+    draw per launch.
     """
 
-    __slots__ = ("_failures", "_scale", "_clone", "_size", "_consumed")
+    __slots__ = ("_failures", "_clone", "_size", "unit", "vals")
 
-    def __init__(self, failures, hint: int = 64):
-        # Caller guarantees failures.mttf is not None.  Replicate the
-        # event path's arithmetic exactly: scale = 1.0 / (nodes / mttf)
-        # with nodes == 1, which is not always bit-equal to mttf itself.
-        hazard = 1 / failures.mttf
-        self._scale = 1.0 / hazard
+    def __init__(self, failures, hint: int, wide: bool):
+        # Caller guarantees failures.mttf is not None.
         self._failures = failures
         self._clone = copy.deepcopy(failures._rng)
         self._size = max(8, hint)
-        self._consumed = 0
+        self.unit: list[float] | None = [] if wide else None
+        self.vals: list[float] = []
 
-    def refill_list(self) -> list[float]:
-        """Next batch of speculative draws as plain Python floats.
+    def scale(self, nodes: int) -> float:
+        """The event path's scale, ``1.0 / hazard``, on ``nodes`` nodes
+        (not always bit-equal to ``mttf / nodes``)."""
+        return 1.0 / (nodes / self._failures.mttf)
 
-        The vector loops walk the list with local index variables and
-        report consumption through :meth:`note_consumed`.  ``tolist()``
-        converts ``float64`` values exactly, so comparisons against
-        durations are bit-identical to the scalar path.
-        """
-        buf = self._clone.exponential(self._scale, size=self._size)
-        self._size = min(self._size * 2, 8192)
-        return buf.tolist()
+    def ensure(self, count: int) -> int:
+        """Draw speculatively until ``count`` values exist; return how
+        many do.  ``tolist()`` converts ``float64`` values exactly, so
+        comparisons against durations are bit-identical to the scalar
+        path."""
+        while len(self.vals) < count:
+            buf = self._clone.standard_exponential(self._size)
+            self._size = min(self._size * 2, 8192)
+            if self.unit is not None:
+                self.unit += buf.tolist()
+            self.vals += (buf * self.scale(1)).tolist()
+        return len(self.vals)
 
-    def note_consumed(self, count: int) -> None:
-        """Record draws consumed via :meth:`refill_list` batches."""
-        self._consumed += count
-
-    def commit(self) -> None:
-        """Advance the real stream by exactly the draws consumed."""
-        if self._consumed:
-            self._failures._rng.exponential(self._scale, size=self._consumed)
+    def commit(self, consumed: int) -> None:
+        """Advance the real stream by exactly ``consumed`` draws."""
+        if consumed:
+            self._failures._rng.standard_exponential(consumed)
 
 
-class _VectorAllocationMixin:
-    """Synchronous-simulation machinery shared by both vectorized runs."""
+class _VectorAllocationRun:
+    """One allocation's state and retry budget, the general placement,
+    the walltime kill and the finish, shared by both dispatch policies."""
 
-    def _vector_setup(self, task_count: int) -> None:
+    def __init__(self, cluster, alloc, tasks, outcome, done_cb, policy=None):
+        self.cluster = cluster
+        self.bus = cluster.bus
+        self.alloc = alloc
+        self.outcome = outcome
+        self.done_cb = done_cb
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.finished = False
+        #: retries already spent in this allocation (vs. policy.allocation_budget)
+        self.allocation_retries = 0
+        self._retry_counts: dict[int, int] = {}
+        # A C-speed scan: campaigns hand us tens of thousands of tasks.
+        self._widest = max(map(_task_nodes, tasks), default=1)
+
+    def budget_left(self) -> bool:
+        """True while this allocation may still spend retries."""
+        budget = self.policy.allocation_budget
+        return budget is None or self.allocation_retries < budget
+
+    def on_walltime_kill(self) -> None:
+        """The scheduler ended the allocation; ``start()`` already
+        finalized every attempt the deadline cut."""
+        self.finished = True
+
+    def _fail_late(self, task) -> None:
+        """A backoff timer that outlived the allocation.  The walltime
+        kill always fires first, so the retry is lost: a terminal
+        failure of this allocation, with the task's state left alone."""
+        self.outcome.failed.append(task)
+
+    def _barrier_late(self) -> None:
+        """A barrier timer that outlived the allocation: nothing to launch."""
+
+    def _setup(self, task_count: int) -> None:
         self._free_nodes = deque(self.alloc.nodes)
         #: The event batch; built only while someone observes the bus.
         self._specs: list | None = [] if self.bus.has_subscribers else None
         failures = self.cluster.failures
-        self._draws = (
-            _FailureDraws(failures, hint=task_count) if failures.mttf is not None else None
-        )
+        self._draws = None
+        if failures.mttf is not None:
+            self._draws = _FailureDraws(failures, task_count, self._widest > 1)
+        #: Whether the single-node, fault-free inline paths may run.
+        self._inline = self.cluster.faults is None and self._widest == 1
         # Policies that don't override timeout_for (all the built-ins)
         # have a task-independent cap; hoist it out of the launch loop.
-        if type(self.policy).timeout_for is RetryPolicy.timeout_for:
-            self._timeout_const = True
-            self._timeout = self.policy.task_timeout
+        self._timeout_const = type(self.policy).timeout_for is RetryPolicy.timeout_for
+        self._timeout = self.policy.task_timeout if self._timeout_const else None
+
+    def _place(self, task, t: float, seq: int, i: int) -> tuple:
+        """Launch ``task`` at ``t`` on the first free nodes; return its
+        end entry.
+
+        The general placement, for any width and with or without a fault
+        injector: record the launch, consult the injector, take failure
+        draw ``i`` at the task's width, and apply the policy's timeout.
+        """
+        pop = self._free_nodes.popleft
+        width = task.nodes
+        if width == 1:
+            node = pop()
+            indices, speed, wide = [node.index], node.speed, None
         else:
-            self._timeout_const = False
-            self._timeout = None
+            wide = [pop() for _ in range(width)]
+            node = wide[0]
+            indices = [other.index for other in wide]
+            speed = min([other.speed for other in wide])
+        task.state = _RUNNING
+        a = TaskAttempt(task, indices, t)
+        task.attempts.append(a)
+        self.outcome.attempts.append(a)
+        attempt = len(task.attempts)
+        specs = self._specs
+        if specs is not None:
+            _record_launch(specs.append, task, node, t, wide)
+        faults = self.cluster.faults
+        decision = None if faults is None else faults.decide(task.name, attempt, task.duration)
+        if decision is not None:
+            if specs is not None:
+                fields = dict(
+                    task=task.name, task_id=task.task_id, node=node.index, kind=decision.kind,
+                    attempt=attempt, fail_at=decision.fail_at, slowdown=decision.slowdown,
+                )
+                specs.append((TASK_FAULT_INJECTED, INSTANT, t, fields))
+            if decision.slowdown > 1.0:  # a straggler slows only this attempt
+                speed /= decision.slowdown
+        elapsed = wall = task.duration / speed
+        fail_at = None
+        draws = self._draws
+        if draws is not None:
+            if i >= len(draws.vals):
+                draws.ensure(i + 1)
+            drawn = draws.vals[i] if wide is None else draws.unit[i] * draws.scale(width)
+            if drawn < wall:
+                fail_at = drawn
+        if decision is not None and decision.fail_at is not None:
+            # The crash lands at the same *fraction* of the attempt
+            # whatever the nodes' speed.
+            injected = decision.fail_at / speed
+            fail_at = injected if fail_at is None else min(fail_at, injected)
+        result = _DONE
+        if fail_at is not None:
+            elapsed, result = fail_at, _FAILED
+        timeout = self._timeout if self._timeout_const else self.policy.timeout_for(task)
+        cut = None
+        if timeout is not None and timeout < elapsed:
+            elapsed = cut = timeout
+            result = _FAILED
+        if wide is None:
+            return (t + elapsed, seq, _END_EV, task, a, node, result, cut)
+        return (t + elapsed, seq, _WIDE_END_EV, task, a, wide, result, cut)
+
+    def _free_wide(self, entry, t: float) -> None:
+        """Release a multi-node attempt's nodes at ``t``, in placement
+        order, closing their busy intervals and recording its end."""
+        task, a, nodes = entry[3], entry[4], entry[5]
+        free_push = self._free_nodes.append
+        for node in nodes:
+            node.busy_intervals.append((a.start, t))
+            free_push(node)
+        if self._specs is not None:
+            _record_end(self._specs.append, task, nodes[0], t, entry[6], entry[7], nodes)
 
     def _kill_running(self, remnants, deadline: float) -> None:
         """Finalize the attempts still running at the walltime deadline.
 
         ``remnants`` are the local queue entries left at the deadline.
-        Interrupted attempts finalize in launch order (== local seq
-        order).  Events mirror the real kill: the scheduler's node close
-        emits ``node.idle`` per still-busy node in allocation order,
-        then ``on_walltime_kill`` ends the tasks in launch order.  The
-        real deadline event still fires later; it finds nothing running
-        (``self.running`` was never populated) and no busy nodes, so it
-        is a pure no-op apart from releasing the pool.
+        Events mirror the real kill: the scheduler's node close emits
+        ``node.idle`` per still-busy node in allocation order, then the
+        tasks end in launch order (== local seq order).  The real
+        deadline event still fires later and finds no busy nodes.
         """
-        ends = sorted((e for e in remnants if e[2] == _END_EV), key=itemgetter(1))
+        ends = sorted((e for e in remnants if e[2] <= _WIDE_END_EV), key=itemgetter(1))
+        held = [(e[5],) if e[2] == _END_EV else e[5] for e in ends]
         specs = self._specs
         if specs is not None and ends:
-            busy = {entry[5].index for entry in ends}
+            busy = {node.index for nodes in held for node in nodes}
             for node in self.alloc.nodes:
                 if node.index in busy:
                     specs.append((NODE_IDLE, INSTANT, deadline, {"node": node.index}))
         killed = self.outcome.killed
-        for entry in ends:
-            task, a, node = entry[3], entry[4], entry[5]
+        for entry, nodes in zip(ends, held):
+            task, a = entry[3], entry[4]
             a.end = deadline
             a.outcome = _KILLED
             task.state = _KILLED
-            node.busy_intervals.append((a.start, deadline))
+            for node in nodes:
+                node.busy_intervals.append((a.start, deadline))
             killed.append(task)
             if specs is not None:
-                specs.append(_task_end(task, node.index, deadline, _KILLED))
+                specs.append(_task_end(task, nodes[0].index, deadline, _KILLED))
 
-    def _vector_finalize(self, done_time: float | None) -> None:
+    def _finalize(self, done_time: float | None) -> None:
         """Commit RNG consumption, publish the batch, arrange the finish."""
         if self._draws is not None:
-            self._draws.commit()
+            # One draw per launch, and every launch appends one attempt
+            # to this allocation's own outcome.
+            self._draws.commit(len(self.outcome.attempts))
         if self._specs:
             self.bus.publish_batch(self._specs)
         self._specs = None
@@ -284,8 +392,24 @@ class _VectorAllocationMixin:
             self.cluster.sim.schedule_at(done_time, self.done_cb)
 
 
-class VectorPilotRun(_VectorAllocationMixin, PilotRun):
-    """Bit-exact synchronous replay of :class:`PilotRun`'s event loop."""
+class VectorPilotRun(_VectorAllocationRun):
+    """Savanna's dynamic pilot: greedy FIFO pull onto freed nodes.
+
+    Failed tasks re-enter the pending queue after the policy's backoff
+    delay, up to the per-task and per-allocation retry budgets.  A
+    multi-node task at the head of the queue waits until enough nodes
+    are free (head-of-line blocking).
+    """
+
+    def __init__(self, cluster, alloc, tasks, outcome, done_cb, policy=None):
+        super().__init__(cluster, alloc, tasks, outcome, done_cb, policy=policy)
+        width = len(alloc.nodes)
+        if self._widest > width:
+            # A task wider than the allocation can never be placed here.
+            # It stays PENDING instead of holding the queue head, which
+            # would starve every task behind it until the walltime.
+            tasks = [task for task in tasks if task.nodes <= width]
+        self.pending = deque(tasks)
 
     def start(self) -> None:
         """Simulate the whole allocation now.
@@ -294,7 +418,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         running-task dict (interrupted attempts are recovered from the
         queue remnants at the deadline).  When the bus is observed, each
         step also appends the events the event engine would have
-        emitted to the batch :meth:`_vector_finalize` publishes.
+        emitted to the batch :meth:`_finalize` publishes.
 
         The event queue is a sorted list with a read cursor and a
         *lookahead window*, not a binary heap.  No relaunch can finish
@@ -311,7 +435,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         simulator's throughput floor, and each method call it sheds is
         ~0.15 µs/task.
         """
-        self._vector_setup(len(self.pending))
+        self._setup(len(self.pending))
         sim = self.cluster.sim
         deadline = self.alloc.deadline
         pending = self.pending
@@ -326,13 +450,16 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         retry_counts = self._retry_counts
         timeout = self._timeout
         timeout_for = None if self._timeout_const else policy.timeout_for
+        inline = self._inline
+        place = self._place
+        free_wide = self._free_wide
         draws = self._draws
+        dbuf = draws.vals if draws is not None else []
+        dlen = 0
+        dpos = 0
         specs = self._specs
         observed = specs is not None
         rec = specs.append if observed else None
-        dbuf: list[float] = []
-        dlen = 0
-        dpos = 0
         seq = 0
         nrunning = 0
         backing_off = 0
@@ -343,41 +470,18 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         q_push = q.append
         Attempt = TaskAttempt
         pend_pop, pend_push = pending.popleft, pending.append
-        free_pop, free_push = free.popleft, free.append
+        free_push = free.append
         out_push = attempts_out.append
         done_push = completed.append
-        launches_before = len(attempts_out)
         t = sim.now
-        while pending and free:
+        while pending and pending[0].nodes <= len(free):
             task = pend_pop()
-            node = free_pop()
-            task.state = _RUNNING
-            a = Attempt(task, [node.index], t)
-            task.attempts.append(a)
-            out_push(a)
-            if observed:
-                _record_launch(rec, task, node, t)
-            wall = task.duration / node.speed
-            result = _DONE
-            cut = None
-            if draws is not None:
-                if dpos == dlen:
-                    dbuf = draws.refill_list()
-                    dlen = len(dbuf)
-                    dpos = 0
-                fail_at = dbuf[dpos]
-                dpos += 1
-                if fail_at < wall:
-                    wall = fail_at
-                    result = _FAILED
-            if timeout_for is not None:
-                timeout = timeout_for(task)
-            if timeout is not None and timeout < wall:
-                wall = cut = timeout
-                result = _FAILED
-            q_push((t + wall, seq, _END_EV, task, a, node, result, cut))
+            q_push(place(task, t, seq, dpos))
             seq += 1
+            dpos += 1
             nrunning += 1
+        if not q:  # nothing to run: finish at once
+            done_time = t
         q.sort()
         # Lookahead window bound: nothing launched at time t can end
         # before t + (shortest duration / fastest node), so that span of
@@ -423,7 +527,7 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
             # batch measured slower than the per-event path below.
             m = j - qi
             batched = False
-            if m > 8 and timeout_for is None and not observed:
+            if m > 8 and inline and timeout_for is None and not observed:
                 win = q[qi:j]
                 for e in win:
                     if e[2] is not _END_EV or e[6] is not _DONE:
@@ -450,11 +554,8 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                         (walls > timeout).any()
                     )
                     if fits and launch_n and draws is not None:
-                        while dlen - dpos < launch_n:  # peek, don't consume
-                            dbuf = dbuf[dpos:]
-                            dpos = 0
-                            dbuf += draws.refill_list()
-                            dlen = len(dbuf)
+                        if dlen - dpos < launch_n:  # peek, don't consume
+                            dlen = draws.ensure(dpos + launch_n)
                         vals = dbuf[dpos : dpos + launch_n]
                         if bool(
                             (np.fromiter(vals, np.float64, launch_n) < walls).any()
@@ -505,23 +606,31 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                 entry = q[qi]
                 t = entry[0]
                 qi += 1
-                if entry[2] == _END_EV:
+                kind = entry[2]
+                if kind == _REQUEUE_EV:  # the backoff timer fired
+                    backing_off -= 1
+                    task = entry[3]
+                    task.state = _PENDING
+                    pend_push(task)
+                    if observed:
+                        _record_requeue(rec, task, t, entry[4])
+                else:
                     task, a, node, result = entry[3], entry[4], entry[5], entry[6]
                     nrunning -= 1
                     a.end = t
                     a.outcome = result
                     task.state = result
-                    node.busy_intervals.append((a.start, t))
-                    if observed:
-                        _record_end(rec, task, node, t, result, entry[7])
-                    if result is _DONE:
-                        done_push(task)
-                        if pending and not free:
+                    if kind == _END_EV:
+                        node.busy_intervals.append((a.start, t))
+                        if observed:
+                            _record_end(rec, task, node, t, result, entry[7])
+                        if result is _DONE and inline and pending and not free:
                             # Steady state: the freed node is the FIFO
                             # head, so the next pending task lands on it
                             # directly — no deque round trip, and the
                             # finish check can't pass with a task just
                             # launched.
+                            done_push(task)
                             task = pend_pop()
                             task.state = _RUNNING
                             a = Attempt(task, [node.index], t)
@@ -533,10 +642,8 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                             result = _DONE
                             cut = None
                             if draws is not None:
-                                if dpos == dlen:
-                                    dbuf = draws.refill_list()
-                                    dlen = len(dbuf)
-                                    dpos = 0
+                                if dpos >= dlen:
+                                    dlen = draws.ensure(dpos + 1)
                                 fail_at = dbuf[dpos]
                                 dpos += 1
                                 if fail_at < wall:
@@ -560,7 +667,10 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                             continue
                         free_push(node)
                     else:
-                        free_push(node)
+                        free_wide(entry, t)
+                    if result is _DONE:
+                        done_push(task)
+                    else:
                         retries = retry_counts.get(task.task_id, 0)
                         if policy.allows(retries) and self.budget_left():
                             index = retries + 1
@@ -587,42 +697,11 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
                                     _record_requeue(rec, task, t, index)
                         else:
                             failed.append(task)
-                else:  # _REQUEUE_EV: the backoff timer fired
-                    backing_off -= 1
-                    task = entry[3]
-                    task.state = _PENDING
-                    pend_push(task)
-                    if observed:
-                        _record_requeue(rec, task, t, entry[4])
-                while pending and free:
+                while pending and pending[0].nodes <= len(free):
                     task = pend_pop()
-                    node = free_pop()
-                    task.state = _RUNNING
-                    a = Attempt(task, [node.index], t)
-                    task.attempts.append(a)
-                    out_push(a)
-                    if observed:
-                        _record_launch(rec, task, node, t)
-                    wall = task.duration / node.speed
-                    result = _DONE
-                    cut = None
-                    if draws is not None:
-                        if dpos == dlen:
-                            dbuf = draws.refill_list()
-                            dlen = len(dbuf)
-                            dpos = 0
-                        fail_at = dbuf[dpos]
-                        dpos += 1
-                        if fail_at < wall:
-                            wall = fail_at
-                            result = _FAILED
-                    if timeout_for is not None:
-                        timeout = timeout_for(task)
-                    if timeout is not None and timeout < wall:
-                        wall = cut = timeout
-                        result = _FAILED
-                    e = (t + wall, seq, _END_EV, task, a, node, result, cut)
+                    e = place(task, t, seq, dpos)
                     seq += 1
+                    dpos += 1
                     nrunning += 1
                     if e[0] >= wend:
                         new_push(e)
@@ -651,44 +730,80 @@ class VectorPilotRun(_VectorAllocationMixin, PilotRun):
         if done_time is None:
             # Walltime kill.  Leftover backoff timers were *real*
             # simulator events on the event-driven path, so they are
-            # re-materialized as such — each fires after the kill, sees
-            # ``finished``, and records a terminal failure (the clock
-            # advances identically in both engines).
+            # re-materialized as such (the clock advances identically in
+            # both engines).
             remnants = q[qi:]
             self._kill_running(remnants, deadline)
             for entry in remnants:  # already in (time, seq) order
                 if entry[2] == _REQUEUE_EV:
-                    sim.schedule_at(entry[0], self._requeue, entry[3], entry[4])
-        if draws is not None:
-            # Exactly one draw is consumed per launch, and every launch
-            # appends one attempt — no need for a per-launch counter.
-            draws.note_consumed(len(attempts_out) - launches_before)
-        self._backing_off = backing_off
-        self._vector_finalize(done_time)
+                    sim.schedule_at(entry[0], self._fail_late, entry[3])
+        self._finalize(done_time)
 
 
-class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
-    """Bit-exact synchronous replay of :class:`StaticSetRun`'s event loop."""
+class VectorStaticSetRun(_VectorAllocationRun):
+    """The original workflow: fixed sets with an end-of-set barrier.
+
+    Tasks are chunked, in order, into sets that fit the allocation; the
+    next set launches only after *every* task of the current set has
+    finished (§V-D: "all experiments in a set must be complete before the
+    next set is run"), plus an optional ``set_gap`` for the bookkeeping
+    the human-driven scripts do between sets.  By default failures are
+    not retried — the original workflow curates a failed-run list
+    manually afterwards — but a :class:`~repro.resilience.RetryPolicy`
+    may grant in-place relaunches (the retried task keeps its set, so the
+    barrier waits for it).
+    """
+
+    def __init__(
+        self, cluster, alloc, tasks, outcome, done_cb, set_gap: float = 0.0, policy=None
+    ):
+        super().__init__(cluster, alloc, tasks, outcome, done_cb, policy=policy)
+        self.set_gap = set_gap
+        self.sets = self._partition(tasks, len(alloc.nodes))
+
+    @staticmethod
+    def _partition(tasks: list, width: int) -> list[list]:
+        """Chunk ``tasks``, in order, into sets whose node counts fit ``width``."""
+        # Bag-of-tasks campaigns (every task single-node) partition by
+        # plain slicing — C-speed membership scan instead of a Python
+        # loop over what may be tens of thousands of tasks.
+        if set(map(_task_nodes, tasks)) == {1}:
+            return [tasks[i : i + width] for i in range(0, len(tasks), width)]
+        sets: list[list] = []
+        current: list = []
+        used = 0
+        for task in tasks:
+            if task.nodes > width:
+                raise ValueError(
+                    f"task {task.name!r} needs {task.nodes} nodes; allocation has {width}"
+                )
+            if used + task.nodes > width:
+                sets.append(current)
+                current, used = [], 0
+            current.append(task)
+            used += task.nodes
+        if current:
+            sets.append(current)
+        return sets
 
     def start(self) -> None:
         """Simulate the whole allocation now, set by set.
 
-        The barrier structure makes whole sets vectorizable: a set whose
-        attempts all complete (no failure draw, no timeout, no deadline
-        crossing) is processed with batched numpy arithmetic — walls and
-        end times in one vector op, completion order via a stable
-        argsort (ties break by launch order, exactly like the
-        ``(time, seq)`` heap) — and never touches an event heap at all.
-        A set that *does* interact (failure, timeout, walltime kill)
-        falls back to a scalar per-event episode that is bit-exact with
-        :class:`~repro.savanna._alloc.StaticSetRun`; batching resumes at
-        the next barrier.  Failure draws are *peeked* before committing
-        to the fast path so the fallback consumes the identical RNG
-        stream one value at a time.  When the bus is observed, both
-        paths also append the events the event engine would have
-        emitted to the batch :meth:`_vector_finalize` publishes.
+        The barrier structure makes whole sets vectorizable: a set of
+        single-node attempts that all complete (no fault injector, no
+        failure draw, no timeout, no deadline crossing) is processed with
+        batched numpy arithmetic — walls and end times in one vector op,
+        completion order via a stable argsort (ties break by launch
+        order, exactly like the ``(time, seq)`` heap) — and never
+        touches an event heap at all.  Any other set falls back to a
+        scalar per-event episode through :meth:`_place`; batching
+        resumes at the next barrier.  Failure draws are *peeked* before
+        committing to the fast path so the fallback consumes the
+        identical RNG stream one value at a time.  When the bus is
+        observed, both paths also append the events the event engine
+        would have emitted to the batch :meth:`_finalize` publishes.
         """
-        self._vector_setup(sum(len(s) for s in self.sets))
+        self._setup(sum(map(len, self.sets)))
         sim = self.cluster.sim
         deadline = self.alloc.deadline
         free = self._free_nodes
@@ -701,17 +816,16 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
         retry_counts = self._retry_counts
         timeout = self._timeout
         timeout_for = None if self._timeout_const else policy.timeout_for
+        inline = self._inline
+        place = self._place
+        free_wide = self._free_wide
         draws = self._draws
+        dbuf = draws.vals if draws is not None else []
+        dlen = 0
+        dpos = 0
         specs = self._specs
         observed = specs is not None
         rec = specs.append if observed else None
-        dbuf: list[float] = []
-        dlen = 0
-        dpos = 0
-        sets = self.sets
-        nsets = len(sets)
-        next_set = self.next_set
-        in_flight = self.in_flight
         set_gap = self.set_gap
         seq = 1
         done_time = None
@@ -720,44 +834,40 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
         free_pop, free_push = free.popleft, free.append
         out_push = attempts_out.append
         done_push = completed.append
-        launches_before = len(attempts_out)
         sarr = self.cluster.pool.speed_array
         # Homogeneous pools (the common case) divide by one scalar; the
         # result is bit-identical to per-node division by equal floats.
         speed0 = float(sarr[0]) if len(sarr) and bool((sarr == sarr[0]).all()) else None
         t = sim.now
-        while next_set < nsets:
-            batch = sets[next_set]
+        nsets = len(self.sets)
+        for number, batch in enumerate(self.sets, 1):
             k = len(batch)
-            assigned = [free_pop() for _ in range(k)]
-            walls = np.fromiter([task.duration for task in batch], np.float64, k)
-            if speed0 is not None:
-                if speed0 != 1.0:
-                    walls /= speed0
-            else:
-                walls /= np.fromiter([n.speed for n in assigned], np.float64, k)
-            max_wall = float(walls.max())
-            # Whole-set fast path: every attempt must complete strictly
-            # before the deadline with no timeout and no failure draw.
-            fast = (
-                timeout_for is None
-                and (timeout is None or max_wall <= timeout)
-                and t + max_wall < deadline
-            )
-            vals = None
-            if fast and draws is not None:
-                while dlen - dpos < k:  # peek k stream values
-                    dbuf = dbuf[dpos:]
-                    dpos = 0
-                    dbuf += draws.refill_list()
-                    dlen = len(dbuf)
-                vals = dbuf[dpos : dpos + k]
-                if bool((np.fromiter(vals, np.float64, k) < walls).any()):
-                    fast = False
-            next_set += 1
+            fast = False
+            if inline:
+                assigned = [free_pop() for _ in range(k)]
+                walls = np.fromiter([task.duration for task in batch], np.float64, k)
+                if speed0 is not None:
+                    if speed0 != 1.0:
+                        walls /= speed0
+                else:
+                    walls /= np.fromiter([n.speed for n in assigned], np.float64, k)
+                max_wall = float(walls.max())
+                # Whole-set fast path: every attempt must complete strictly
+                # before the deadline with no timeout and no failure draw.
+                fast = (
+                    timeout_for is None
+                    and (timeout is None or max_wall <= timeout)
+                    and t + max_wall < deadline
+                )
+                if fast and draws is not None:
+                    if dlen - dpos < k:  # peek k stream values
+                        dlen = draws.ensure(dpos + k)
+                    vals = dbuf[dpos : dpos + k]
+                    fast = not bool((np.fromiter(vals, np.float64, k) < walls).any())
+                if not fast:
+                    free.extendleft(reversed(assigned))
             if fast:
-                if vals is not None:
-                    dpos += k
+                dpos += k
                 ends = t + walls
                 ends_l = ends.tolist()
                 base = len(attempts_out)
@@ -785,36 +895,10 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                 t_last = ends_l[order[-1]]
             else:
                 # Scalar episode: replay this set through the event heap.
-                in_flight = k
-                walls_l = walls.tolist()
-                for i, task in enumerate(batch):
-                    node = assigned[i]
-                    task.state = _RUNNING
-                    a = Attempt(task, [node.index], t)
-                    task.attempts.append(a)
-                    out_push(a)
-                    if observed:
-                        _record_launch(rec, task, node, t)
-                    wall = walls_l[i]
-                    result = _DONE
-                    cut = None
-                    if draws is not None:
-                        if dpos == dlen:
-                            dbuf = draws.refill_list()
-                            dlen = len(dbuf)
-                            dpos = 0
-                        fail_at = dbuf[dpos]
-                        dpos += 1
-                        if fail_at < wall:
-                            wall = fail_at
-                            result = _FAILED
-                    if timeout_for is not None:
-                        timeout = timeout_for(task)
-                    if timeout is not None and timeout < wall:
-                        wall = cut = timeout
-                        result = _FAILED
-                    push(heap, (t + wall, seq, _END_EV, task, a, node, result, cut))
+                for task in batch:
+                    push(heap, place(task, t, seq, dpos))
                     seq += 1
+                    dpos += 1
                 t_last = t
                 while heap:
                     entry = pop(heap)
@@ -824,23 +908,25 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                         break
                     t_last = te
                     task = entry[3]
-                    if entry[2] == _END_EV:
+                    kind = entry[2]
+                    if kind != _RELAUNCH_EV:
                         a, node, result = entry[4], entry[5], entry[6]
                         a.end = te
                         a.outcome = result
                         task.state = result
-                        node.busy_intervals.append((a.start, te))
-                        free_push(node)
-                        if observed:
-                            _record_end(rec, task, node, te, result, entry[7])
+                        if kind == _END_EV:
+                            node.busy_intervals.append((a.start, te))
+                            free_push(node)
+                            if observed:
+                                _record_end(rec, task, node, te, result, entry[7])
+                        else:
+                            free_wide(entry, te)
                         if result is _DONE:
                             done_push(task)
-                            in_flight -= 1
                             continue
                         retries = retry_counts.get(task.task_id, 0)
                         if not (policy.allows(retries) and self.budget_left()):
                             failed.append(task)
-                            in_flight -= 1
                             continue
                         index = retries + 1
                         retry_counts[task.task_id] = index
@@ -855,53 +941,24 @@ class VectorStaticSetRun(_VectorAllocationMixin, StaticSetRun):
                             seq += 1
                             continue
                     # Relaunch: the backoff elapsed, or there was none.
-                    node = free_pop()
-                    task.state = _RUNNING
-                    a = Attempt(task, [node.index], te)
-                    task.attempts.append(a)
-                    out_push(a)
-                    if observed:
-                        _record_launch(rec, task, node, te)
-                    wall = task.duration / node.speed
-                    result = _DONE
-                    cut = None
-                    if draws is not None:
-                        if dpos == dlen:
-                            dbuf = draws.refill_list()
-                            dlen = len(dbuf)
-                            dpos = 0
-                        fail_at = dbuf[dpos]
-                        dpos += 1
-                        if fail_at < wall:
-                            wall = fail_at
-                            result = _FAILED
-                    if timeout_for is not None:
-                        timeout = timeout_for(task)
-                    if timeout is not None and timeout < wall:
-                        wall = cut = timeout
-                        result = _FAILED
-                    push(heap, (te + wall, seq, _END_EV, task, a, node, result, cut))
+                    push(heap, place(task, te, seq, dpos))
                     seq += 1
+                    dpos += 1
                 if heap:  # deadline break: walltime kill handles the rest
                     break
-                in_flight = 0
-            if next_set >= nsets:
+            if number == nsets:
                 done_time = t_last
                 break
             t = t_last + set_gap
             if t >= deadline:
                 # The event path had already scheduled this barrier
                 # timer; it outlives the allocation as a real simulator
-                # event (fires, sees ``finished``, and is a no-op).
-                sim.schedule_at(t, self._barrier_release)
+                # event (fires after the kill and does nothing).
+                sim.schedule_at(t, self._barrier_late)
                 break
         if done_time is None:
             self._kill_running(heap, deadline)
             for entry in sorted(heap):
                 if entry[2] == _RELAUNCH_EV:
-                    sim.schedule_at(entry[0], self._relaunch, entry[3])
-        if draws is not None:
-            draws.note_consumed(len(attempts_out) - launches_before)
-        self.next_set = next_set
-        self.in_flight = in_flight
-        self._vector_finalize(done_time)
+                    sim.schedule_at(entry[0], self._fail_late, entry[3])
+        self._finalize(done_time)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.resilience.policy import RetryPolicy, as_policy
-from repro.savanna._alloc import PilotRun
-from repro.savanna._vector import VectorPilotRun, vector_eligible
+from repro.savanna._vector import VectorPilotRun
 from repro.savanna.executor import AllocationOutcome, CampaignResult
 from repro.savanna.runner import run_campaign
 
@@ -50,19 +49,19 @@ class PilotExecutor:
             RetryPolicy(max_retries=2) if retry_policy is None else as_policy(retry_policy)
         )
 
-    def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> PilotRun:
+    def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> VectorPilotRun:
         """Build the within-allocation engine for one granted allocation.
 
-        The returned :class:`PilotRun` emits the ``task`` spans and the
-        retry/timeout/fault instants for every attempt it dispatches.
-        Eligible workloads (single-node tasks, no fault injector) get
-        :class:`~repro.savanna._vector.VectorPilotRun`, the one vector
-        loop for this policy, which records those events only while the
-        bus is observed.  Tests select the event-driven reference by
-        patching this module's ``vector_eligible``.
+        The returned :class:`~repro.savanna._vector.VectorPilotRun`
+        simulates the allocation, fault-injected and multi-node runs
+        included, and records the ``task`` spans and the
+        retry/timeout/fault instants of every attempt only while the bus
+        is observed.  A task needing more nodes than the allocation has
+        stays PENDING; the tasks behind it still run.
         """
-        run_cls = VectorPilotRun if vector_eligible(self.cluster, tasks) else PilotRun
-        return run_cls(self.cluster, alloc, tasks, outcome, done_cb, policy=self.retry_policy)
+        return VectorPilotRun(
+            self.cluster, alloc, tasks, outcome, done_cb, policy=self.retry_policy
+        )
 
     def run(
         self,

@@ -663,9 +663,14 @@ class RealExecutor:
         if self.pool == "processes":
             # Fail before any worker starts, naming the offending key —
             # otherwise the pickle error surfaces as an opaque pipe
-            # failure on whichever attempt carried the bad spec.
-            for spec in specs:
-                spec.ensure_picklable()
+            # failure on whichever attempt carried the bad spec.  One
+            # pickle of every parameter dict clears the common case; only
+            # its failure pays the per-spec probe that names the key.
+            try:
+                pickle.dumps([spec.parameters for spec in specs])
+            except Exception:  # noqa: BLE001 - the probe below names the culprit
+                for spec in specs:
+                    spec.ensure_picklable()
 
         emit(CAMPAIGN, BEGIN, campaign=name, tasks=len(specs), max_allocations=1)
         emit(ALLOC_SUBMITTED, job=job, nodes=self.max_workers, walltime=None)

@@ -19,8 +19,7 @@ from __future__ import annotations
 from repro._util import check_nonnegative
 from repro.cluster.cluster import SimulatedCluster
 from repro.resilience.policy import RetryPolicy, as_policy
-from repro.savanna._alloc import StaticSetRun
-from repro.savanna._vector import VectorStaticSetRun, vector_eligible
+from repro.savanna._vector import VectorStaticSetRun
 from repro.savanna.executor import AllocationOutcome, CampaignResult
 from repro.savanna.runner import run_campaign
 
@@ -53,19 +52,16 @@ class StaticSetExecutor:
         self.set_gap = set_gap
         self.retry_policy = retry_policy if retry_policy is None else as_policy(retry_policy)
 
-    def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> StaticSetRun:
+    def make_run(self, alloc, tasks, outcome: AllocationOutcome, done_cb) -> VectorStaticSetRun:
         """Build the within-allocation engine.
 
-        Eligible workloads get
-        :class:`~repro.savanna._vector.VectorStaticSetRun`, the one
-        vector loop for this policy, which records the event batch only
-        while the bus is observed.  Tests select the event-driven
-        reference by patching this module's ``vector_eligible``.
+        The returned :class:`~repro.savanna._vector.VectorStaticSetRun`
+        simulates the allocation, fault-injected and multi-node runs
+        included, and records the event batch only while the bus is
+        observed.  It raises :class:`ValueError` when a task needs more
+        nodes than the allocation has.
         """
-        run_cls = (
-            VectorStaticSetRun if vector_eligible(self.cluster, tasks) else StaticSetRun
-        )
-        return run_cls(
+        return VectorStaticSetRun(
             self.cluster,
             alloc,
             tasks,

@@ -87,6 +87,17 @@ class TestPilot:
         outcome = result.outcomes[0]
         assert outcome.failed  # at such a low MTTF something must fail
 
+    def test_oversized_task_stays_pending(self):
+        # A task wider than the allocation used to hold the pilot's queue
+        # head until the walltime, starving the narrow task behind it.
+        # It now stays PENDING, and the rest of the queue runs.
+        cluster = make_cluster(nodes=4)
+        tasks = [Task("a", 10.0), Task("wide", 10.0, nodes=5), Task("b", 10.0)]
+        result = PilotExecutor(cluster).run(tasks, nodes=4, walltime=1000.0)
+        assert [t.state for t in tasks] == [TaskState.DONE, TaskState.PENDING, TaskState.DONE]
+        assert result.pending == [tasks[1]]
+        assert cluster.now < 100.0  # released once the runnable work is done
+
 
 class TestStaticSets:
     def test_barrier_idles_nodes(self):
@@ -138,10 +149,10 @@ class TestStaticSets:
             )
 
     def test_sets_partition_respects_node_width(self):
-        from repro.savanna._alloc import StaticSetRun
+        from repro.savanna._vector import VectorStaticSetRun
 
         tasks = tasks_of([1] * 7, nodes=2)
-        sets = StaticSetRun._partition(tasks, 5)
+        sets = VectorStaticSetRun._partition(tasks, 5)
         for batch in sets:
             assert sum(t.nodes for t in batch) <= 5
         assert sum(len(s) for s in sets) == 7

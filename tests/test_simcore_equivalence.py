@@ -1,15 +1,15 @@
 """Bit-exactness of the vectorized simulator core (`repro.savanna._vector`).
 
 Every scenario here runs twice — once on the per-event reference
-engine in ``repro.savanna._alloc`` (selected by patching
-``vector_eligible`` where the pilot and static executors import it) and
-once on the vectorized default — and asserts the runs are
-*indistinguishable*: identical task states and attempt records,
-identical outcome lists in identical order, identical node busy
-intervals, an identical failure-RNG stream position, and (when a
+engine kept as the oracle in ``tests/_event_engine.py`` (selected
+through ``tests/_oracle.py``) and once on the vector engines the
+executors ship with — and asserts the runs are *indistinguishable*:
+identical task states and attempt records, identical outcome lists in
+identical order, identical node busy intervals, an identical
+failure-RNG stream position and fault-injector count, and (when a
 recorder is attached) a byte-identical Chrome trace.  The fixed
 scenario matrix below is joined by a Hypothesis property that draws
-the scenario itself.
+the scenario itself, fault plans and multi-node tasks included.
 
 Two process-global counters must be normalized before comparing runs
 that execute in the same process:
@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import event_engine
 from repro.cluster.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task
 from repro.observability.recorder import TraceRecorder
@@ -40,7 +41,17 @@ from repro.resilience.policy import (
     FixedDelayPolicy,
     RetryPolicy,
 )
-from repro.savanna import PilotExecutor, StaticSetExecutor, pilot, static
+from repro.resilience.faults import (
+    CRASH_ON_START,
+    FAULT_KINDS,
+    MID_RUN_CRASH,
+    STRAGGLER,
+    TRANSIENT_IO,
+    FaultInjector,
+    FaultSpec,
+)
+from repro.savanna import PilotExecutor, StaticSetExecutor
+from repro.savanna._vector import VectorPilotRun, VectorStaticSetRun
 
 # ---------------------------------------------------------------------------
 # scenario definitions
@@ -53,16 +64,18 @@ class _PerTaskTimeout(RetryPolicy):
         return 450.0 if task.payload.get("capped") else None
 
 
-def _tasks(n: int, seed: int, mean: float = 600.0, sigma: float = 0.6, cap_half=False):
+def _tasks(n: int, seed: int, mean=600.0, sigma=0.6, cap_half=False, max_nodes=1):
     rng = np.random.default_rng(seed)
     durations = rng.lognormal(mean=math.log(mean), sigma=sigma, size=n)
+    widths = rng.integers(1, max_nodes + 1, size=n) if max_nodes > 1 else [1] * n
     return [
         Task(
             name=f"t{i:03d}",
             duration=float(d),
+            nodes=int(w),
             payload={"capped": True} if cap_half and i % 2 else {},
         )
-        for i, d in enumerate(durations)
+        for i, (d, w) in enumerate(zip(durations, widths))
     ]
 
 
@@ -76,22 +89,33 @@ def _spec(nodes, mttf, speed_sigma=0.0):
     )
 
 
+#: A fault plan with every kind the injector knows.
+FAULTS = (
+    FaultSpec(CRASH_ON_START, 0.05),
+    FaultSpec(MID_RUN_CRASH, 0.1),
+    FaultSpec(STRAGGLER, 0.15, slowdown=3.0),
+    FaultSpec(TRANSIENT_IO, 0.2, max_attempts=2),
+)
+
 SCENARIOS = {
-    # name: (spec, executor factory, task factory, run kwargs)
+    # name: (spec, fault specs, executor factory, task factory, run kwargs)
     "pilot-fig6": (
         _spec(8, 8000.0),
+        (),
         lambda c: PilotExecutor(c),
         lambda: _tasks(40, 3),
         {"nodes": 8, "walltime": 40000.0},
     ),
     "static-fig6": (
         _spec(8, 8000.0),
+        (),
         lambda c: StaticSetExecutor(c, set_gap=60.0),
         lambda: _tasks(40, 3),
         {"nodes": 8, "walltime": 40000.0},
     ),
     "pilot-backoff-budget": (
         _spec(6, 3000.0),
+        (),
         lambda c: PilotExecutor(
             c,
             retry_policy=FixedDelayPolicy(
@@ -103,6 +127,7 @@ SCENARIOS = {
     ),
     "static-exp-backoff": (
         _spec(6, 3000.0),
+        (),
         lambda c: StaticSetExecutor(
             c,
             set_gap=30.0,
@@ -115,6 +140,7 @@ SCENARIOS = {
     ),
     "pilot-walltime-kill": (
         _spec(8, 4000.0),
+        (),
         lambda c: PilotExecutor(
             c, retry_policy=FixedDelayPolicy(max_retries=2, delay_seconds=400.0)
         ),
@@ -123,24 +149,28 @@ SCENARIOS = {
     ),
     "static-kill-no-failures": (
         _spec(8, None),
+        (),
         lambda c: StaticSetExecutor(c, set_gap=60.0),
         lambda: _tasks(40, 5),
         {"nodes": 8, "walltime": 1500.0},
     ),
     "pilot-per-task-timeout": (
         _spec(6, 9000.0),
+        (),
         lambda c: PilotExecutor(c, retry_policy=_PerTaskTimeout(max_retries=1)),
         lambda: _tasks(30, 9, cap_half=True),
         {"nodes": 6, "walltime": 50000.0},
     ),
     "pilot-heterogeneous": (
         _spec(8, 6000.0, speed_sigma=0.3),
+        (),
         lambda c: PilotExecutor(c),
         lambda: _tasks(40, 17),
         {"nodes": 8, "walltime": 50000.0},
     ),
     "static-multi-alloc-inplace": (
         _spec(6, 5000.0),
+        (),
         lambda c: StaticSetExecutor(
             c, set_gap=45.0, retry_policy=FixedDelayPolicy(max_retries=2)
         ),
@@ -149,6 +179,7 @@ SCENARIOS = {
     ),
     "pilot-const-timeout": (
         _spec(6, None),
+        (),
         lambda c: PilotExecutor(
             c, retry_policy=RetryPolicy(max_retries=1, task_timeout=700.0)
         ),
@@ -159,23 +190,81 @@ SCENARIOS = {
     # task ends, which is what the pilot's whole-window batch needs.
     "pilot-wide": (
         _spec(32, 8000.0),
+        (),
         lambda c: PilotExecutor(c),
         lambda: _tasks(400, 5),
         {"nodes": 32, "walltime": 40000.0},
     ),
     "pilot-wide-no-failures": (
         _spec(32, None),
+        (),
         lambda c: PilotExecutor(c),
         lambda: _tasks(400, 5),
         {"nodes": 32, "walltime": 40000.0},
     ),
     "pilot-wide-multi-alloc-backoff": (
         _spec(32, 20000.0),
+        (),
         lambda c: PilotExecutor(
             c, retry_policy=FixedDelayPolicy(max_retries=2, delay_seconds=100.0)
         ),
         lambda: _tasks(400, 5),
         {"nodes": 32, "walltime": 5000.0, "max_allocations": 2},
+    ),
+    # Fault injection: every kind, on both engines, with retries.
+    "pilot-faults": (
+        _spec(8, 8000.0),
+        FAULTS,
+        lambda c: PilotExecutor(c),
+        lambda: _tasks(40, 3),
+        {"nodes": 8, "walltime": 40000.0},
+    ),
+    "static-faults-retry": (
+        _spec(6, 6000.0),
+        FAULTS,
+        lambda c: StaticSetExecutor(
+            c, set_gap=30.0, retry_policy=FixedDelayPolicy(max_retries=2, delay_seconds=120.0)
+        ),
+        lambda: _tasks(30, 11),
+        {"nodes": 6, "walltime": 60000.0},
+    ),
+    # Multi-node tasks: head-of-line blocking on the pilot, width-packed
+    # sets on the static engine.
+    "pilot-multinode-faults-kill": (
+        _spec(8, 5000.0),
+        FAULTS,
+        lambda c: PilotExecutor(
+            c, retry_policy=FixedDelayPolicy(max_retries=2, delay_seconds=300.0)
+        ),
+        lambda: _tasks(40, 5, max_nodes=4),
+        {"nodes": 8, "walltime": 2500.0, "max_allocations": 2},
+    ),
+    "static-multinode-heterogeneous": (
+        _spec(8, 6000.0, speed_sigma=0.3),
+        (),
+        lambda c: StaticSetExecutor(
+            c, set_gap=45.0, retry_policy=FixedDelayPolicy(max_retries=1)
+        ),
+        lambda: _tasks(36, 17, max_nodes=3),
+        {"nodes": 8, "walltime": 50000.0},
+    ),
+    # Timers that outlive their allocation: a static relaunch backoff
+    # and a static barrier gap, each past the walltime kill.
+    "static-relaunch-outlives-alloc": (
+        _spec(6, 3000.0),
+        (),
+        lambda c: StaticSetExecutor(
+            c, retry_policy=FixedDelayPolicy(max_retries=2, delay_seconds=2000.0)
+        ),
+        lambda: _tasks(30, 11),
+        {"nodes": 6, "walltime": 2500.0, "max_allocations": 2},
+    ),
+    "static-barrier-outlives-alloc": (
+        _spec(6, None),
+        (),
+        lambda c: StaticSetExecutor(c, set_gap=3000.0),
+        lambda: _tasks(36, 23),
+        {"nodes": 6, "walltime": 3500.0, "max_allocations": 2},
     ),
 }
 
@@ -186,23 +275,28 @@ SEED = 21
 # run + snapshot machinery
 
 
+def _cluster(spec, faults):
+    """A fresh cluster for one run, with an injector for ``faults``, if any."""
+    injector = FaultInjector(faults, seed=SEED) if faults else None
+    return SimulatedCluster(spec, seed=SEED, faults=injector)
+
+
 def _run(scenario, mode: str, traced: bool):
     """Execute one scenario under the given engine; snapshot everything.
 
-    ``scenario`` is a :data:`SCENARIOS` name or a
-    ``(spec, executor factory, task factory, run kwargs)`` tuple.
+    ``scenario`` is a :data:`SCENARIOS` name or a ``(spec, fault specs,
+    executor factory, task factory, run kwargs)`` tuple.
     """
     if isinstance(scenario, str):
         scenario = SCENARIOS[scenario]
-    spec, make_executor, make_tasks, run_kwargs = scenario
-    with pytest.MonkeyPatch.context() as mp:
-        if mode == "event":
-            # No allocation is vector-eligible: the reference engine runs.
-            for module in (pilot, static):
-                mp.setattr(module, "vector_eligible", lambda cluster, tasks: False)
-        cluster = SimulatedCluster(spec, seed=SEED)
-        recorder = TraceRecorder().attach(cluster.bus) if traced else None
-        tasks = make_tasks()
+    spec, faults, make_executor, make_tasks, run_kwargs = scenario
+    cluster = _cluster(spec, faults)
+    recorder = TraceRecorder().attach(cluster.bus) if traced else None
+    tasks = make_tasks()
+    if mode == "event":
+        with event_engine():
+            result = make_executor(cluster).run(tasks, **run_kwargs)
+    else:
         result = make_executor(cluster).run(tasks, **run_kwargs)
     if recorder is not None:
         recorder.detach()
@@ -237,6 +331,7 @@ def _snapshot(cluster, tasks, result, recorder):
         ],
         "intervals": [list(n.busy_intervals) for n in cluster.pool.nodes],
         "rng": cluster.failures._rng.bit_generator.state,
+        "injected": cluster.faults.injected_count if cluster.faults else 0,
         "now": cluster.sim.now,
     }
     if recorder is not None:
@@ -302,6 +397,19 @@ _POLICIES = st.one_of(
 )
 
 
+_FAULT_PLANS = st.just(()) | st.lists(
+    st.builds(
+        FaultSpec,
+        kind=st.sampled_from(FAULT_KINDS),
+        probability=st.floats(0.0, 0.4),
+        slowdown=st.sampled_from([1.0, 2.5, 4.0]),
+        max_attempts=st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+).map(tuple)
+
+
 @st.composite
 def _scenarios(draw):
     """One scenario in the :data:`SCENARIOS` tuple shape."""
@@ -311,6 +419,7 @@ def _scenarios(draw):
     spec = _spec(
         nodes, draw(st.none() | mttf), speed_sigma=draw(st.sampled_from([0.0, 0.3]))
     )
+    faults = draw(_FAULT_PLANS)
     policy = draw(_POLICIES)
     if draw(st.booleans()):
         make_executor = lambda c: PilotExecutor(c, retry_policy=policy)
@@ -319,13 +428,16 @@ def _scenarios(draw):
         make_executor = lambda c: StaticSetExecutor(c, set_gap=set_gap, retry_policy=policy)
     n_tasks = draw(st.integers(1, 300))
     task_seed = draw(st.integers(0, 2**16))
+    # Tasks up to 4 nodes wide, never wider than the allocation.
+    max_nodes = draw(st.integers(1, min(4, nodes)))
     run_kwargs = {
         "nodes": nodes,
         # Short walltimes kill mid-campaign; the long one never does.
         "walltime": draw(st.floats(300.0, 20000.0) | st.just(1.0e6)),
         "max_allocations": draw(st.integers(1, 3)),
     }
-    return spec, make_executor, lambda: _tasks(n_tasks, task_seed, cap_half=True), run_kwargs
+    make_tasks = lambda: _tasks(n_tasks, task_seed, cap_half=True, max_nodes=max_nodes)
+    return spec, faults, make_executor, make_tasks, run_kwargs
 
 
 @settings(deadline=None)
@@ -344,14 +456,36 @@ def test_generated_scenarios_are_bit_identical(scenario):
     assert vec == evt
 
 
+#: The timers that can outlive their allocation: (engine, callback).
+_LATE_TIMERS = {
+    "pilot requeue timer": (VectorPilotRun, "_fail_late"),
+    "static relaunch timer": (VectorStaticSetRun, "_fail_late"),
+    "static barrier timer": (VectorStaticSetRun, "_barrier_late"),
+}
+
+
 def test_scenarios_cover_interesting_behavior():
-    """Meta-test: the suite actually exercises retries, kills, timeouts."""
-    seen = {"failed": 0, "killed": 0, "retries": 0, "multi": 0}
-    for name in SCENARIOS:
-        snap = _run(name, "vector", False)
-        for o in snap["outcomes"]:
-            seen["failed"] += len(o["failed"])
-            seen["killed"] += len(o["killed"])
-        seen["retries"] += sum(len(attempts) > 1 for _, _, attempts in snap["tasks"])
-        seen["multi"] += len(snap["outcomes"]) > 1
+    """Meta-test: the suite actually exercises retries, kills, timeouts,
+    faults, multi-node tasks and each timer that outlives its allocation."""
+    kinds = ["failed", "killed", "retries", "multi", "faults", "wide", *_LATE_TIMERS]
+    seen = dict.fromkeys(kinds, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for kind, (cls, name) in _LATE_TIMERS.items():
+
+            def counted(self, *args, _kind=kind, _call=getattr(cls, name)):
+                seen[_kind] += 1
+                return _call(self, *args)
+
+            mp.setattr(cls, name, counted)
+        for name in SCENARIOS:
+            snap = _run(name, "vector", False)
+            for o in snap["outcomes"]:
+                seen["failed"] += len(o["failed"])
+                seen["killed"] += len(o["killed"])
+            seen["retries"] += sum(len(attempts) > 1 for _, _, attempts in snap["tasks"])
+            seen["multi"] += len(snap["outcomes"]) > 1
+            seen["faults"] += snap["injected"]
+            seen["wide"] += any(
+                len(nodes) > 1 for _, _, attempts in snap["tasks"] for *_, nodes in attempts
+            )
     assert all(seen.values()), f"degenerate scenario coverage: {seen}"

@@ -31,7 +31,7 @@ from repro.observability.recorder import TraceRecorder, events_from_trace
 from repro.resilience import FixedDelayPolicy
 from repro.savanna import PilotExecutor, execute_campaign
 from repro.savanna.realexec import wall_clock_bus
-from test_simcore_equivalence import SEED, _scenarios
+from test_simcore_equivalence import _cluster, _scenarios
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 COMMITTED_TRACES = sorted(RESULTS.glob("*.trace.json"))
@@ -172,8 +172,8 @@ def test_generated_drives_fold_live_as_replayed(scenario, twice, chunk):
     the same campaign name; ``chunk`` is the ``on_batch`` size of the
     chunked replay.
     """
-    spec, make_executor, make_tasks, run_kwargs = scenario
-    cluster = SimulatedCluster(spec, seed=SEED)
+    spec, faults, make_executor, make_tasks, run_kwargs = scenario
+    cluster = _cluster(spec, faults)
     builder = StreamingCampaignReport().attach(cluster.bus)
     recorder = TraceRecorder().attach(cluster.bus)
     for _ in range(2 if twice else 1):

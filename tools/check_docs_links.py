@@ -9,7 +9,7 @@ verifies each against the working tree / the importable package:
    an anchor on a relative target is stripped before checking).
 2. Backticked file paths (inline code ending in ``.md`` or ``.py``) —
    must exist relative to the doc, the repo root, or anywhere in the
-   tree (basename match covers prose like ```` `_alloc.py` ````).
+   tree (basename match covers prose like ```` `_vector.py` ````).
 3. Dotted module paths — inline code starting with ``repro.``, plus
    ``import``/``from`` statements and architecture-table rows inside
    fenced code blocks.  Each must resolve: the longest importable
