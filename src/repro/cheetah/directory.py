@@ -39,13 +39,26 @@ status transitions.  When a campaign-result store
 (:mod:`repro.store`) has been materialized at ``.cheetah/store.sqlite``,
 status updates and reports are mirrored into it and
 :meth:`CampaignDirectory.read_run_result` falls back to it — the store
-is the durable record at scale, the JSON files the human-readable face.
+is the durable record at scale.
+
+**Format.** The ``.cheetah/`` records — ``manifest.json``,
+``status.json``, ``report.json`` and ``lint.json`` — are compact JSON
+(no indent; sorted keys where the writer sorts them), because machines
+read them: resume, the lint gate and the store.  An ``indent`` would
+send every write through ``json``'s pure-Python encoder.  Indented
+records written by older versions still load, re-create, resume and
+merge, since every reader parses the document rather than comparing
+text.  The human-readable per-run views come from
+``python -m repro.store export``.  A lint cache built on such an older
+end point misses once: its digest covers the manifest text, which
+:meth:`CampaignDirectory.create` rewrites compact.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from repro._util import atomic_write_text, loads_tagged, path_lock, tagged_default
@@ -84,10 +97,14 @@ class CampaignDirectory:
         meta.mkdir(parents=True, exist_ok=True)
         manifest_path = meta / "manifest.json"
         text = manifest_to_json(self.manifest)
-        if manifest_path.exists() and manifest_path.read_text() != text:
-            raise RuntimeError(
-                f"campaign directory {self.root} already holds a different manifest"
-            )
+        if manifest_path.exists():
+            held = manifest_path.read_text()
+            # The documents, not their spelling: an end point written
+            # indented by an older version holds the same manifest.
+            if held != text and json.dumps(json.loads(held), sort_keys=True) != text:
+                raise RuntimeError(
+                    f"campaign directory {self.root} already holds a different manifest"
+                )
         atomic_write_text(manifest_path, text)
         status_path = meta / "status.json"
         with path_lock(status_path):
@@ -115,9 +132,7 @@ class CampaignDirectory:
         return self.root / self.METADATA_DIR / "status.json"
 
     def _write_status(self, status: dict) -> None:
-        atomic_write_text(
-            self._status_path(), json.dumps(status, indent=2, sort_keys=True)
-        )
+        atomic_write_text(self._status_path(), json.dumps(status, sort_keys=True))
 
     def read_status(self) -> dict:
         """``{run_id: RunStatus}`` for every run, as compacted into
@@ -319,7 +334,7 @@ class CampaignDirectory:
         so the file always reflects the latest execution of each group.
         Returns the report path.
         """
-        incoming = [r if isinstance(r, dict) else r.to_dict() for r in reports]
+        incoming = [_report_dict(r) for r in reports]
         path = self._report_path()
         with path_lock(path):
             existing: list = []
@@ -332,7 +347,7 @@ class CampaignDirectory:
             replaced = {key(r) for r in incoming}
             merged = [r for r in existing if key(r) not in replaced] + incoming
             atomic_write_text(
-                path, json.dumps({"schema": schema, "reports": merged}, indent=1) + "\n"
+                path, json.dumps({"schema": schema, "reports": merged}) + "\n"
             )
         if self.store_path().exists():
             with self.open_store() as store:
@@ -368,7 +383,6 @@ class CampaignDirectory:
                     "campaign": self.manifest.campaign,
                     "report": payload,
                 },
-                indent=2,
                 sort_keys=True,
             )
             + "\n"
@@ -386,6 +400,20 @@ class CampaignDirectory:
 
         data = json.loads(path.read_text())
         return LintReport.from_dict(data.get("report", {}))
+
+
+def _report_dict(report) -> dict:
+    """``report`` as the dict ``report.json`` and the store hold.
+
+    A dataclass report (``CampaignReport``) is read field by field, in
+    place: its ``to_dict()`` would deep-copy the whole report through
+    ``dataclasses.asdict`` only for the copy to be serialized.
+    """
+    if isinstance(report, dict):
+        return report
+    if is_dataclass(report):
+        return {f.name: getattr(report, f.name) for f in fields(report)}
+    return report.to_dict()
 
 
 def resolve_campaign_dir(

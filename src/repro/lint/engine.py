@@ -25,6 +25,7 @@ to ``report.suppressed`` and stay visible to reporters.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from repro.cheetah.campaign import Campaign
@@ -346,11 +347,15 @@ def _lint_campaign_dir(path: Path, suppress=(), cache: bool = True) -> LintRepor
     return report
 
 
-def _looks_like_manifest(path: Path) -> bool:
-    if path.suffix != ".json":
+def _is_manifest(text: str) -> bool:
+    """Whether ``text`` is a manifest: a JSON object holding
+    ``schema_version`` and ``runs``.  Sorted keys put ``schema_version``
+    after the whole runs list, so the file is parsed, not searched."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
         return False
-    head = path.read_text()[:2048]
-    return '"schema_version"' in head and '"runs"' in head
+    return isinstance(doc, dict) and "schema_version" in doc and "runs" in doc
 
 
 def lint_path(path, suppress=(), cache: bool = True) -> LintReport:
@@ -376,10 +381,10 @@ def lint_path(path, suppress=(), cache: bool = True) -> LintReport:
                 lint_source(file.read_text(), path=str(file), suppress=suppress)
             )
         return report
-    if _looks_like_manifest(path):
-        manifest = manifest_from_json(path.read_text())
-        return lint_manifest(manifest, suppress=suppress)
-    return lint_source(path.read_text(), path=str(path), suppress=suppress)
+    text = path.read_text()
+    if path.suffix == ".json" and _is_manifest(text):
+        return lint_manifest(manifest_from_json(text), suppress=suppress)
+    return lint_source(text, path=str(path), suppress=suppress)
 
 
 def lint_paths(paths, suppress=(), cache: bool = True) -> LintReport:

@@ -23,8 +23,9 @@ bus a whole batch at once via :meth:`EventBus.publish_batch`.  Ordering
 and sequence numbering are identical to the equivalent ``emit`` loop —
 subscribers that only understand single events observe the exact same
 stream — but subscribers that declare an ``on_batch`` method (the
-Chrome-trace recorder, the streaming report builder) receive the batch
-in one call, dropping the per-event Python function-call overhead.
+Chrome-trace recorder, the streaming report builder, the checkpoint
+journal) receive the batch in one call, dropping the per-event Python
+function-call overhead.
 """
 
 from __future__ import annotations

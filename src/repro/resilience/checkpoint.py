@@ -21,13 +21,25 @@ the base record, so a driver killed mid-campaign still resumes exactly
 the pending set.
 
 The journal is opened once per :meth:`~CampaignCheckpoint.attach` and
-closed by :meth:`~CampaignCheckpoint.detach`; each line is flushed to
-the OS before :meth:`~CampaignCheckpoint.record` returns, so a
-concurrent reader, or a driver killed with SIGKILL, sees every complete
-line.  A driver killed mid-write leaves a torn final line, which the
-next ``attach`` cuts back to the last newline before appending.  Lines
-are not fsynced: they survive the death of the driver process, not of
-the machine, while every ``status.json`` write is fsynced.
+closed by :meth:`~CampaignCheckpoint.detach`.  A line reaches the OS
+when the bus delivery that carried its transition returns: at once for
+an ``emit``, at the end of the whole batch for a ``publish_batch``
+(one flush per batch).  From then on a concurrent reader, or a driver
+killed with SIGKILL, sees it.  Batching loses nothing a per-line flush
+would keep: the vectorized executors publish an allocation's batch
+only after simulating all of it, so a driver killed during the
+delivery loses those runs to resume either way, and a real drive
+``emit``-s every transition.  A driver killed mid-write leaves a torn
+final line, which the next ``attach`` cuts back to the last newline
+before appending (a final line that lost only its newline is kept and
+terminated).  Lines are not fsynced: they survive the death of the
+driver process, not of the machine, while every ``status.json`` write
+is fsynced.
+
+Each line is ``json.dumps({"run": ..., "status": ..., "time": ...})``
+byte for byte, built by :func:`_journal_line` without the encoder for a
+finite float time.  Reading folds the journal in one streaming pass
+with one reused decoder (:func:`_journal_entries`).
 
 **Per-submission scoping**: with the campaign service
 (:mod:`repro.savanna.service`) many drive pipelines run concurrently in
@@ -50,6 +62,8 @@ import json
 import os
 import threading
 from contextlib import ExitStack
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 from repro._util import path_lock
@@ -69,12 +83,77 @@ _OUTCOME_TO_STATUS = {
 }
 
 
+def _journal_line(run_id: str, status: str, time) -> str:
+    """``json.dumps({"run": run_id, "status": status, "time": time}) + "\\n"``.
+
+    A finite float time, the case every bus event carries, is spelled
+    the way ``json`` spells it (``float.__repr__``) without the call
+    into the encoder; ``None``, other types and non-finite floats go
+    through ``json.dumps`` itself.
+    """
+    if isinstance(time, float) and isfinite(time):
+        return (
+            f'{{"run": {encode_basestring_ascii(run_id)}, "status": "{status}", '
+            f'"time": {float.__repr__(time)}}}\n'
+        )
+    return json.dumps({"run": run_id, "status": status, "time": time}) + "\n"
+
+
+#: The one decoder every journal read goes through; its C scanner
+#: parses a whole line in one call.
+_DECODER = json.JSONDecoder()
+
+
+def _journal_entries(path: Path):
+    """Yield the journal's parsed lines in append order, decoding each
+    as it is read: neither the file's text nor a list of its entries is
+    ever held whole.
+
+    A driver killed hard (SIGKILL, OOM) can die *mid-write*, leaving the
+    final line truncated; that line is dropped rather than poisoning
+    resume, and every complete line before it is still trusted.  A
+    malformed line anywhere *else* is a real corruption and raises.
+    Blank lines are skipped.
+    """
+    scan, decode = _DECODER.scan_once, _DECODER.decode
+    try:
+        fh = path.open()
+    except FileNotFoundError:  # never written, or compacted away
+        return
+    torn = None  # a malformed line's error: raised if another line follows
+    with fh:
+        for line in fh:
+            try:
+                entry, end = scan(line, 0)
+                whole = line[end:] == "\n"  # one value, then the newline
+            except (StopIteration, ValueError):
+                whole = False
+            if not whole:  # blank, padded, unterminated or malformed
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entry = decode(line)
+                except ValueError as exc:
+                    if torn is not None:
+                        raise torn
+                    torn = exc
+                    continue
+            if torn is not None:
+                raise torn
+            yield entry
+
+
 def _cut_torn_tail(path: Path) -> None:
-    """Cut ``path`` back to its last newline (no-op if it ends in one).
+    """End ``path`` with a newline before appending (no-op if it does).
 
     A driver killed mid-write leaves a final line without its newline;
     appending to it would glue the next line onto the fragment and turn
-    a droppable torn tail into an interior line that does not parse.
+    a droppable torn tail into an interior line that does not parse.  A
+    fragment is cut back to the last newline.  A final line that parses,
+    one that lost only its newline (a batch reaches the OS in
+    buffer-sized chunks, which can end anywhere), is kept and
+    terminated: readers already trust it.
     """
     try:
         fh = path.open("r+b")
@@ -87,7 +166,14 @@ def _cut_torn_tail(path: Path) -> None:
         fh.seek(size - 1)
         if fh.read(1) != b"\n":
             fh.seek(0)
-            fh.truncate(fh.read().rfind(b"\n") + 1)
+            text = fh.read()
+            start = text.rfind(b"\n") + 1
+            try:
+                _DECODER.decode(text[start:].decode().strip())
+            except ValueError:
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
 
 
 class CampaignCheckpoint:
@@ -116,22 +202,25 @@ class CampaignCheckpoint:
         self._known = {run.run_id for run in directory.manifest.runs}
         self._unsubscribe = None
         self._journal = None  # the journal file, open while attached
+        self._batching = False  # a publish_batch delivery is being journaled
 
     # -- journal -------------------------------------------------------------
 
     def record(self, run_id: str, status: RunStatus, time: float | None = None) -> None:
         """Append one status transition to the journal (O(1)).
 
-        The complete line reaches the OS before this returns.  While
-        attached, it goes through the journal opened by :meth:`attach`;
-        otherwise the journal is opened and closed for this one line.
+        While attached, the line goes through the journal opened by
+        :meth:`attach` and is flushed before this returns, except during
+        a ``publish_batch`` delivery, which flushes once at its end.
+        Otherwise the journal is opened and closed for this one line.
         """
         if run_id not in self._known:
             raise KeyError(f"unknown run_id {run_id!r}")
-        line = json.dumps({"run": run_id, "status": status.value, "time": time}) + "\n"
+        line = _journal_line(run_id, status.value, time)
         if self._journal is not None:
             self._journal.write(line)
-            self._journal.flush()
+            if not self._batching:
+                self._journal.flush()
             return
         with self._journal_path.open("a") as fh:
             fh.write(line)
@@ -139,27 +228,14 @@ class CampaignCheckpoint:
     def journal_entries(self) -> list[dict]:
         """Parsed journal lines, in append order (empty if no journal).
 
-        A driver killed hard (SIGKILL, OOM) can die *mid-write*, leaving
-        the final line truncated; that line is dropped rather than
-        poisoning resume — every complete line before it is still
-        trusted.  A malformed line anywhere *else* is a real corruption
-        and raises.
+        A torn final line is dropped; a malformed interior line raises
+        (see :func:`_journal_entries`).
         """
-        try:
-            text = self._journal_path.read_text()
-        except FileNotFoundError:  # never written, or compacted away
-            return []
-        entries = []
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        for i, line in enumerate(lines):
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn final write from a killed driver
-                raise
-        return entries
+        return list(_journal_entries(self._journal_path))
+
+    def _journaled(self) -> dict:
+        """``{run_id: status value}`` from the journal, later lines winning."""
+        return {entry["run"]: entry["status"] for entry in _journal_entries(self._journal_path)}
 
     # -- reading -------------------------------------------------------------
 
@@ -179,8 +255,8 @@ class CampaignCheckpoint:
             except OSError:  # no write access to .cheetah/
                 pass
             status = self.directory.read_status()
-            for entry in self.journal_entries():
-                status[entry["run"]] = RunStatus(entry["status"])
+            journaled = self._journaled()
+        status.update((run_id, RunStatus(value)) for run_id, value in journaled.items())
         return status
 
     def completed(self) -> set:
@@ -230,15 +306,14 @@ class CampaignCheckpoint:
             self._ATTACHED[key] = f"compaction@{id(self):#x}"
         try:
             with path_lock(self.directory._status_path()):
-                entries = self.journal_entries()
-                if entries:
-                    updates: dict[str, RunStatus] = {}
-                    for entry in entries:
-                        status = RunStatus(entry["status"])
-                        if status is RunStatus.RUNNING:
-                            status = RunStatus.PENDING
-                        updates[entry["run"]] = status
-                    self.directory.update_status(updates)  # re-enters the lock
+                journaled = self._journaled()
+                if journaled:
+                    self.directory.update_status(  # re-enters the lock
+                        {
+                            run_id: RunStatus.PENDING if value == "running" else RunStatus(value)
+                            for run_id, value in journaled.items()
+                        }
+                    )
                 self._journal_path.unlink(missing_ok=True)
         finally:
             with self._ATTACHED_LOCK:
@@ -294,6 +369,18 @@ class CampaignCheckpoint:
                 if status is not None:
                     self.record(run_id, status, time=event.time)
 
+        def observe_batch(events) -> None:
+            # One record() per transition, as an emit loop makes, and
+            # one flush for the whole batch.
+            self._batching = True
+            try:
+                for event in events:
+                    observe(event)
+            finally:
+                self._batching = False
+                self._journal.flush()
+
+        observe.on_batch = observe_batch  # EventBus.publish_batch's hook
         self._unsubscribe = bus.subscribe(observe)
 
     def detach(self) -> None:

@@ -132,3 +132,141 @@ class TestStatus:
         assert cd.summary() == {"pending": 2, "running": 1, "done": 1, "failed": 0}
         assert [r.run_id for r in cd.runs_where(status=RunStatus.DONE)] == ["g/run-0000"]
         assert cd.read_status()["g/run-0000"] is RunStatus.PENDING
+
+
+def square(params):
+    return params["x"] ** 2
+
+
+def json_form(reports):
+    """Reports as ``dataclasses.asdict`` makes them, through JSON."""
+    from dataclasses import asdict
+
+    return json.loads(json.dumps([asdict(r) for r in reports]))
+
+
+class TestReportSerialization:
+    """``write_report`` reads a report's fields in place; what lands in
+    ``report.json`` and the store is still the ``asdict`` form."""
+
+    def capture_reports(self, monkeypatch):
+        captured = []
+        write_report = CampaignDirectory.write_report
+
+        def capturing(directory, reports):
+            captured.extend(reports)
+            return write_report(directory, reports)
+
+        monkeypatch.setattr(CampaignDirectory, "write_report", capturing)
+        return captured
+
+    def assert_stored_as_asdict(self, directory, reports):
+        assert reports and not isinstance(reports[0], dict)
+        on_disk = json.loads((directory.root / ".cheetah" / "report.json").read_text())
+        assert on_disk["reports"] == json_form(reports)
+        with directory.open_store() as store:
+            assert store.reports(directory.manifest.campaign) == json_form(reports)
+
+    def test_simulated_report(self, tmp_path, monkeypatch):
+        from conftest import make_cluster
+        from repro.savanna import execute_manifest
+
+        captured = self.capture_reports(monkeypatch)
+        directory = CampaignDirectory(tmp_path, make_manifest(6))
+        directory.create()
+        directory.open_store().close()  # so the report is mirrored too
+        execute_manifest(
+            directory.manifest, lambda p: 20.0 + p["x"], make_cluster(nodes=2),
+            directory=directory, max_allocations=2, report=True,
+        )
+        self.assert_stored_as_asdict(directory, captured)
+
+    def test_real_report(self, tmp_path, monkeypatch):
+        from repro.savanna import execute_manifest
+
+        captured = self.capture_reports(monkeypatch)
+        directory = CampaignDirectory(tmp_path, make_manifest(6))
+        directory.create()
+        execute_manifest(
+            directory.manifest, backend="local-threads", app_fn=square,
+            directory=directory, report=True,
+        )
+        self.assert_stored_as_asdict(directory, captured)
+
+
+def respell_as_older_versions(directory):
+    """Rewrite the end point's records as older versions spelled them:
+    ``indent=2`` with sorted keys, and ``indent=1`` for the report."""
+    meta = directory.root / ".cheetah"
+    for name in ("manifest.json", "status.json"):
+        doc = json.loads((meta / name).read_text())
+        (meta / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    doc = json.loads((meta / "report.json").read_text())
+    (meta / "report.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+class TestOlderIndentedEndPoint:
+    """End points written indented by older versions still open,
+    re-create, resume and merge reports."""
+
+    def drive(self, directory, max_allocations, events=None):
+        from conftest import make_cluster
+        from repro.savanna import execute_manifest
+
+        cluster = make_cluster(nodes=2)
+        if events is not None:
+            cluster.bus.subscribe(events.append)
+        return execute_manifest(
+            directory.manifest, lambda p: 50.0, cluster, directory=directory,
+            max_allocations=max_allocations, report=True,
+        )
+
+    def test_create_resume_and_report_merge(self, tmp_path):
+        from repro.observability import BEGIN, TASK
+        from repro.resilience.checkpoint import CampaignCheckpoint
+
+        manifest = make_manifest(8)
+        directory = CampaignDirectory(tmp_path, manifest)
+        directory.create()
+        self.drive(directory, max_allocations=1)  # 2 of the 8 runs fit
+        pending = CampaignCheckpoint(directory).pending()
+        assert len(pending) == 6
+        (first_report,) = directory.read_report()
+        respell_as_older_versions(directory)
+        meta = directory.root / ".cheetah"
+        assert (meta / "manifest.json").read_text().startswith('{\n  "app"')
+
+        with pytest.raises(RuntimeError, match="different manifest"):
+            CampaignDirectory(tmp_path, make_manifest(9)).create()
+        CampaignDirectory(tmp_path, manifest).create()
+        assert "\n" not in (meta / "manifest.json").read_text()  # rewritten compact
+        assert CampaignCheckpoint(directory).pending() == pending
+        with pytest.raises(RuntimeError, match="different manifest"):
+            CampaignDirectory(tmp_path, make_manifest(9)).create()
+
+        other = dict(first_report, group="other")
+        respell_as_older_versions(directory)
+        directory.write_report([other])
+        assert directory.read_report() == [first_report, other]
+
+        events = []
+        result = self.drive(directory, max_allocations=4, events=events)
+        started = {e.fields["task"] for e in events if e.name == TASK and e.phase == BEGIN}
+        assert started == pending
+        assert result.all_done
+        reports = directory.read_report()
+        assert [r["group"] for r in reports] == ["other", "g"]
+        assert reports[1]["counts"]["resumed_skipped"] == 2
+
+    def test_store_loads_an_indented_manifest_row(self, tmp_path):
+        manifest = make_manifest()
+        directory = CampaignDirectory(tmp_path, manifest)
+        directory.create()
+        with directory.open_store() as store:
+            (text,) = store._conn.execute("SELECT manifest_json FROM campaigns").fetchone()
+            assert "\n" not in text
+            indented = json.dumps(json.loads(text), indent=2, sort_keys=True)
+            store._conn.execute("UPDATE campaigns SET manifest_json = ?", (indented,))
+            store._conn.commit()
+        with directory.open_store() as store:
+            assert store.manifest(manifest.campaign) == manifest

@@ -83,6 +83,18 @@ class TestCli:
         path.write_text(manifest_to_json(bad))
         assert main([str(path)]) == 0
 
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+    def test_long_manifest_json_file_gets_the_manifest_rules(self, tmp_path, capsys, indent):
+        # Sorted keys put schema_version after the runs list: 40 runs
+        # push it far past the head of the file in either spelling.
+        duplicates = compose(values=(1,) * 40).to_manifest()  # FAIR002 errors
+        path = tmp_path / "manifest.json"
+        doc = json.loads(manifest_to_json(duplicates))
+        path.write_text(json.dumps(doc, indent=indent, sort_keys=True))
+        assert len(doc["runs"]) == 40
+        assert main([str(path)]) == 1
+        assert "FAIR002" in capsys.readouterr().out
+
 
 class TestSuppressionMetadata:
     def test_campaign_metadata_reaches_the_report(self):

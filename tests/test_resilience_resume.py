@@ -1,5 +1,7 @@
 """Tests for campaign checkpointing and resumable SweepGroups."""
 
+import json
+import math
 import os
 import sys
 import threading
@@ -7,11 +9,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory, RunStatus
-from repro.observability import BEGIN, END, GROUP_RESUMED, TASK, EventBus
+from repro.observability import BEGIN, END, GROUP_RESUMED, INSTANT, TASK, EventBus
 from repro.resilience import CampaignCheckpoint
+from repro.resilience.checkpoint import _journal_entries, _journal_line
 from repro.savanna import execute_campaign, execute_manifest
 
 from conftest import make_cluster
@@ -176,6 +181,23 @@ class TestCampaignCheckpoint:
         checkpoint.compact()
         assert CampaignCheckpoint(directory).pending() == {"g/run-0001", "g/run-0003"}
 
+    def test_attach_keeps_a_whole_final_line_that_lost_its_newline(self, tmp_path):
+        # A batch's lines reach the OS in buffer-sized chunks, so a kill
+        # can land just before a line's newline.  Readers trust that
+        # line, so resume skips its run; attach must not cut it away.
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        done = '{"run": "g/run-0000", "status": "done", "time": 1.0}'
+        journal_path(directory).write_text(done)
+        checkpoint = CampaignCheckpoint(directory)
+        assert checkpoint.completed() == {"g/run-0000"}
+        bus = EventBus()
+        checkpoint.attach(bus)
+        emit_run(bus, "g/run-0001", time=2.0)
+        checkpoint.detach()
+        assert journal_path(directory).read_text().startswith(done + "\n")
+        checkpoint.compact()
+        assert checkpoint.completed() == {"g/run-0000", "g/run-0001"}
+
     def test_attach_leaves_a_whole_journal_byte_identical(self, tmp_path):
         directory = make_directory(tmp_path, make_manifest(n=4))
         text = '{"run": "g/run-0000", "status": "done", "time": 1.0}\n'
@@ -297,6 +319,130 @@ class TestCampaignCheckpoint:
         status = directory.read_status()
         assert status["g/run-0000"] is RunStatus.DONE
         assert status["g/run-0001"] is RunStatus.PENDING
+
+
+#: Run ids with everything ``json`` escapes: quotes, backslashes,
+#: control characters and non-ASCII text.
+_RUN_IDS = st.text(min_size=1) | st.text(
+    alphabet='"\\/\x00\x07\x1f\x7f\n\t\u00e9\u2028\U0001f600 ab', min_size=1
+)
+_TIMES = st.none() | st.integers() | st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324]
+)
+
+
+def reference_entries(text):
+    """The journal read rule, written the direct way: every stripped
+    non-blank line parses, except that a malformed last one is dropped."""
+    lines = [line.strip() for line in text.split("\n")]
+    lines = [line for line in lines if line]
+    entries = []
+    for i, line in enumerate(lines):
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            if i == len(lines) - 1:
+                break
+            raise
+    return entries
+
+
+_LINE = '{"run": "g/run-0000", "status": "done", "time": 1.5}'
+_JOURNAL_PIECES = st.sampled_from(
+    [_LINE, f"  {_LINE}\t", "", "   ", "not json", _LINE + " x", "7", "{}"]
+) | st.integers(1, len(_LINE) - 1).map(lambda cut: _LINE[:cut])
+
+
+class TestJournalWriter:
+    @given(run_id=_RUN_IDS, status=st.sampled_from(RunStatus), time=_TIMES)
+    @example(run_id='a"b\\c\x00\x1f\u00e9\U0001f600', status=RunStatus.DONE, time=0.1)
+    @example(run_id="g/run-0000", status=RunStatus.RUNNING, time=None)
+    @example(run_id="g/run-0000", status=RunStatus.FAILED, time=3)
+    @example(run_id="g/run-0000", status=RunStatus.DONE, time=-0.0)
+    @example(run_id="g/run-0000", status=RunStatus.DONE, time=math.inf)
+    @example(run_id="g/run-0000", status=RunStatus.DONE, time=-math.inf)
+    @example(run_id="g/run-0000", status=RunStatus.DONE, time=math.nan)
+    @example(run_id="g/run-0000", status=RunStatus.DONE, time=1e300)
+    def test_line_is_the_json_dumps_line(self, run_id, status, time):
+        expected = json.dumps({"run": run_id, "status": status.value, "time": time}) + "\n"
+        assert _journal_line(run_id, status.value, time) == expected
+
+    @given(pieces=st.lists(_JOURNAL_PIECES, max_size=6), newline=st.booleans())
+    @example(pieces=[_LINE, "not json", _LINE], newline=True)  # interior corruption
+    @example(pieces=[_LINE, _LINE[:20], "", "  "], newline=False)  # torn, then blanks
+    @example(pieces=[_LINE + " x"], newline=True)  # trailing data on the last line
+    def test_streaming_reader_keeps_the_read_rules(self, tmp_path_factory, pieces, newline):
+        path = tmp_path_factory.getbasetemp() / "read-rules.jsonl"
+        text = "\n".join(pieces) + ("\n" if newline and pieces else "")
+        path.write_text(text)
+        try:
+            expected = reference_entries(text)
+        except json.JSONDecodeError:
+            with pytest.raises(json.JSONDecodeError):
+                list(_journal_entries(path))
+        else:
+            assert list(_journal_entries(path)) == expected
+
+    def test_batch_and_emit_deliveries_journal_the_same_bytes(self, tmp_path, monkeypatch):
+        # The same task events, once through publish_batch (two batches)
+        # and once through an emit loop: byte-identical journals, one
+        # record() per transition on both paths, and one flush per batch.
+        manifest = make_manifest(n=6)
+        outcomes = ["done", "failed", "killed", "interrupted", "done", "done"]
+        specs = []
+        for i, outcome in enumerate(outcomes):
+            run_id = f"g/run-{i:04d}"
+            specs.append((TASK, BEGIN, 10.0 * i + 0.1, {"task": run_id}))
+            specs.append(("node.busy", INSTANT, 10.0 * i + 0.2, {"task": run_id}))
+            specs.append((TASK, END, 10.0 * i + 5.3, {"task": run_id, "outcome": outcome}))
+        specs.append((TASK, BEGIN, 99.0, {"task": "not-a-campaign-run"}))
+        transitions = 2 * len(outcomes)
+        batches = [specs[:7], specs[7:]]
+
+        records = []
+        record = CampaignCheckpoint.record
+
+        def counted(self, *args, **kwargs):
+            records.append(self)
+            return record(self, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignCheckpoint, "record", counted)
+
+        class CountedJournal:
+            def __init__(self, fh):
+                self.fh, self.flushes = fh, 0
+
+            def write(self, text):
+                return self.fh.write(text)
+
+            def flush(self):
+                self.flushes += 1
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        journals, statuses = [], []
+        for name, deliver in [
+            ("batched", lambda bus: [bus.publish_batch(batch) for batch in batches]),
+            ("emitted", lambda bus: [bus.emit(n, p, t, **f) for n, p, t, f in specs]),
+        ]:
+            directory = make_directory(tmp_path / name, manifest)
+            checkpoint, bus = CampaignCheckpoint(directory), EventBus()
+            checkpoint.attach(bus)
+            journal = checkpoint._journal = CountedJournal(checkpoint._journal)
+            deliver(bus)
+            checkpoint.detach()
+            assert records.count(checkpoint) == transitions
+            assert journal.flushes == (len(batches) if name == "batched" else transitions)
+            journals.append(journal_path(directory).read_bytes())
+            checkpoint.compact()
+            statuses.append(json.loads(directory._status_path().read_text()))
+        assert journals[0] == journals[1]
+        assert len(journals[0].splitlines()) == transitions
+        assert statuses[0] == statuses[1]
+        assert statuses[0]["g/run-0001"] == "failed"
+        assert statuses[0]["g/run-0002"] == "pending"
 
 
 class TestSnapshotReads:

@@ -20,7 +20,11 @@ campaign:
 5. spot-check the ``status`` / ``info`` / ``query`` subcommands;
 6. drive the same manifest on the simulated pilot, which leaves no
    store, and assert its export still writes every ``params.json`` and
-   creates no store.
+   creates no store;
+7. respell a second real end point's ``.cheetah/`` records the way
+   older versions wrote them (indented), and assert that ``migrate``,
+   ``status`` and a resumed re-drive give the compact end point's
+   catalog answers and statuses.
 
 Usage: ``python tools/smoke_store.py`` (creates a temp campaign root).
 """
@@ -97,9 +101,25 @@ def assert_params_exported(directory, manifest) -> None:
         )
 
 
+def respell_as_older_versions(directory) -> None:
+    """Rewrite the ``.cheetah/`` records as older versions wrote them:
+    ``indent=2`` with sorted keys, and ``indent=1`` for the report."""
+    import json
+
+    meta = directory.root / directory.METADATA_DIR
+    for name, indent, sort_keys, end in (
+        ("manifest.json", 2, True, ""),
+        ("status.json", 2, True, ""),
+        ("report.json", 1, False, "\n"),
+        ("lint.json", 2, True, "\n"),
+    ):
+        doc = json.loads((meta / name).read_text())
+        (meta / name).write_text(json.dumps(doc, indent=indent, sort_keys=sort_keys) + end)
+
+
 def main() -> int:
     from repro.cheetah.catalog import CampaignCatalog
-    from repro.cheetah.directory import CampaignDirectory
+    from repro.cheetah.directory import CampaignDirectory, RunStatus
     from repro.cluster import ClusterSpec, SimulatedCluster
     from repro.savanna import execute_manifest
     from repro.store import CampaignStore, metrics_from_value
@@ -188,6 +208,49 @@ def main() -> int:
         assert_params_exported(sim_dir, manifest)
         assert not sim_dir.store_path().exists(), "export created a store"
         print("[smoke-store] simulated end point: params.json export, no store")
+
+        # 7. an end point spelled by older versions answers like the
+        #    compact one: migrate, status, and a resumed re-drive
+        old_root = root / "older"
+        execute_manifest(
+            manifest,
+            backend="local-threads",
+            directory=old_root,
+            app_fn=loss_app,
+            max_workers=4,
+            report=True,
+        )
+        old_dir = CampaignDirectory.open(old_root / manifest.campaign)
+        run_cli("export", str(old_dir.root))
+        respell_as_older_versions(old_dir)
+        old_db = root / "older.sqlite"
+        run_cli("migrate", str(old_dir.root), "--db", str(old_db))
+        with CampaignStore(old_db) as store:
+            migrated = answers_of(store.catalog(manifest.campaign))
+        assert migrated == expected, (
+            f"indented end point migrated apart:\n  compact: {expected}\n  indented: {migrated}"
+        )
+        compact_status = run_cli("status", str(fresh_db)).stdout
+        assert run_cli("status", str(old_db)).stdout == compact_status
+        # As an older driver cut off before a third of its runs left it.
+        interrupted = {run.run_id for run in manifest.runs[::3]}
+        old_dir.update_status({run_id: RunStatus.PENDING for run_id in interrupted})
+        respell_as_older_versions(old_dir)
+        result = execute_manifest(
+            manifest,
+            backend="local-threads",
+            directory=old_root,
+            app_fn=loss_app,
+            max_workers=4,
+            report=True,
+        )
+        assert set(result.results) == interrupted, sorted(result.results)
+        assert old_dir.read_status() == directory.read_status(), "resumed statuses differ"
+        assert run_cli("status", str(old_dir.root)).stdout == run_cli(
+            "status", str(campaign_dir)
+        ).stdout
+        assert [r["group"] for r in old_dir.read_report()] == ["g"]
+        print("[smoke-store] indented end point: migrate, status and resume agree")
 
     print("[smoke-store] PASS")
     return 0
