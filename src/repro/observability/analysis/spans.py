@@ -40,8 +40,23 @@ from repro.observability.events import (
     TASK_TIMEOUT,
 )
 
+#: The event names :meth:`SpanTrace.feed` folds besides ``task``.
+_FOLDED = frozenset(
+    (
+        CAMPAIGN,
+        GROUP,
+        GROUP_RESUMED,
+        ALLOC_SUBMITTED,
+        ALLOC,
+        TASK_RETRY,
+        TASK_TIMEOUT,
+        TASK_FAULT_INJECTED,
+        TASK_REQUEUED,
+    )
+)
 
-@dataclass
+
+@dataclass(slots=True)
 class TaskSpan:
     """One task attempt: the reconstructed ``task`` begin/end pair."""
 
@@ -163,39 +178,79 @@ class SpanTrace:
         return trace
 
     def feed(self, event) -> None:
-        """Fold one event into the span tree as it arrives."""
+        """Fold one event into the span tree as it arrives.
+
+        The fold reads ``task``, ``campaign``, ``group``,
+        ``group.resumed``, ``alloc.submitted``, ``alloc``,
+        ``task.retry``, ``task.timeout``, ``task.fault_injected`` and
+        ``task.requeued`` events.  Any other event (``node.busy``,
+        ``node.idle``, the service and telemetry instants) only counts
+        toward ``n_events`` and advances ``last_time``.  A task span
+        keeps the ``payload`` dict of its ``begin`` event, which the
+        producer built for that event.
+        """
+        name, time, phase, _, pid, f = event
+        self.n_events += 1
+        if time > self.last_time:
+            self.last_time = time
+        if name == TASK:
+            key = (pid, f.get("task_id"))
+            if phase == BEGIN:
+                members = self._open_campaign.get(pid)
+                alloc = self._open_alloc.get(pid)
+                node = f.get("node")
+                span = TaskSpan(
+                    pid=pid,
+                    task_id=key[1],
+                    name=f.get("task", "(task)"),
+                    node=node,
+                    nodes=tuple(f.get("nodes") or ((node,) if node is not None else ())),
+                    attempt=f.get("attempt", 1),
+                    start=time,
+                    payload=f.get("payload") or {},
+                    alloc=alloc.index if alloc is not None else None,
+                    group=(self._open_group.get(pid) or {}).get("group"),
+                    campaign=members.campaign.name if members is not None else None,
+                )
+                self._open_tasks[key] = span
+                self.tasks.append(span)
+                if members is not None:
+                    members.tasks.append(span)
+                    members.latest[key[1]] = span
+            elif phase == END:
+                span = self._open_tasks.pop(key, None)
+                if span is not None:
+                    span.end = time
+                    span.outcome = f.get("outcome")
+            return
+        if name not in _FOLDED:
+            return
         open_campaign = self._open_campaign
         open_group = self._open_group
         open_alloc = self._open_alloc
-        open_tasks = self._open_tasks
-        pending_submits = self._pending_submits
-
-        self.n_events += 1
-        self.last_time = max(self.last_time, event.time)
-        pid, f = event.pid, event.fields
-        if event.name == CAMPAIGN:
-            if event.phase == BEGIN:
+        if name == CAMPAIGN:
+            if phase == BEGIN:
                 group = open_group.get(pid, {})
                 span = CampaignSpan(
                     pid=pid,
                     name=f.get("campaign", "(campaign)"),
-                    start=event.time,
+                    start=time,
                     tasks=f.get("tasks"),
                     group=group.get("group"),
                     resumed_skipped=group.pop("resumed_skipped", 0),
                 )
                 open_campaign[pid] = self._members[id(span)] = _Members(span)
                 self.campaigns.append(span)
-            elif event.phase == END and pid in open_campaign:
+            elif phase == END and pid in open_campaign:
                 span = open_campaign.pop(pid).campaign
-                span.end = event.time
+                span.end = time
                 span.completed = f.get("completed")
                 span.allocations = f.get("allocations")
-        elif event.name == GROUP and event.phase == BEGIN:
+        elif name == GROUP and phase == BEGIN:
             open_group[pid] = dict(f)
-        elif event.name == GROUP and event.phase == END:
+        elif name == GROUP and phase == END:
             open_group.pop(pid, None)
-        elif event.name == GROUP_RESUMED:
+        elif name == GROUP_RESUMED:
             # The drive reports the skip before its executor opens the
             # campaign span: the open group keeps it for that span.
             members = open_campaign.get(pid)
@@ -203,71 +258,44 @@ class SpanTrace:
                 members.campaign.resumed_skipped = f.get("skipped", 0)
             elif pid in open_group:
                 open_group[pid]["resumed_skipped"] = f.get("skipped", 0)
-        elif event.name == ALLOC_SUBMITTED:
-            pending_submits[(pid, f.get("job"))] = event.time
-        elif event.name == ALLOC:
-            if event.phase == BEGIN:
+        elif name == ALLOC_SUBMITTED:
+            self._pending_submits[(pid, f.get("job"))] = time
+        elif name == ALLOC:
+            if phase == BEGIN:
                 members = open_campaign.get(pid)
                 span = AllocSpan(
                     pid=pid,
                     index=f.get("alloc", len(self.allocs)),
                     job=f.get("job"),
                     nodes=tuple(f.get("nodes", ())),
-                    start=event.time,
+                    start=time,
                     deadline=f.get("deadline"),
-                    submitted=pending_submits.pop((pid, f.get("job")), None),
+                    submitted=self._pending_submits.pop((pid, f.get("job")), None),
                     campaign=members.campaign.name if members is not None else None,
                 )
                 open_alloc[pid] = span
                 self.allocs.append(span)
                 if members is not None:
                     members.allocs.append(span)
-            elif event.phase == END and pid in open_alloc:
+            elif phase == END and pid in open_alloc:
                 span = open_alloc.pop(pid)
-                span.end = event.time
+                span.end = time
                 span.reason = f.get("reason")
-        elif event.name == TASK:
-            key = (pid, f.get("task_id"))
-            if event.phase == BEGIN:
-                members = open_campaign.get(pid)
-                alloc = open_alloc.get(pid)
-                span = TaskSpan(
-                    pid=pid,
-                    task_id=key[1],
-                    name=f.get("task", "(task)"),
-                    node=f.get("node"),
-                    nodes=tuple(f.get("nodes") or ((f.get("node"),) if f.get("node") is not None else ())),
-                    attempt=f.get("attempt", 1),
-                    start=event.time,
-                    payload=dict(f.get("payload") or {}),
-                    alloc=alloc.index if alloc is not None else None,
-                    group=(open_group.get(pid) or {}).get("group"),
-                    campaign=members.campaign.name if members is not None else None,
-                )
-                open_tasks[key] = span
-                self.tasks.append(span)
-                if members is not None:
-                    members.tasks.append(span)
-                    members.latest[key[1]] = span
-            elif event.phase == END and key in open_tasks:
-                span = open_tasks.pop(key)
-                span.end = event.time
-                span.outcome = f.get("outcome")
-        elif event.name == TASK_RETRY:
+        elif name == TASK_RETRY:
             members = open_campaign.get(pid)
             span = members.latest.get(f.get("task_id")) if members is not None else None
             if span is not None:
                 span.retries_granted += 1
                 span.backoff += float(f.get("delay") or 0.0)
-        elif event.name == TASK_TIMEOUT:
-            span = open_tasks.get((pid, f.get("task_id")))
+        elif name == TASK_TIMEOUT:
+            span = self._open_tasks.get((pid, f.get("task_id")))
             if span is not None:
                 span.timed_out = True
-        elif event.name == TASK_FAULT_INJECTED:
-            span = open_tasks.get((pid, f.get("task_id")))
+        elif name == TASK_FAULT_INJECTED:
+            span = self._open_tasks.get((pid, f.get("task_id")))
             if span is not None:
                 span.faults += 1
-        elif event.name == TASK_REQUEUED:
+        elif name == TASK_REQUEUED:
             self.requeues.append(event)
 
     def close_open(self) -> None:

@@ -19,13 +19,19 @@ truthiness check per event in unobserved runs.
 
 Batched emission: hot paths that produce many events at one code site
 (the vectorized executors, trace replay, bench harnesses) can hand the
-bus a whole batch at once via :meth:`EventBus.publish_batch`.  Ordering
-and sequence numbering are identical to the equivalent ``emit`` loop —
-subscribers that only understand single events observe the exact same
-stream — but subscribers that declare an ``on_batch`` method (the
-Chrome-trace recorder, the streaming report builder, the checkpoint
-journal) receive the batch in one call, dropping the per-event Python
-function-call overhead.
+bus a whole batch of ``(name, phase, time, fields)`` specs at once via
+:meth:`EventBus.publish_batch`.  Ordering and sequence numbering are
+identical to the equivalent ``emit`` loop — subscribers that only
+understand single events observe the exact same stream — but
+subscribers that declare an ``on_batch`` method (the Chrome-trace
+recorder, the streaming report builder, the checkpoint journal) receive
+the batch in one call, dropping the per-event Python function-call
+overhead.
+
+Ownership: each event keeps the ``fields`` dict it was built with, so a
+batch producer hands over one fresh dict per spec and never mutates it
+after publishing; ``emit`` builds a fresh dict from its keyword
+arguments.
 """
 
 from __future__ import annotations
@@ -145,14 +151,7 @@ class EventBus:
             return None
         if time is None:
             time = self.clock() if self.clock is not None else 0.0
-        event = Event(
-            name=name,
-            time=float(time),
-            phase=phase,
-            seq=self._seq,
-            pid=self.pid,
-            fields=fields,
-        )
+        event = Event(name, float(time), phase, self._seq, self.pid, fields)
         self._seq += 1
         for callback in (*self._subscribers, *_GLOBAL_SUBSCRIBERS):
             try:
@@ -165,11 +164,15 @@ class EventBus:
         """Build and deliver many events in one call; returns them.
 
         ``specs`` is an iterable of ``(name, phase, time, fields)``
-        tuples (``phase``/``time``/``fields`` optional — ``None`` means
+        tuples (``phase``/``time``/``fields`` may be ``None``, meaning
         the :meth:`emit` default).  Sequence numbers are assigned in
         input order, so the resulting stream is indistinguishable from
         the equivalent ``emit`` loop; returns ``None`` without building
         anything when nobody listens.
+
+        Each event takes ownership of its spec's ``fields`` dict, as is
+        (a ``None`` gets a fresh ``{}``): hand over one fresh dict per
+        spec and never mutate it after publishing.
 
         Subscribers exposing an ``on_batch(events)`` method receive the
         whole batch in a single call (the Chrome-trace recorder and the
@@ -182,25 +185,17 @@ class EventBus:
             return None
         default_time = None
         events: list[Event] = []
+        append = events.append
+        pid = self.pid
         seq = self._seq
-        for spec in specs:
-            name, phase, time, fields = spec
+        for name, phase, time, fields in specs:
             if phase is None:
                 phase = INSTANT
             if time is None:
                 if default_time is None:
                     default_time = self.clock() if self.clock is not None else 0.0
                 time = default_time
-            events.append(
-                Event(
-                    name=name,
-                    time=float(time),
-                    phase=phase,
-                    seq=seq,
-                    pid=self.pid,
-                    fields=dict(fields) if fields else {},
-                )
-            )
+            append(Event(name, float(time), phase, seq, pid, fields))
             seq += 1
         self._seq = seq
         if not events:

@@ -2,10 +2,11 @@
 
 An :class:`Event` is one observation emitted by the execution layers: a
 point occurrence (``phase="instant"``) or one endpoint of a span
-(``phase="begin"`` / ``phase="end"``).  Events are immutable, carry the
-simulation time they happened at, and a per-bus sequence number that
-makes emission order total even when many events share a timestamp (the
-discrete-event simulator routinely fires whole cascades at one instant).
+(``phase="begin"`` / ``phase="end"``).  Events are immutable tuple-backed
+records (one tuple per observation), carry the simulation time they
+happened at, and a per-bus sequence number that makes emission order
+total even when many events share a timestamp (the discrete-event
+simulator routinely fires whole cascades at one instant).
 
 Taxonomy
 --------
@@ -60,7 +61,7 @@ Ordering guarantees
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # -- phases ------------------------------------------------------------------
 
@@ -125,9 +126,27 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-@dataclass(frozen=True)
-class Event:
-    """One structured observation.
+class _EventRecord(NamedTuple):
+    """The tuple layout behind :class:`Event`, which adds the defaults
+    and the phase check."""
+
+    name: str
+    time: float
+    phase: str
+    seq: int
+    pid: int
+    fields: dict
+
+
+class Event(_EventRecord):
+    """One structured observation: an immutable six-field record.
+
+    A simulated campaign emits four events per task attempt, so an event
+    costs one tuple: attribute reads are C-level tuple indexing, and a
+    subscriber may unpack it as ``name, time, phase, seq, pid, fields =
+    event``.  Assigning an attribute raises ``AttributeError``.  The
+    ``fields`` dict belongs to the event; subscribers read it and never
+    mutate it.
 
     Parameters
     ----------
@@ -147,19 +166,24 @@ class Event:
         as the Chrome-trace process id so multi-cluster captures do not
         interleave.
     fields:
-        JSON-serializable payload (task names, node indices, outcomes).
+        JSON-serializable payload (task names, node indices, outcomes);
+        a fresh ``{}`` when omitted.
     """
 
-    name: str
-    time: float
-    phase: str = INSTANT
-    seq: int = 0
-    pid: int = 0
-    fields: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.phase not in PHASES:
-            raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
+    def __new__(
+        cls,
+        name: str,
+        time: float,
+        phase: str = INSTANT,
+        seq: int = 0,
+        pid: int = 0,
+        fields: dict | None = None,
+    ):
+        if phase not in PHASES:
+            raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+        return tuple.__new__(cls, (name, time, phase, seq, pid, {} if fields is None else fields))
 
     @property
     def is_span(self) -> bool:

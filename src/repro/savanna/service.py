@@ -118,7 +118,7 @@ class ServiceSaturated(RuntimeError):
 
 
 class ThreadSafeBus(EventBus):
-    """An :class:`EventBus` whose ``emit`` is serialized by a lock.
+    """An :class:`EventBus` whose ``emit`` and ``publish_batch`` share a lock.
 
     The base bus assumes a single emitting thread (the simulator, or one
     drive call); the service's monitoring bus receives events from the
@@ -136,6 +136,10 @@ class ThreadSafeBus(EventBus):
     def emit(self, name, phase="instant", time=None, **fields):
         with self._emit_lock:
             return super().emit(name, phase=phase, time=time, **fields)
+
+    def publish_batch(self, specs):
+        with self._emit_lock:
+            return super().publish_batch(specs)
 
 
 def service_bus(name: str = "campaign-service") -> ThreadSafeBus:

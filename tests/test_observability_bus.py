@@ -1,5 +1,7 @@
 """Unit tests for the event bus, span tracing, metrics, and recorder."""
 
+import copy
+import pickle
 import warnings
 
 from hypothesis import given, settings
@@ -44,6 +46,46 @@ class TestEvent:
         c = Event(TASK, 0.0, phase=BEGIN, fields={"task_id": 8, "task": "t"})
         assert span_key(a) == span_key(b)
         assert span_key(a) != span_key(c)
+
+    def test_keyword_and_positional_construction_share_defaults(self):
+        by_keyword = Event(name="task", time=1.0)
+        assert (by_keyword.phase, by_keyword.seq, by_keyword.pid) == (INSTANT, 0, 0)
+        assert by_keyword.fields == {}
+        full = Event("task", 1.0, BEGIN, 3, 2, {"task_id": 1})
+        assert (full.name, full.time, full.phase, full.seq, full.pid, full.fields) == (
+            "task", 1.0, BEGIN, 3, 2, {"task_id": 1}
+        )
+        assert full == Event(
+            name="task", time=1.0, phase=BEGIN, seq=3, pid=2, fields={"task_id": 1}
+        )
+
+    def test_omitted_fields_are_a_fresh_dict_per_event(self):
+        a, b = Event("a", 0.0), Event("b", 0.0)
+        assert a.fields == {} and b.fields == {}
+        assert a.fields is not b.fields
+
+    def test_assignment_raises(self):
+        event = Event("task", 0.0)
+        for attribute in ("name", "time", "phase", "seq", "pid", "fields"):
+            with pytest.raises(AttributeError):
+                setattr(event, attribute, None)
+        assert event == Event("task", 0.0)
+
+    def test_equality_and_repr(self):
+        event = Event("task", 1.0, phase=BEGIN, fields={"task_id": 1})
+        assert event == Event("task", 1.0, phase=BEGIN, fields={"task_id": 1})
+        assert event != Event("task", 1.0, phase=BEGIN, seq=1, fields={"task_id": 1})
+        assert repr(event) == (
+            "Event(name='task', time=1.0, phase='begin', seq=0, pid=0, fields={'task_id': 1})"
+        )
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        event = Event("task", 2.5, phase=END, seq=4, pid=1, fields={"outcome": "done"})
+        for twin in (pickle.loads(pickle.dumps(event)), copy.deepcopy(event)):
+            assert twin == event
+            assert type(twin) is Event
+            assert twin.fields is not event.fields
+            assert twin.is_span
 
 
 class TestSubscription:
@@ -501,6 +543,20 @@ class TestPublishBatch:
         bus.subscribe(seen.append)
         bus.publish_batch([("mark", None, None, {}), ("mark2", None, None, {})])
         assert [(e.phase, e.time) for e in seen] == [(INSTANT, 7.0), (INSTANT, 7.0)]
+
+    def test_each_event_owns_its_specs_fields_dict(self):
+        bus = EventBus()
+        bus.subscribe(lambda e: None)
+        specs = [("a", None, 0.0, {"k": 1}), ("b", None, 0.0, {}), ("c", None, 0.0, {"k": 2})]
+        events = bus.publish_batch(specs)
+        assert [e.fields is spec[3] for e, spec in zip(events, specs)] == [True] * 3
+
+    def test_none_fields_get_a_fresh_dict(self):
+        bus = EventBus()
+        bus.subscribe(lambda e: None)
+        a, b = bus.publish_batch([("a", None, 0.0, None), ("b", None, 0.0, None)])
+        assert a.fields == {} and b.fields == {}
+        assert a.fields is not b.fields
 
     def test_batch_subscriber_gets_one_call(self):
         bus = EventBus()

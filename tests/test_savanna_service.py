@@ -15,6 +15,7 @@ inside a plain test function.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 import warnings
@@ -349,6 +350,40 @@ class TestThreadSafeBus:
             assert mine == list(range(per_publisher))  # nothing lost, in order
         # seq is globally unique and delivery order matches assignment order
         assert [e.seq for e in events] == sorted(e.seq for e in events)
+
+    def test_publish_batch_is_serialized_with_emit(self):
+        """A batch publisher racing an emitter shares its seq counter:
+        every event gets its own seq, delivered in seq order."""
+        bus = ThreadSafeBus(name="mixed")
+        events = []
+        bus.subscribe(events.append)
+        barrier = threading.Barrier(2)
+
+        def emitter():
+            barrier.wait()
+            for i in range(3000):
+                bus.emit("tick", i=i)
+
+        def batcher():
+            barrier.wait()
+            for b in range(300):
+                bus.publish_batch([("batch", None, None, {"b": b, "i": i}) for i in range(10)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=emitter), threading.Thread(target=batcher)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(events) == 6000
+        assert [e.seq for e in events] == list(range(6000))
+        batched = [(e.fields["b"], e.fields["i"]) for e in events if e.name == "batch"]
+        assert batched == [(b, i) for b in range(300) for i in range(10)]
 
     def test_failing_subscriber_warns_once_under_concurrency(self):
         """Subscriber isolation: a raising subscriber never breaks
