@@ -53,8 +53,8 @@ core landed) with this same script's workload, protocol, and
 interleaved A/B runs on the development machine; they are carried here
 so ``speedup_vs_prechange`` stays meaningful after the event engine
 itself picks up optimizations.  ``PRECHANGE_FINALIZE`` does the same for
-report finalize, measured at the last commit whose critical-path walk
-scanned every task at each step.
+report finalize, measured at the last commit whose finalize ran
+per-attempt Python passes instead of numpy columns.
 """
 
 from __future__ import annotations
@@ -130,16 +130,16 @@ FINALIZE_CHAIN = {"n_tasks": 2_000, "nodes": 2}
 #: inside one slow stretch would misread the code.
 FINALIZE_MIN_SECONDS = 4.0
 
-#: Report-finalize seconds at commit bac4d1b, the last commit whose
-#: critical-path walk scanned every task at each path step.  Measured
-#: with :func:`measure_report_finalize`'s workloads and protocol on the
-#: development machine (2-vCPU shared host, Python 3.11.7), in sessions
-#: alternating with the candidate tree; each value is the median of the
-#: per-session bests.
+#: Report-finalize seconds at commit 5481e03, the last commit whose
+#: finalize ran per-attempt Python passes (numpy columns replaced them).
+#: Measured with :func:`measure_report_finalize`'s workloads and protocol
+#: on the development machine (2-vCPU shared host, Python 3.11.7), in five
+#: sessions per mode alternating with the candidate tree; each value is
+#: the median of the per-session bests.
 PRECHANGE_FINALIZE = {
-    "commit": "bac4d1b",
-    "quick": {"pilot-campaign": 0.340, "pilot-chain": 0.719},
-    "full": {"pilot-campaign": 0.606, "pilot-chain": 0.547},
+    "commit": "5481e03",
+    "quick": {"pilot-campaign": 0.128, "pilot-chain": 0.0252},
+    "full": {"pilot-campaign": 0.310, "pilot-chain": 0.0258},
     "protocol": (
         "gc-disabled best-of-N seconds of StreamingCampaignReport.reports(); "
         "sessions alternated with the candidate tree; median of per-session bests"

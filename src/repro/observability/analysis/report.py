@@ -19,19 +19,47 @@ write-only trace left manual:
 - **utilization/concurrency timeline** — busy-node step function over
   the campaign window, bucketed for text rendering.
 
-Quantiles come from :func:`repro.observability.metrics.percentile` — the
-same code behind ``Histogram.summary()`` — so "p95 task duration" means
-the same thing in a metrics snapshot and in a report.
+The report is computed on columns.  :class:`_Columns` reads the
+campaign's task spans once into numpy arrays (start, end, duration,
+outcome, allocation, group, faults, and one ``(attempt, node)`` pair per
+node an attempt occupied), and every section reads those arrays.  Each
+list is sorted once: the pairs by ``(node, start, end)`` for busy
+intervals, slack and idle time; the attempts by ``(end, -position)``
+for the critical-path walk; each group's done durations for its
+quantiles and straggler cut.  The per-attempt Python passes this
+replaced are kept as the test oracle in ``tests/_report_oracle.py``,
+and the reports of both serialize to the same bytes.
+
+That needs the same floating-point additions in the same order, so
+each total keeps the accumulation it always had:
+
+- a total the builtin ``sum()`` computed is still ``sum()`` of a Python
+  list (``array.tolist()``).  From Python 3.12 ``sum()`` compensates
+  rounding for Python floats but not for numpy scalars;
+- a total a ``+=`` loop computed is still sequential: ``np.cumsum``,
+  ``np.bincount`` (which adds in input order), or a Python loop;
+- nothing is summed with ``np.sum`` or ``np.add.reduce``, which add
+  pairwise.
+
+Every value in :meth:`CampaignReport.to_dict` is a plain ``float``,
+``int``, ``str``, ``bool`` or ``None``; ``json`` rejects numpy scalars.
+
+Quantiles come from the interpolation rule of
+:func:`repro.observability.metrics.percentile` — the same code behind
+``Histogram.summary()`` — so "p95 task duration" means the same thing
+in a metrics snapshot and in a report.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from math import inf
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 from repro.observability.analysis.spans import SpanTrace
-from repro.observability.metrics import percentile
+from repro.observability.metrics import _sorted_percentile, percentile
 
 #: Version tag carried by every serialized report (see analysis.io).
 REPORT_SCHEMA = "repro.observability.report/v1"
@@ -204,7 +232,12 @@ class CampaignReport:
 
 
 # ---------------------------------------------------------------------------
-# analysis passes
+# columns
+
+#: Outcome codes.  An outcome outside this table codes as ``_OTHER``; it
+#: counts as a failed attempt in ``per_node``, as ``killed`` does.
+_NONE, _DONE, _FAILED, _KILLED, _OTHER = range(5)
+_OUTCOMES = {None: _NONE, "done": _DONE, "failed": _FAILED, "killed": _KILLED}
 
 
 def _nodes_of(task) -> tuple:
@@ -212,53 +245,136 @@ def _nodes_of(task) -> tuple:
     return task.nodes or ((task.node,) if task.node is not None else ())
 
 
-def _busy_intervals_by_node(tasks):
-    """node -> sorted [(start, end, task)] occupancy from task spans."""
-    by_node: dict = {}
-    for t in tasks:
-        for node in _nodes_of(t):
-            by_node.setdefault(node, []).append(t)
-    for spans in by_node.values():
-        spans.sort(key=lambda t: (t.start, t.end))
-    return by_node
+def _coded(values: list) -> tuple[np.ndarray, dict]:
+    """``values`` as integer codes numbered in first-appearance order,
+    with the value -> code table (whose key order is that order)."""
+    table = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    if len(table) == 1:
+        return np.zeros(len(values), np.intp), table
+    return np.fromiter(map(table.__getitem__, values), np.intp, len(values)), table
 
 
-def _slack_by_task(tasks, by_node, window_end: float) -> dict:
-    """Task -> seconds it could slip before extending the makespan.
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)`` of the runs of equal values in ``codes``."""
+    change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    if not len(codes):
+        return change, change
+    return np.concatenate(([0], change)), np.concatenate((change, [len(codes)]))
 
-    In this greedy schedule, delaying a task pushes every later task on
-    its node(s); the absorbable delay is the summed idle gaps behind it
-    on the node plus the node's tail gap to the campaign end.  A
-    multi-node task takes the tightest of its nodes.
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(0.0, x)``, picking exactly what the builtin picks."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _running_total(values: np.ndarray) -> float:
+    """``0.0``, then each value added in turn: what a ``+=`` loop sums."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+class _Columns:
+    """One campaign's task attempts, read once into numpy columns.
+
+    Per attempt, in begin order: ``start``, ``end``, ``duration``,
+    ``outcome`` and ``group`` codes, ``faults`` and ``width`` (nodes
+    occupied).  Per ``(attempt, node)`` pair, in attempt order:
+    ``pair_task`` and ``pair_node``; attempt ``i``'s pairs are
+    ``pair_off[i]:pair_off[i + 1]``.  ``alloc_codes``, ``group_codes``
+    and ``node_codes`` map values to codes, numbered in first-appearance
+    order.
+
+    The orders the passes read, each sorted once:
+
+    - The pairs by ``(node, start, end)``, ties in pair order: each
+      node's run of busy intervals.  ``busy_node``, ``busy_start``,
+      ``busy_end`` and ``busy_alloc`` are columns in that order;
+      ``slack`` holds each pair's slack, summed backward along its
+      node's run.
+    - ``by_end`` orders the attempts by ``(end, -position)``, the
+      critical-path walk's key.  ``path_task``/``path_end`` hold the
+      pairs in ``(alloc, node, end, -position)`` order, and
+      ``path_slices`` maps a pair's ``pair_group`` to its
+      ``(alloc, node)`` slice there.
     """
-    node_slack: dict = {}  # (node, task id) -> slack
-    for node, spans in by_node.items():
-        tail = max(0.0, window_end - spans[-1].end)
-        # Walk backward accumulating the gaps behind each task.
-        acc = tail
-        for i in range(len(spans) - 1, -1, -1):
-            node_slack[(node, id(spans[i]))] = acc
-            if i > 0:
-                acc += max(0.0, spans[i].start - spans[i - 1].end)
-    slack = {}
-    for t in tasks:
-        keys = [(n, id(t)) for n in _nodes_of(t)]
-        vals = [node_slack[k] for k in keys if k in node_slack]
-        slack[id(t)] = min(vals) if vals else max(0.0, window_end - t.end)
-    return slack
+
+    def __init__(self, tasks: list, window_end: float) -> None:
+        n = len(tasks)
+        self.start = start = np.fromiter(map(attrgetter("start"), tasks), np.float64, n)
+        self.end = end = np.fromiter(map(attrgetter("end"), tasks), np.float64, n)
+        self.duration = end - start
+        outcome, outcomes = _coded(list(map(attrgetter("outcome"), tasks)))
+        self.outcome = np.array([_OUTCOMES.get(o, _OTHER) for o in outcomes], np.int8)[outcome]
+        self.faults = np.fromiter(map(attrgetter("faults"), tasks), np.int64, n)
+        alloc, self.alloc_codes = _coded(list(map(attrgetter("alloc"), tasks)))
+        self.group, self.group_codes = _coded(
+            [group or "(ungrouped)" for group in map(attrgetter("group"), tasks)]
+        )
+        nodes = list(map(attrgetter("nodes"), tasks))
+        if not all(nodes):
+            nodes = list(map(_nodes_of, tasks))
+        per_task = np.fromiter(map(len, nodes), np.intp, n)
+        self.width = np.maximum(per_task, 1)
+        self.pair_off = np.concatenate(([0], np.cumsum(per_task)))
+        self.pair_task = task = np.repeat(np.arange(n), per_task)
+        self.pair_node, self.node_codes = _coded(list(chain.from_iterable(nodes)))
+
+        # Per node: one stable sort by (node, start, end).
+        busy = np.lexsort((end[task], start[task], self.pair_node))
+        busy_task = task[busy]
+        self.busy_node = self.pair_node[busy]
+        self.busy_start, self.busy_end = start[busy_task], end[busy_task]
+        self.busy_alloc = alloc[busy_task]
+        runs = _runs(self.busy_node)
+        # Slack: how far an attempt could slip before extending the
+        # makespan.  In this greedy schedule, delaying an attempt pushes
+        # every later one on its node, so the absorbable delay is the idle
+        # gaps behind it on the node plus the node's tail gap to the
+        # campaign end, summed backward from the run's end.  A multi-node
+        # attempt takes the tightest of its nodes (``_critical_path``).
+        gaps = np.empty(len(busy_task))
+        gaps[:-1] = self.busy_start[1:] - self.busy_end[:-1]
+        last = runs[1] - 1
+        gaps[last] = window_end - self.busy_end[last]
+        gaps = _positive(gaps)
+        slack = np.empty(len(busy_task))
+        for lo, hi in zip(*(bound.tolist() for bound in runs)):
+            slack[lo:hi] = np.cumsum(gaps[lo:hi][::-1])[::-1]
+        self.slack = np.empty(len(busy_task))
+        self.slack[busy] = slack
+
+        # The walk: (end, -position) order, globally and per (alloc, node),
+        # so the rightmost entry ending by a bound is the latest end and,
+        # among equal ends, the earliest position.  A stable sort of the
+        # reversed ends puts equal ends in descending position.
+        self.by_end = n - 1 - np.argsort(end[::-1], kind="stable")
+        rank = np.empty(n, np.intp)
+        rank[self.by_end] = np.arange(n)
+        self.pair_group = alloc[task] * len(self.node_codes) + self.pair_node
+        path = np.argsort(self.pair_group * n + rank[task])  # (group, rank) as one key
+        self.path_task = task[path]
+        self.path_end = end[self.path_task]
+        groups = self.pair_group[path]
+        lo, hi = _runs(groups)
+        self.path_slices = dict(zip(groups[lo].tolist(), zip(lo.tolist(), hi.tolist())))
 
 
-def _critical_path(tasks, allocs, window, slack):
+# ---------------------------------------------------------------------------
+# analysis passes
+
+
+def _critical_path(tasks, allocs, window, cols: _Columns):
     """Backward walk from the last-ending work to the campaign start.
 
     Each step picks the predecessor that ended last by a bound (ties go
     to the earliest task in ``tasks`` order): first among earlier tasks
     on the current task's node(s) in the same allocation, else, at the
     allocation's first task, among all tasks before its submission.
-    Both lookups bisect ``(end, -position)`` keys sorted once per
-    report, so the walk is O(n log n) rather than a scan per step.
+    Both lookups search ``(end, -position)`` orders sorted once per
+    report (``cols.by_end`` and the ``(alloc, node)`` slices of
+    ``cols.path_task``), so the walk is O(n log n) rather than a scan
+    per step.
     """
-    start, _end = window
+    start, end = window
     elements: list[dict] = []
 
     def span_el(kind, label, t0, t1, node=None, el_slack=None):
@@ -275,34 +391,35 @@ def _critical_path(tasks, allocs, window, slack):
         )
 
     alloc_by_index = {a.index: a for a in allocs}
-    # The rightmost key ending by a bound is the latest end, and among
-    # equal ends the earliest position.
-    keys = sorted((t.end, -i) for i, t in enumerate(tasks))
-    by_alloc_node: dict = {}  # (alloc, node) -> sorted keys of its tasks
-    for key in keys:
-        t = tasks[-key[1]]
-        for node in _nodes_of(t):
-            by_alloc_node.setdefault((t.alloc, node), []).append(key)
-    visited: set[int] = set()  # positions already on the path
+    by_end, by_end_end = cols.by_end, cols.end[cols.by_end]
+    pair_off = cols.pair_off
+    visited = bytearray(len(tasks))  # positions already on the path
 
-    def latest(index, bound: float):
-        """The greatest unvisited key in ``index`` ending by ``bound``."""
-        i = bisect_right(index, (bound + _EPS, inf))
-        while i:
+    def latest(positions, ends, lo, hi, bound: float):
+        """The greatest unvisited ``(end, -position)`` key in
+        ``positions[lo:hi]`` ending by ``bound``."""
+        i = lo + int(ends[lo:hi].searchsorted(bound + _EPS, "right"))
+        while i > lo:
             i -= 1
-            if -index[i][1] not in visited:
-                return index[i]
+            position = int(positions[i])
+            if not visited[position]:
+                return float(ends[i]), -position
         return None
 
-    def node_pred(cur):
+    def node_pred(position, cur):
         best = None
-        for node in _nodes_of(cur):
-            key = latest(by_alloc_node.get((cur.alloc, node), ()), cur.start)
+        for pair in range(pair_off[position], pair_off[position + 1]):
+            lo, hi = cols.path_slices[int(cols.pair_group[pair])]
+            key = latest(cols.path_task, cols.path_end, lo, hi, cur.start)
             if key is not None and (best is None or key > best):
                 best = key
         return best
 
-    key = keys[-1] if keys else None
+    def slack_of(position, cur):
+        lo, hi = pair_off[position], pair_off[position + 1]
+        return min(cols.slack[lo:hi].tolist()) if hi > lo else max(0.0, end - cur.end)
+
+    key = (float(by_end_end[-1]), -int(by_end[-1])) if len(by_end) else None
     if key is None and allocs:
         # A campaign that granted allocations but launched nothing:
         # the path is just the first allocation's queue wait.
@@ -311,17 +428,18 @@ def _critical_path(tasks, allocs, window, slack):
             span_el("queue-wait", f"job {alloc.job}", alloc.submitted, alloc.start)
 
     while key is not None:
-        visited.add(-key[1])
-        cur = tasks[-key[1]]
+        position = -key[1]
+        visited[position] = 1
+        cur = tasks[position]
         span_el(
             "task",
             f"{cur.name} (attempt {cur.attempt}, {cur.outcome or 'open'})",
             cur.start,
             cur.end,
             node=cur.node,
-            el_slack=slack.get(id(cur)),
+            el_slack=slack_of(position, cur),
         )
-        key = node_pred(cur)
+        key = node_pred(position, cur)
         if key is not None:
             pred = tasks[-key[1]]
             gap = cur.start - pred.end
@@ -338,7 +456,7 @@ def _critical_path(tasks, allocs, window, slack):
         if alloc.queue_wait > _EPS:
             span_el("queue-wait", f"job {alloc.job}", alloc.submitted, alloc.start)
         submit = alloc.submitted if alloc.submitted is not None else alloc.start
-        key = latest(keys, submit)
+        key = latest(by_end, by_end_end, 0, len(by_end), submit)
         if key is None:
             if submit - start > _EPS:
                 span_el("campaign-lead", "before first submission", start, submit)
@@ -352,29 +470,45 @@ def _critical_path(tasks, allocs, window, slack):
     return elements
 
 
-def _attribution(tasks, allocs, window, by_node, per_node, retry_backoff: float = 0.0):
+def _attribution(cols: _Columns, allocs, window, per_node, per_group, retry_backoff):
     """Node-seconds + wall-clock split; see the module docstring."""
     start, end = window
     capacity = 0.0
-    idle_ramp = idle_gaps = idle_tail = 0.0
-    execution = sum(t.duration * max(1, len(t.nodes) or 1) for t in tasks)
+    ramps: list[float] = []
+    tails: list[float] = []
+    gaps: list[np.ndarray] = []  # per (alloc, node), in the loop's order
+    execution = sum((cols.duration * cols.width).tolist())
     for alloc in allocs:
         alloc_end = alloc.end if alloc.end is not None else end
         width = len(alloc.nodes) or 1
         capacity += max(0.0, alloc_end - alloc.start) * width
+        runs: dict = {}
+        code = cols.alloc_codes.get(alloc.index)
+        if code is not None:
+            # This allocation's intervals, still in (node, start, end) order.
+            keep = np.flatnonzero(
+                (cols.busy_alloc == code) & (cols.busy_end > alloc.start - _EPS)
+            )
+            first, last = cols.busy_start[keep], cols.busy_end[keep]
+            between = _positive(first[1:] - last[:-1])
+            node = cols.busy_node[keep]
+            lo, hi = _runs(node)
+            runs = dict(zip(node[lo].tolist(), zip(lo.tolist(), hi.tolist())))
         for node in alloc.nodes or range(width):
-            spans = [
-                t
-                for t in by_node.get(node, ())
-                if t.alloc == alloc.index and t.end > alloc.start - _EPS
-            ]
-            if not spans:
-                idle_tail += max(0.0, alloc_end - alloc.start)
+            run = runs.get(cols.node_codes.get(node))
+            if run is None:
+                tails.append(max(0.0, alloc_end - alloc.start))
                 continue
-            idle_ramp += max(0.0, spans[0].start - alloc.start)
-            for a, b in zip(spans, spans[1:]):
-                idle_gaps += max(0.0, b.start - a.end)
-            idle_tail += max(0.0, alloc_end - spans[-1].end)
+            lo, hi = run
+            ramps.append(max(0.0, float(first[lo]) - alloc.start))
+            gaps.append(between[lo : hi - 1])
+            tails.append(max(0.0, alloc_end - float(last[hi - 1])))
+    idle_ramp = idle_tail = 0.0
+    for ramp in ramps:
+        idle_ramp += ramp
+    for tail in tails:
+        idle_tail += tail
+    idle_gaps = _running_total(np.concatenate(gaps)) if gaps else 0.0
     queue_wait = sum(a.queue_wait for a in allocs)
     in_allocation = sum(
         max(0.0, (a.end if a.end is not None else end) - a.start) for a in allocs
@@ -395,94 +529,98 @@ def _attribution(tasks, allocs, window, by_node, per_node, retry_backoff: float 
         },
         "retry_backoff": retry_backoff,
         "per_node": per_node,
-        "per_group": _per_group(tasks),
+        "per_group": per_group,
     }
 
 
-def _per_node(tasks) -> dict:
-    out: dict = {}
-    for t in tasks:
-        for node in _nodes_of(t):
-            row = out.setdefault(
-                str(node), {"busy": 0.0, "attempts": 0, "failed": 0, "faults": 0}
-            )
-            row["busy"] += t.duration
-            row["attempts"] += 1
-            if t.outcome not in ("done", None):
-                row["failed"] += 1
-            row["faults"] += t.faults
+def _per_node(cols: _Columns) -> dict:
+    node, task = cols.pair_node, cols.pair_task
+    k = len(cols.node_codes)
+    failed = (cols.outcome != _DONE) & (cols.outcome != _NONE)
+    busy = np.bincount(node, weights=cols.duration[task], minlength=k)
+    attempts = np.bincount(node, minlength=k)
+    n_failed = np.bincount(node[failed[task]], minlength=k)
+    faults = np.bincount(node, weights=cols.faults[task], minlength=k).astype(np.int64)
+    return {
+        str(value): {"busy": b, "attempts": a, "failed": f, "faults": x}
+        for value, b, a, f, x in zip(
+            cols.node_codes, busy.tolist(), attempts.tolist(), n_failed.tolist(), faults.tolist()
+        )
+    }
+
+
+def _groups(cols: _Columns) -> list:
+    """``(name, members, done members, sorted done durations)`` per sweep
+    group, by name; members are positions in begin order.  The durations
+    are sorted once for every quantile read from them."""
+    done = cols.outcome == _DONE
+    out = []
+    for name, code in sorted(cols.group_codes.items()):
+        in_group = cols.group == code
+        members = np.flatnonzero(in_group)
+        done_members = np.flatnonzero(in_group & done)
+        out.append((name, members, done_members, np.sort(cols.duration[done_members])))
     return out
 
 
-def _group_of(task) -> str:
-    return task.group or "(ungrouped)"
-
-
-def _per_group(tasks) -> dict:
-    groups: dict = {}
-    for t in tasks:
-        groups.setdefault(_group_of(t), []).append(t)
+def _per_group(tasks, cols: _Columns, groups) -> dict:
     out = {}
-    for name, members in sorted(groups.items()):
-        done = [t.duration for t in members if t.outcome == "done"]
+    for name, members, _, done in groups:
+        names = map(attrgetter("name"), map(tasks.__getitem__, members.tolist()))
         row = {
             "attempts": len(members),
-            "unique_tasks": len({t.name for t in members}),
-            "execution": sum(t.duration for t in members),
+            "unique_tasks": len(set(names)),
+            "execution": sum(cols.duration[members].tolist()),
         }
-        if done:
+        if len(done):
             row.update(
-                p50=percentile(done, 50.0),
-                p95=percentile(done, 95.0),
-                p99=percentile(done, 99.0),
+                p50=_sorted_percentile(done, 50.0),
+                p95=_sorted_percentile(done, 95.0),
+                p99=_sorted_percentile(done, 99.0),
             )
         out[name] = row
     return out
 
 
-def _stragglers(tasks) -> list:
+def _stragglers(tasks, cols: _Columns, groups) -> list:
     """Done attempts far beyond their sweep-group siblings (median+MAD)."""
-    groups: dict = {}
-    for t in tasks:
-        if t.outcome == "done":
-            groups.setdefault(_group_of(t), []).append(t)
     flagged = []
-    for name, members in sorted(groups.items()):
+    for name, _, members, done in groups:
         if len(members) < _STRAGGLER_MIN_SIBLINGS:
             continue
-        durations = [t.duration for t in members]
-        median = percentile(durations, 50.0)
+        median = _sorted_percentile(done, 50.0)
         if median <= 0:
             continue
-        cut = max(robust_threshold(durations), _STRAGGLER_MIN_RATIO * median)
-        for t in members:
-            if t.duration > cut:
-                flagged.append(
-                    {
-                        "task": t.name,
-                        "group": name,
-                        "node": t.node,
-                        "duration": t.duration,
-                        "ratio": t.duration / median,
-                        "threshold": cut,
-                    }
-                )
+        spread = _sorted_percentile(np.sort(np.abs(done - median)), 50.0)
+        cut = max(median + _STRAGGLER_K * _MAD_SCALE * spread, _STRAGGLER_MIN_RATIO * median)
+        for i in members[cols.duration[members] > cut].tolist():
+            t = tasks[i]
+            flagged.append(
+                {
+                    "task": t.name,
+                    "group": name,
+                    "node": t.node,
+                    "duration": t.duration,
+                    "ratio": t.duration / median,
+                    "threshold": cut,
+                }
+            )
     flagged.sort(key=lambda s: -s["duration"])
     return flagged
 
 
-def _retry_hotspots(tasks, per_node) -> dict:
-    by_task: dict = {}  # task_id -> [name, retries, backoff]; last attempt names it
-    for t in tasks:
-        row = by_task.setdefault(t.task_id, [t.name, 0, 0.0])
-        row[0] = t.name
-        row[1] += t.retries_granted
-        row[2] += t.backoff
+def _retry_hotspots(tasks, granted, per_node) -> dict:
+    """``granted``: the attempts, in order, with a retry or a backoff."""
+    by_task: dict = {}  # task_id -> [retries, backoff]
+    for t in granted:
+        row = by_task.setdefault(t.task_id, [0, 0.0])
+        row[0] += t.retries_granted
+        row[1] += t.backoff
+    hot = sorted((task_id, row) for task_id, row in by_task.items() if row[0] >= 2)
+    names = {t.task_id: t.name for t in tasks} if hot else {}  # the last attempt names it
     hot_tasks = [
-        {"task": name, "retries": retries, "backoff": backoff}
-        for _, (name, retries, backoff) in sorted(
-            (task_id, row) for task_id, row in by_task.items() if row[1] >= 2
-        )
+        {"task": names[task_id], "retries": retries, "backoff": backoff}
+        for task_id, (retries, backoff) in hot
     ]
     hot_tasks.sort(key=lambda t: (-t["retries"], t["task"]))
 
@@ -499,7 +637,7 @@ def _retry_hotspots(tasks, per_node) -> dict:
     return {"tasks": hot_tasks[:15], "nodes": hot_nodes}
 
 
-def _utilization(tasks, allocs, window, buckets: int = 16) -> dict:
+def _utilization(cols: _Columns, allocs, window, buckets: int = 16) -> dict:
     start, end = window
     if end - start <= _EPS:
         return {
@@ -510,41 +648,37 @@ def _utilization(tasks, allocs, window, buckets: int = 16) -> dict:
             "capacity_node_seconds": 0.0,
             "timeline": [],
         }
-    deltas: dict[float, float] = {}
-    for t in tasks:
-        width = max(1, len(t.nodes) or 1)
-        deltas[t.start] = deltas.get(t.start, 0.0) + width
-        deltas[t.end] = deltas.get(t.end, 0.0) - width
-    times = sorted(deltas)
-    # Integrate the step function into fixed buckets.
-    busy_seconds = 0.0
-    peak = 0.0
+    # The busy-node step function: +width at each start, -width at each
+    # end, in time order.  The levels are sums of integers, so exact.
+    width = cols.width.astype(np.float64)
+    times = np.concatenate((cols.start, cols.end[cols.by_end]))
+    order = np.argsort(times, kind="stable")
+    steps = np.concatenate((width, -width[cols.by_end]))[order]
+    clamped = np.minimum(np.maximum(times[order], start), end)
+    # Segment i runs from the previous clamped time to this one at the
+    # level before this step; the last runs to the window's end.
+    lo = np.concatenate(([start], clamped))
+    hi = np.concatenate((clamped, [end]))
+    level = np.concatenate(([0.0], np.cumsum(steps)))
+    keep = hi > lo
+    lo, hi, level = lo[keep], hi[keep], level[keep]
+    busy_seconds = _running_total(level * (hi - lo))
+    peak = max(0.0, float(level.max())) if len(level) else 0.0
+    # Split each segment at the bucket edges it crosses.
     bucket_width = (end - start) / buckets
-    bucket_busy = [0.0] * buckets
-
-    def integrate(lo: float, hi: float, level: float) -> float:
-        nonlocal peak
-        contribution = level * (hi - lo)
-        peak = max(peak, level)
-        b0 = min(buckets - 1, int((lo - start) / bucket_width))
-        b1 = min(buckets - 1, int((hi - start - _EPS) / bucket_width))
-        for b in range(b0, b1 + 1):
-            seg_lo = max(lo, start + b * bucket_width)
-            seg_hi = min(hi, start + (b + 1) * bucket_width)
-            if seg_hi > seg_lo:
-                bucket_busy[b] += level * (seg_hi - seg_lo)
-        return contribution
-
-    level = 0.0
-    prev = start
-    for time in times:
-        clamped = min(max(time, start), end)
-        if clamped > prev:
-            busy_seconds += integrate(prev, clamped, level)
-            prev = clamped
-        level += deltas[time]
-    if end > prev:
-        busy_seconds += integrate(prev, end, level)
+    b0 = np.minimum(buckets - 1, ((lo - start) / bucket_width).astype(np.intp))
+    b1 = np.minimum(buckets - 1, ((hi - start - _EPS) / bucket_width).astype(np.intp))
+    count = np.maximum(b1 - b0 + 1, 0)
+    segment = np.repeat(np.arange(len(lo)), count)
+    bucket = b0[segment] + np.arange(len(segment)) - np.repeat(np.cumsum(count) - count, count)
+    seg_lo = np.maximum(lo[segment], start + bucket * bucket_width)
+    seg_hi = np.minimum(hi[segment], start + (bucket + 1) * bucket_width)
+    inside = seg_hi > seg_lo
+    bucket_busy = np.bincount(
+        bucket[inside],
+        weights=(level[segment] * (seg_hi - seg_lo))[inside],
+        minlength=buckets,
+    )
     capacity = sum(
         max(0.0, ((a.end if a.end is not None else end) - a.start)) * (len(a.nodes) or 1)
         for a in allocs
@@ -559,9 +693,9 @@ def _utilization(tasks, allocs, window, buckets: int = 16) -> dict:
             {
                 "start": start + b * bucket_width,
                 "end": start + (b + 1) * bucket_width,
-                "busy": bucket_busy[b] / bucket_width,
+                "busy": busy / bucket_width,
             }
-            for b in range(buckets)
+            for b, busy in enumerate(bucket_busy.tolist())
         ],
     }
 
@@ -575,30 +709,34 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
     window = trace.campaign_window(campaign)
     tasks = trace.tasks_of(campaign)
     allocs = trace.allocs_of(campaign)
-    done = [t.duration for t in tasks if t.outcome == "done"]
-    by_node = _busy_intervals_by_node(tasks)
-    per_node = _per_node(tasks)
-    slack = _slack_by_task(tasks, by_node, window[1])
-    critical_path = _critical_path(tasks, allocs, window, slack)
+    cols = _Columns(tasks, window[1])
+    groups = _groups(cols)
+    per_node = _per_node(cols)
+    critical_path = _critical_path(tasks, allocs, window, cols)
+    granted = [t for t in tasks if t.retries_granted or t.backoff]
     # Over retried attempts only: a campaign without retries reports int 0.
-    retry_backoff = sum(t.backoff for t in tasks if t.retries_granted)
+    retry_backoff = sum(t.backoff for t in granted if t.retries_granted)
     counts = {
         "attempts": len(tasks),
-        "unique_tasks": len({t.task_id for t in tasks}),
-        "done": sum(1 for t in tasks if t.outcome == "done"),
-        "failed": sum(1 for t in tasks if t.outcome == "failed"),
-        "killed": sum(1 for t in tasks if t.outcome == "killed"),
+        "unique_tasks": len(set(map(attrgetter("task_id"), tasks))),
+        "done": int(np.count_nonzero(cols.outcome == _DONE)),
+        "failed": int(np.count_nonzero(cols.outcome == _FAILED)),
+        "killed": int(np.count_nonzero(cols.outcome == _KILLED)),
         "allocations": len(allocs),
         "resumed_skipped": campaign.resumed_skipped,
     }
+    # One group holds every attempt: its sorted done durations are the
+    # campaign's.
+    done_mask = cols.outcome == _DONE
+    done = np.sort(cols.duration[done_mask]) if len(groups) != 1 else groups[0][3]
     durations: dict = {"count": len(done)}
-    if done:
+    if len(done):
         durations.update(
-            p50=percentile(done, 50.0),
-            p95=percentile(done, 95.0),
-            p99=percentile(done, 99.0),
-            mean=sum(done) / len(done),
-            max=max(done),
+            p50=_sorted_percentile(done, 50.0),
+            p95=_sorted_percentile(done, 95.0),
+            p99=_sorted_percentile(done, 99.0),
+            mean=sum(cols.duration[done_mask].tolist()) / len(done),
+            max=float(done[-1]),
         )
     else:
         durations.update(p50=None, p95=None, p99=None, mean=None, max=None)
@@ -613,10 +751,12 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
         durations=durations,
         critical_path=critical_path,
         critical_path_seconds=sum(el["duration"] for el in critical_path),
-        attribution=_attribution(tasks, allocs, window, by_node, per_node, retry_backoff),
-        stragglers=_stragglers(tasks),
-        retry_hotspots=_retry_hotspots(tasks, per_node),
-        utilization=_utilization(tasks, allocs, window),
+        attribution=_attribution(
+            cols, allocs, window, per_node, _per_group(tasks, cols, groups), retry_backoff
+        ),
+        stragglers=_stragglers(tasks, cols, groups),
+        retry_hotspots=_retry_hotspots(tasks, granted, per_node),
+        utilization=_utilization(cols, allocs, window),
         allocations=[
             {
                 "job": a.job,
@@ -629,4 +769,3 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
             for a in allocs
         ],
     )
-

@@ -19,6 +19,8 @@ driver, a trace written from a partial recording) leaves spans open, and
 an open span is closed at the stream's last observed time with
 ``outcome=None`` rather than dropped — the analyzer must be able to
 answer "why was this campaign slow" about the runs that went *wrong*.
+A task attempt displaced by a second ``begin`` under its ``(pid,
+task_id)`` key before its ``end`` arrived is such a span too.
 """
 
 from __future__ import annotations
@@ -162,6 +164,7 @@ class SpanTrace:
         self._open_group: dict[int, dict] = {}
         self._open_alloc: dict[int, AllocSpan] = {}
         self._open_tasks: dict[tuple, TaskSpan] = {}
+        self._displaced: list[TaskSpan] = []  # open attempts a later begin replaced
         self._pending_submits: dict[tuple, float] = {}  # (pid, job) -> submit
         # id(campaign span) -> its members; ``campaigns`` keeps every
         # span alive, so the ids stay unique for the trace's lifetime.
@@ -212,6 +215,9 @@ class SpanTrace:
                     group=(self._open_group.get(pid) or {}).get("group"),
                     campaign=members.campaign.name if members is not None else None,
                 )
+                displaced = self._open_tasks.get(key)
+                if displaced is not None:
+                    self._displaced.append(displaced)
                 self._open_tasks[key] = span
                 self.tasks.append(span)
                 if members is not None:
@@ -307,6 +313,7 @@ class SpanTrace:
         span closed here stays closed.
         """
         for span in (
+            *self._displaced,
             *self._open_tasks.values(),
             *self._open_alloc.values(),
             *(members.campaign for members in self._open_campaign.values()),

@@ -20,15 +20,25 @@ def percentile(values, q: float) -> float:
     """The ``q``-th percentile of ``values`` (linear interpolation).
 
     ``q`` is in [0, 100].  This is the one quantile implementation the
-    observability layer owns: :meth:`Histogram.quantile` and the trace
-    analyzer's straggler thresholds
-    (:mod:`repro.observability.analysis.report`) both call it, so a test
-    pinning its interpolation rule pins every consumer.
+    observability layer owns: it sorts ``values`` and reads the sorted
+    data through :func:`_sorted_percentile`, which holds the
+    interpolation rule.  :meth:`Histogram.quantile` calls this function;
+    :meth:`Histogram.summary` and the trace analyzer
+    (:mod:`repro.observability.analysis.report`) sort once and read
+    several quantiles through ``_sorted_percentile``.  A test pinning
+    the rule therefore pins every consumer.
+    """
+    return _sorted_percentile(sorted(values), q)
+
+
+def _sorted_percentile(data, q: float) -> float:
+    """The ``q``-th percentile of ``data``, already sorted ascending.
+
+    ``data`` is any indexable sequence: a list or a 1-d numpy array.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    data = sorted(values)
-    if not data:
+    if not len(data):
         raise ValueError("percentile of an empty sequence")
     if len(data) == 1:
         return float(data[0])
@@ -134,15 +144,16 @@ class Histogram:
                 "count": 0, "sum": 0.0, "min": None, "max": None, "mean": None,
                 "p50": None, "p95": None, "p99": None,
             }
+        data = sorted(self.samples)
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.quantile(50.0),
-            "p95": self.quantile(95.0),
-            "p99": self.quantile(99.0),
+            "p50": _sorted_percentile(data, 50.0),
+            "p95": _sorted_percentile(data, 95.0),
+            "p99": _sorted_percentile(data, 99.0),
         }
 
 

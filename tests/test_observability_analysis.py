@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _report_oracle
 from repro.observability import (
     ALLOC,
     ALLOC_SUBMITTED,
@@ -37,7 +38,7 @@ from repro.observability.analysis import (
     robust_threshold,
     write_reports,
 )
-from repro.observability.analysis.report import _EPS, _critical_path
+from repro.observability.analysis.report import _EPS, _Columns, _critical_path
 from repro.observability.analysis.spans import AllocSpan, TaskSpan
 
 
@@ -364,20 +365,23 @@ def walk_inputs(draw):
         )
     tasks = draw(st.permutations(tasks))
     window = (draw(_TIMES), 10.0)
-    slack = {id(t): float(i) for i, t in enumerate(tasks)}
-    return tasks, allocs, window, slack
+    return tasks, allocs, window
 
 
 class TestCriticalPathIndex:
-    """The indexed walk picks exactly what a scan of every task picks."""
+    """The indexed walk picks exactly what a scan of every task picks,
+    with the slack the per-attempt passes of ``tests/_report_oracle.py``
+    compute."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(walk_inputs())
     def test_indexed_walk_matches_linear_scan_oracle(self, inputs):
-        tasks, allocs, window, slack = inputs
-        assert _critical_path(tasks, allocs, window, slack) == linear_scan_critical_path(
-            tasks, allocs, window, slack
-        )
+        tasks, allocs, window = inputs
+        by_node = _report_oracle._busy_intervals_by_node(tasks)
+        slack = _report_oracle._slack_by_task(tasks, by_node, window[1])
+        assert _critical_path(
+            tasks, allocs, window, _Columns(tasks, window[1])
+        ) == linear_scan_critical_path(tasks, allocs, window, slack)
 
     def test_node_predecessor_stays_in_its_allocation(self):
         from repro.cluster.cluster import ClusterSpec, SimulatedCluster
@@ -440,6 +444,22 @@ class TestAnalyzerEdgeCases:
         assert report.attribution["node_seconds"]["idle_tail"] == pytest.approx(200.0)
         assert [el["kind"] for el in report.critical_path] == ["queue-wait"]
         assert report.counts["attempts"] == 0
+
+    def test_displaced_task_span_closes_at_last_time(self):
+        # A second begin under the same (pid, task_id) while the first
+        # attempt is still open: the first never sees its end.
+        bus, seen = capture_bus()
+        bus.emit(CAMPAIGN, phase=BEGIN, time=0.0, campaign="c")
+        bus.emit(TASK, phase=BEGIN, time=1.0, task_id=5, task="t5", node=0)
+        bus.emit(TASK, phase=BEGIN, time=2.0, task_id=5, task="t5", node=1)
+        bus.emit(TASK, phase=END, time=3.0, task_id=5, task="t5", node=1, outcome="done")
+        bus.emit(CAMPAIGN, phase=END, time=4.0, campaign="c")
+        (report,) = analyze_events(seen)
+        assert report.counts["attempts"] == 2
+        assert report.counts["done"] == 1
+        displaced, second = SpanTrace.from_events(seen).tasks
+        assert (displaced.node, displaced.end, displaced.outcome) == (0, 4.0, None)
+        assert (second.node, second.end, second.outcome) == (1, 3.0, "done")
 
     @pytest.mark.parametrize("resumed_first", [False, True], ids=["in-campaign", "in-group"])
     def test_resumed_group_skip_count(self, resumed_first):

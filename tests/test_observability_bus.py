@@ -401,6 +401,27 @@ class TestHistogramReservoir:
         with pytest.raises(ValueError):
             Histogram("elapsed", max_samples=0)
 
+    @pytest.mark.parametrize(
+        "values, cap",
+        [
+            ([3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 0.5, 3.0], 4096),  # ties
+            ([7.25], 4096),  # a single sample
+            ([float(v % 997) * 1.1 for v in range(20_000)], 4096),  # a full reservoir
+        ],
+        ids=["ties", "single", "full"],
+    )
+    def test_summary_reads_the_quantiles_from_one_sort(self, values, cap):
+        h = Histogram("elapsed", max_samples=cap, seed=3)
+        for v in values:
+            h.observe(v)
+        assert len(h.samples) == min(cap, len(values))
+        summary = h.summary()
+        assert [summary[k] for k in ("p50", "p95", "p99")] == [
+            h.quantile(50.0),
+            h.quantile(95.0),
+            h.quantile(99.0),
+        ]
+
 
 class TestEventsFromTrace:
     def _capture(self):
