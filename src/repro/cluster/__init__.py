@@ -4,7 +4,7 @@ This package provides a deterministic discrete-event simulation of a
 leadership-class cluster at the granularity the paper's experiments need:
 
 - :mod:`repro.cluster.engine` — the discrete-event core (clock + event queue).
-- :mod:`repro.cluster.node` — compute nodes and busy-interval recording.
+- :mod:`repro.cluster.node` — compute nodes and the node pool.
 - :mod:`repro.cluster.job` — tasks, task attempts, allocation requests.
 - :mod:`repro.cluster.scheduler` — a batch scheduler with FCFS queueing,
   queue-wait model, and walltime enforcement.

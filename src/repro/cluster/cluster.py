@@ -6,8 +6,8 @@ node pool, batch scheduler, filesystem, and failure model, all seeded from
 one root seed via independent child streams.
 
 Every cluster also owns an :class:`~repro.observability.EventBus` clocked
-by its simulator; the scheduler, nodes, and the Savanna executors running
-on the cluster emit their lifecycle events there (attach a
+by its simulator; the scheduler and the Savanna executors running on the
+cluster emit their lifecycle events there (attach a
 :class:`~repro.observability.TraceRecorder` to ``cluster.bus`` to capture
 a run — see ``docs/observability.md``).
 """
@@ -90,9 +90,7 @@ class SimulatedCluster:
             )
         else:
             speeds = None
-        self.pool = NodePool(
-            self.spec.nodes, cores=self.spec.cores_per_node, speeds=speeds, bus=self.bus
-        )
+        self.pool = NodePool(self.spec.nodes, cores=self.spec.cores_per_node, speeds=speeds)
         self.scheduler = BatchScheduler(
             self.sim,
             self.pool,

@@ -170,8 +170,6 @@ class BatchScheduler:
         self, alloc: Allocation, on_end: Callable | None, reason: str = "walltime"
     ) -> None:
         self._deadline_handles.pop(id(alloc), None)
-        for node in alloc.nodes:
-            node.close(self.sim.now)
         if on_end is not None:
             on_end(alloc)
         if self.bus is not None:

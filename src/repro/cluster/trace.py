@@ -1,21 +1,15 @@
 """Utilization traces — the data behind Figure 6.
 
-Nodes publish every busy/idle transition as ``node.busy`` /
-``node.idle`` events on the cluster's bus (see
-:mod:`repro.observability`); this module turns that single source of
-truth into (a) per-node timelines suitable for plotting/printing and
-(b) aggregate idle-fraction numbers.  Two constructors cover the two
-vantage points:
-
-- :meth:`UtilizationTrace.from_events` consumes a recorded event stream
-  — the path a detached analysis takes (a trace JSON captured on one
-  machine, inspected on another);
-- :meth:`UtilizationTrace.from_nodes` reads the busy intervals the same
-  transitions left on live :class:`~repro.cluster.node.Node` objects —
-  the in-process convenience the executors and figure drivers use.
-
-Both produce identical rows for the same run (asserted in
-``tests/test_observability_integration.py``).
+A node's busy time is the task attempts placed on it: every
+:class:`~repro.cluster.job.TaskAttempt` names its nodes and its start
+and end.  :meth:`UtilizationTrace.from_intervals` turns per-node busy
+intervals into (a) per-node timelines suitable for plotting/printing and
+(b) aggregate idle-fraction numbers.  In process,
+:meth:`AllocationOutcome.trace() <repro.savanna.executor.AllocationOutcome.trace>`
+builds one from an allocation's own attempts; from a recorded stream,
+the campaign report's utilization section
+(:mod:`repro.observability.analysis`) reads the same attempts off the
+``task`` spans.
 """
 
 from __future__ import annotations
@@ -23,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.cluster.node import Node
-from repro.observability import NODE_BUSY, NODE_IDLE
 
 
 def _clip(intervals, start: float, end: float) -> list[tuple[float, float]]:
@@ -58,59 +49,20 @@ class UtilizationTrace:
     rows: list[TimelineRow] = field(default_factory=list)
 
     @classmethod
-    def from_nodes(cls, nodes: list[Node], start: float, end: float) -> "UtilizationTrace":
-        """Build a trace from live nodes' recorded busy intervals.
+    def from_intervals(
+        cls, intervals: dict[int, list[tuple[float, float]]], start: float, end: float
+    ) -> "UtilizationTrace":
+        """Build a trace from per-node busy intervals.
 
-        The intervals are the on-node residue of the ``node.busy`` /
-        ``node.idle`` events; prefer :meth:`from_events` when all you
-        have is a captured stream.
+        ``intervals`` maps each node index to that node's ``(start,
+        end)`` busy intervals in time order.  Rows follow the mapping's
+        order, each clipped to the window.
         """
         if end <= start:
             raise ValueError(f"empty window: [{start}, {end})")
-        rows = []
-        for node in nodes:
-            rows.append(
-                TimelineRow(
-                    node_index=node.index,
-                    intervals=_clip(node.busy_intervals, start, end),
-                )
-            )
-        return cls(start=start, end=end, rows=rows)
-
-    @classmethod
-    def from_events(cls, events, start: float, end: float) -> "UtilizationTrace":
-        """Build a trace from recorded ``node.busy``/``node.idle`` events.
-
-        ``events`` is any iterable of :class:`~repro.observability.Event`
-        (other names are ignored, so a full campaign capture can be
-        passed as-is).  A node still busy when the stream ends is counted
-        busy through ``end`` — the same convention
-        :meth:`Node.close <repro.cluster.node.Node.close>` applies at a
-        walltime kill.
-        """
-        if end <= start:
-            raise ValueError(f"empty window: [{start}, {end})")
-        intervals: dict[int, list[tuple[float, float]]] = {}
-        busy_since: dict[int, float] = {}
-        for event in events:
-            if event.name not in (NODE_BUSY, NODE_IDLE):
-                continue
-            node = event.fields["node"]
-            intervals.setdefault(node, [])
-            if event.name == NODE_BUSY:
-                if node in busy_since:
-                    raise ValueError(f"node {node} marked busy twice in stream")
-                busy_since[node] = event.time
-            else:
-                since = busy_since.pop(node, None)
-                if since is None:
-                    raise ValueError(f"node {node} idle without matching busy")
-                intervals[node].append((since, event.time))
-        for node, since in busy_since.items():
-            intervals[node].append((since, end))
         rows = [
-            TimelineRow(node_index=node, intervals=_clip(ivals, start, end))
-            for node, ivals in sorted(intervals.items())
+            TimelineRow(node_index=node, intervals=_clip(busy, start, end))
+            for node, busy in intervals.items()
         ]
         return cls(start=start, end=end, rows=rows)
 

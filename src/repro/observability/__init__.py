@@ -1,7 +1,7 @@
 """repro.observability — event bus, span tracing, metrics, trace export.
 
 The runtime emits its own record of "what ran, where, and why": every
-execution layer (cluster scheduler and nodes, Savanna executors, the
+execution layer (cluster scheduler, Savanna executors, the
 multi-allocation campaign loop, the campaign driver) publishes structured
 events onto an :class:`EventBus`; a :class:`TraceRecorder` turns any run
 into a Chrome ``trace_event`` JSON plus a metrics snapshot; and
@@ -47,8 +47,6 @@ from repro.observability.events import (
     GROUP,
     GROUP_RESUMED,
     INSTANT,
-    NODE_BUSY,
-    NODE_IDLE,
     SERVICE_CANCELLED,
     SERVICE_FINISHED,
     SERVICE_SATURATED,
@@ -115,8 +113,6 @@ __all__ = [
     "TASK_RETRY",
     "TASK_TIMEOUT",
     "TASK_FAULT_INJECTED",
-    "NODE_BUSY",
-    "NODE_IDLE",
     "WORKER_SAMPLE",
     "new_trace_id",
     "TelemetrySampler",

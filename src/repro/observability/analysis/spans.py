@@ -154,7 +154,6 @@ class SpanTrace:
     tasks: list = field(default_factory=list)  # list[TaskSpan]
     requeues: list = field(default_factory=list)  # raw task.requeued events
     last_time: float = 0.0
-    n_events: int = 0
 
     def __post_init__(self) -> None:
         # Per-pid open-span state.  The emission contract nests spans
@@ -186,14 +185,11 @@ class SpanTrace:
         The fold reads ``task``, ``campaign``, ``group``,
         ``group.resumed``, ``alloc.submitted``, ``alloc``,
         ``task.retry``, ``task.timeout``, ``task.fault_injected`` and
-        ``task.requeued`` events.  Any other event (``node.busy``,
-        ``node.idle``, the service and telemetry instants) only counts
-        toward ``n_events`` and advances ``last_time``.  A task span
-        keeps the ``payload`` dict of its ``begin`` event, which the
-        producer built for that event.
+        ``task.requeued`` events.  Any other event only advances
+        ``last_time``.  A task span keeps the ``payload`` dict of its
+        ``begin`` event, which the producer built for that event.
         """
         name, time, phase, _, pid, f = event
-        self.n_events += 1
         if time > self.last_time:
             self.last_time = time
         if name == TASK:

@@ -29,8 +29,6 @@ name                 phase    fields
 ``task.timeout``     instant  task, task_id, node, timeout
 ``task.fault_injected``  instant  task, task_id, node, kind, ...
 ``group.resumed``    instant  campaign, total, skipped, pending
-``node.busy``        instant  node
-``node.idle``        instant  node
 ``campaign.composed``  instant  campaign, groups, runs
 ``campaign.report``  instant  campaign, group, makespan, utilization, ...
 ``campaign.interrupted``  instant  campaign, completed, pending
@@ -86,8 +84,6 @@ TASK_RETRY = "task.retry"  # a retry policy granted another attempt
 TASK_TIMEOUT = "task.timeout"  # an attempt exceeded its per-task timeout
 TASK_FAULT_INJECTED = "task.fault_injected"  # the fault injector struck an attempt
 GROUP_RESUMED = "group.resumed"  # a resumed SweepGroup skipped completed runs
-NODE_BUSY = "node.busy"  # a node started executing work
-NODE_IDLE = "node.idle"  # a node finished executing work
 CAMPAIGN_COMPOSED = "campaign.composed"  # a Cheetah campaign was materialized
 CAMPAIGN_LINTED = "campaign.linted"  # pre-run static analysis ran over a manifest
 CAMPAIGN_REPORT = "campaign.report"  # post-run trace analytics summary
@@ -141,7 +137,7 @@ class _EventRecord(NamedTuple):
 class Event(_EventRecord):
     """One structured observation: an immutable six-field record.
 
-    A simulated campaign emits four events per task attempt, so an event
+    A simulated campaign emits two events per task attempt, so an event
     costs one tuple: attribute reads are C-level tuple indexing, and a
     subscriber may unpack it as ``name, time, phase, seq, pid, fields =
     event``.  Assigning an attribute raises ``AttributeError``.  The

@@ -3,7 +3,7 @@
 :class:`TraceRecorder` subscribes to one bus (:meth:`TraceRecorder.attach`)
 or to every bus in the process (:meth:`TraceRecorder.recording`), records
 each event verbatim, and keeps a standard :class:`MetricsRegistry` up to
-date from the task/allocation/node lifecycle as it streams by.  After the
+date from the task/allocation lifecycle as it streams by.  After the
 run:
 
 - :meth:`to_chrome_trace` renders the stream in Chrome's ``trace_event``
@@ -30,8 +30,6 @@ from repro.observability.events import (
     CAMPAIGN,
     END,
     GROUP,
-    NODE_BUSY,
-    NODE_IDLE,
     TASK,
     TASK_REQUEUED,
     Event,
@@ -65,7 +63,8 @@ class TraceRecorder:
         self.events: list[Event] = []
         self.metrics = MetricsRegistry()
         self._unsubscribers: list = []
-        self._open_tasks: dict[tuple, float] = {}
+        #: (pid, task_id) -> (begin time, node count) of each open attempt
+        self._open_tasks: dict[tuple, tuple] = {}
 
     # -- attachment ----------------------------------------------------------
 
@@ -128,26 +127,28 @@ class TraceRecorder:
         m = self.metrics
         name, phase = event.name, event.phase
         if name == TASK:
+            # ``nodes.busy`` follows the task spans: a begin occupies the
+            # nodes it lists, the matching end frees them.
             key = (event.pid, event.fields.get("task_id"))
             if phase == BEGIN:
                 m.counter("tasks.launched").inc()
-                self._open_tasks[key] = event.time
+                width = len(event.fields.get("nodes") or ())
+                m.gauge("nodes.busy").add(width)
+                self._open_tasks[key] = (event.time, width)
             elif phase == END:
                 outcome = event.fields.get("outcome", "unknown")
                 m.counter(f"tasks.{outcome}").inc()
-                start = self._open_tasks.pop(key, None)
-                if start is not None:
+                opened = self._open_tasks.pop(key, None)
+                if opened is not None:
+                    start, width = opened
                     m.histogram("task.elapsed").observe(event.time - start)
+                    m.gauge("nodes.busy").add(-width)
         elif name == TASK_REQUEUED:
             m.counter("tasks.requeued").inc()
         elif name == ALLOC:
             m.counter("allocations.granted" if phase == BEGIN else "allocations.ended").inc()
         elif name == ALLOC_SUBMITTED:
             m.counter("allocations.submitted").inc()
-        elif name == NODE_BUSY:
-            m.gauge("nodes.busy").add(1)
-        elif name == NODE_IDLE:
-            m.gauge("nodes.busy").add(-1)
         elif name == CAMPAIGN:
             m.counter("campaigns.started" if phase == BEGIN else "campaigns.finished").inc()
         elif name == GROUP and phase == BEGIN:

@@ -10,17 +10,19 @@ attempt's wall time, decides whether a failed task gets another try and
 after what backoff delay, and bounds total retries per allocation.
 
 Each engine simulates its whole allocation *synchronously* inside
-``start()`` with a local event queue, batched failure draws, and direct
-busy-interval writes, then surfaces it through a single simulator event
-(the early finish) or the scheduler's existing walltime kill.  Whether
-anything observes the cluster bus decides only whether the loop records
-the event batch as it goes.
+``start()`` with a local event queue and batched failure draws, then
+surfaces it through a single simulator event (the early finish) or the
+scheduler's existing walltime kill.  Node occupancy is recorded once, on
+the attempts: each :class:`~repro.cluster.job.TaskAttempt` names its
+nodes, start and end.  Whether anything observes the cluster bus decides
+only whether the loop records the event batch as it goes.
 
 The contract is **bit-exactness** with the per-event reference engine
 (one simulator event and one scalar RNG draw per attempt) that the test
 suite keeps as its oracle, ``tests/_event_engine.py``: identical task
-states, attempt records and outcome lists, in identical order; identical
-node ``busy_intervals``; when anyone is subscribed, an identical event
+states, attempt records and outcome lists, in identical order; per-node
+busy intervals, as the attempts imply them, identical to those the
+oracle books on its nodes; when anyone is subscribed, an identical event
 stream (same names, phases, timestamps, field dicts and sequence
 numbers), emitted once through
 :meth:`~repro.observability.EventBus.publish_batch`; identical
@@ -42,7 +44,7 @@ KILLED; freed nodes re-enter a FIFO free list and survive set barriers;
 the pilot places multi-node tasks FIFO with head-of-line blocking; a
 retry with no backoff relaunches (static) or requeues (pilot) at once,
 inside the failed attempt's end event; killed tasks are finalized in
-launch order with busy intervals cut at the deadline; a backoff timer
+launch order with their attempts cut at the deadline; a backoff timer
 that outlives its allocation resolves to a terminal failure for that
 allocation's outcome without touching task state, and a barrier timer
 that outlives it does nothing.
@@ -64,8 +66,6 @@ from repro.observability.events import (
     BEGIN,
     END,
     INSTANT,
-    NODE_BUSY,
-    NODE_IDLE,
     TASK,
     TASK_FAULT_INJECTED,
     TASK_REQUEUED,
@@ -90,16 +90,10 @@ _task_nodes = attrgetter("nodes")
 
 
 def _record_launch(rec, task, node, t: float, wide=None) -> None:
-    """Record a launch: ``node.busy`` (for each of the ``wide`` nodes of
-    a multi-node attempt), then the ``task`` begin."""
+    """Record a launch: the ``task`` begin, whose ``nodes`` lists the
+    attempt's node, or the ``wide`` nodes of a multi-node attempt."""
     index = node.index
-    if wide is None:
-        indices = [index]
-        rec((NODE_BUSY, INSTANT, t, {"node": index}))
-    else:
-        indices = [other.index for other in wide]
-        for other in indices:
-            rec((NODE_BUSY, INSTANT, t, {"node": other}))
+    indices = [index] if wide is None else [other.index for other in wide]
     rec(
         (
             TASK,
@@ -127,16 +121,10 @@ def _task_end(task, index: int, t: float, result: TaskState) -> tuple:
     )
 
 
-def _record_end(rec, task, node, t: float, result: TaskState, timeout, wide=None) -> None:
-    """Record an attempt's end: ``node.idle`` (for each of the ``wide``
-    nodes of a multi-node attempt), a ``task.timeout`` when ``timeout``
-    cut the attempt, then the ``task`` end."""
+def _record_end(rec, task, node, t: float, result: TaskState, timeout) -> None:
+    """Record an attempt's end: a ``task.timeout`` when ``timeout`` cut
+    the attempt, then the ``task`` end."""
     index = node.index
-    if wide is None:
-        rec((NODE_IDLE, INSTANT, t, {"node": index}))
-    else:
-        for other in wide:
-            rec((NODE_IDLE, INSTANT, t, {"node": other.index}))
     if timeout is not None:
         rec(
             (
@@ -340,43 +328,31 @@ class _VectorAllocationRun:
 
     def _free_wide(self, entry, t: float) -> None:
         """Release a multi-node attempt's nodes at ``t``, in placement
-        order, closing their busy intervals and recording its end."""
-        task, a, nodes = entry[3], entry[4], entry[5]
-        free_push = self._free_nodes.append
-        for node in nodes:
-            node.busy_intervals.append((a.start, t))
-            free_push(node)
+        order, and record its end."""
+        nodes = entry[5]
+        self._free_nodes.extend(nodes)
         if self._specs is not None:
-            _record_end(self._specs.append, task, nodes[0], t, entry[6], entry[7], nodes)
+            _record_end(self._specs.append, entry[3], nodes[0], t, entry[6], entry[7])
 
     def _kill_running(self, remnants, deadline: float) -> None:
         """Finalize the attempts still running at the walltime deadline.
 
         ``remnants`` are the local queue entries left at the deadline.
-        Events mirror the real kill: the scheduler's node close emits
-        ``node.idle`` per still-busy node in allocation order, then the
-        tasks end in launch order (== local seq order).  The real
-        deadline event still fires later and finds no busy nodes.
+        The tasks end in launch order (== local seq order), as the
+        per-event engine's kill ends them.  The real deadline event still
+        fires later and finds nothing running.
         """
         ends = sorted((e for e in remnants if e[2] <= _WIDE_END_EV), key=itemgetter(1))
-        held = [(e[5],) if e[2] == _END_EV else e[5] for e in ends]
         specs = self._specs
-        if specs is not None and ends:
-            busy = {node.index for nodes in held for node in nodes}
-            for node in self.alloc.nodes:
-                if node.index in busy:
-                    specs.append((NODE_IDLE, INSTANT, deadline, {"node": node.index}))
         killed = self.outcome.killed
-        for entry, nodes in zip(ends, held):
+        for entry in ends:
             task, a = entry[3], entry[4]
             a.end = deadline
             a.outcome = _KILLED
             task.state = _KILLED
-            for node in nodes:
-                node.busy_intervals.append((a.start, deadline))
             killed.append(task)
             if specs is not None:
-                specs.append(_task_end(task, nodes[0].index, deadline, _KILLED))
+                specs.append(_task_end(task, a.node_indices[0], deadline, _KILLED))
 
     def _finalize(self, done_time: float | None) -> None:
         """Commit RNG consumption, publish the batch, arrange the finish."""
@@ -581,7 +557,6 @@ class VectorPilotRun(_VectorAllocationRun):
                             a.end = te
                             a.outcome = _DONE
                             task.state = _DONE
-                            node.busy_intervals.append((a.start, te))
                             if i < launch_n:
                                 task = pend_pop()
                                 task.state = _RUNNING
@@ -621,7 +596,6 @@ class VectorPilotRun(_VectorAllocationRun):
                     a.outcome = result
                     task.state = result
                     if kind == _END_EV:
-                        node.busy_intervals.append((a.start, t))
                         if observed:
                             _record_end(rec, task, node, t, result, entry[7])
                         if result is _DONE and inline and pending and not free:
@@ -885,7 +859,6 @@ class VectorStaticSetRun(_VectorAllocationRun):
                     a.end = te
                     a.outcome = _DONE
                     batch[j].state = _DONE
-                    assigned[j].busy_intervals.append((t, te))
                     if observed:
                         _record_end(rec, batch[j], assigned[j], te, _DONE, None)
                 # Bulk equivalents of the per-event free_push/done_push
@@ -915,7 +888,6 @@ class VectorStaticSetRun(_VectorAllocationRun):
                         a.outcome = result
                         task.state = result
                         if kind == _END_EV:
-                            node.busy_intervals.append((a.start, te))
                             free_push(node)
                             if observed:
                                 _record_end(rec, task, node, te, result, entry[7])

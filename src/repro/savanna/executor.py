@@ -64,10 +64,20 @@ class AllocationOutcome:
         return max(ends) if ends else self.allocation.start
 
     def trace(self, end: float | None = None) -> UtilizationTrace:
-        """Utilization over ``[alloc start, end)`` (default: the deadline)."""
-        end = end if end is not None else self.allocation.deadline
-        return UtilizationTrace.from_nodes(
-            self.allocation.nodes, self.allocation.start, end
+        """Utilization over ``[alloc start, end)`` (default: the deadline).
+
+        One row per allocation node, in allocation order, holding the
+        intervals of this allocation's own attempts on that node.  A node
+        runs one attempt at a time, so launch order is time order.
+        """
+        alloc = self.allocation
+        busy = {node.index: [] for node in alloc.nodes}
+        for a in self.attempts:
+            interval = (a.start, a.end)
+            for index in a.node_indices:
+                busy[index].append(interval)
+        return UtilizationTrace.from_intervals(
+            busy, alloc.start, alloc.deadline if end is None else end
         )
 
 

@@ -10,9 +10,9 @@ Observability: a pilot run narrates itself on ``cluster.bus`` — one
 policy grants another attempt, a ``task.requeued`` instant each time a
 failed task re-enters the pending queue (after any backoff delay), plus
 ``task.timeout`` / ``task.fault_injected`` instants from the resilience
-layer and ``node.busy``/``node.idle`` instants from the nodes it
-occupies, all nested inside the scheduler's ``alloc`` span and the
-runner's ``campaign`` span.
+layer, all nested inside the scheduler's ``alloc`` span and the runner's
+``campaign`` span.  A ``task`` begin names the nodes the attempt
+occupies (``node``, ``nodes``), the one record of node occupancy.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ cluster's bus — ``begin`` before the first submission (fields:
 ``campaign``, ``tasks``, ``max_allocations``), ``end`` after the event
 loop drains (fields: ``completed``, ``allocations``).  The scheduler and
 the within-allocation engines emit the nested ``alloc.submitted`` /
-``alloc`` / ``task`` / ``node.*`` events; see ``docs/observability.md``
+``alloc`` / ``task`` events; see ``docs/observability.md``
 for the full contract.
 """
 

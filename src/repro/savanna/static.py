@@ -6,10 +6,10 @@ Straggler processes can severely limit the performance of the overall
 workflow."
 
 Observability: identical event surface to the pilot
-(``campaign``/``alloc``/``task`` spans, ``node.*`` instants) minus
-``task.requeued`` — the original workflow never requeues within an
-allocation, so barrier idling is directly visible as the gap between a
-set's last ``task`` end and the next set's first ``task`` begin.  With a
+(``campaign``/``alloc``/``task`` spans) minus ``task.requeued`` — the
+original workflow never requeues within an allocation, so barrier idling
+is directly visible as the gap between a set's last ``task`` end and the
+next set's first ``task`` begin.  With a
 :class:`~repro.resilience.RetryPolicy` attached, in-place relaunches
 additionally emit ``task.retry`` instants.
 """

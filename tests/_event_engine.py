@@ -1,10 +1,15 @@
 """The per-event reference engine: the oracle of the simulator tests.
 
 ``repro.savanna._vector`` simulates each allocation synchronously; this
-module is the engine it must reproduce bit for bit, kept here verbatim
-from the days it ran in production.  It pays one simulator event and one
-scalar failure draw per attempt, and places work through the nodes' own
-``mark_busy``/``degrade``/``restore`` bookkeeping.
+module is the engine it must reproduce bit for bit, kept here from the
+days it ran in production.  It pays one simulator event and one scalar
+failure draw per attempt.  The shipped engines record node occupancy
+only on the task attempts; this one books it per node as well, on its
+own :class:`OracleNode` objects (one per pool node and cluster, see
+:func:`oracle_nodes`), whose ``mark_busy``/``mark_idle`` raise on a
+double-booked node and whose ``degrade``/``restore`` carry a straggler's
+slowdown.  The equivalence tests compare the intervals booked there with
+the ones the vector engines' attempts imply.
 ``tests/_oracle.py`` swaps it in for the executors' ``make_run``;
 ``tests/test_simcore_equivalence.py`` and
 ``benchmarks/bench_simcore.py`` run through that.
@@ -32,6 +37,7 @@ queue after its backoff delay.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from operator import attrgetter
 
@@ -53,6 +59,65 @@ from repro.savanna.executor import AllocationOutcome
 _task_nodes = attrgetter("nodes")
 
 
+class OracleNode:
+    """The oracle's record of one node: its busy intervals and the
+    transient slowdown of a straggler fault."""
+
+    def __init__(self, index: int, speed: float):
+        self.index = index
+        self.speed = speed
+        #: Transient straggler divisor (1.0 = healthy); see :meth:`degrade`.
+        self.slowdown = 1.0
+        self.busy_intervals: list[tuple[float, float]] = []
+        self._busy_since: float | None = None
+
+    @property
+    def effective_speed(self) -> float:
+        """Speed after any transient straggler degradation."""
+        return self.speed / self.slowdown
+
+    def degrade(self, factor: float) -> None:
+        """Divide the node's speed by ``factor`` until :meth:`restore`."""
+        self.slowdown = float(factor)
+
+    def restore(self) -> None:
+        """Clear a straggler degradation (idempotent)."""
+        self.slowdown = 1.0
+
+    def mark_busy(self, now: float) -> None:
+        """Record the start of an executing task."""
+        if self._busy_since is not None:
+            raise RuntimeError(f"node {self.index} already busy since {self._busy_since}")
+        self._busy_since = now
+
+    def mark_idle(self, now: float) -> None:
+        """Record the end of the currently executing task."""
+        if self._busy_since is None:
+            raise RuntimeError(f"node {self.index} is not busy")
+        if now < self._busy_since:
+            raise ValueError(f"end {now} before start {self._busy_since}")
+        self.busy_intervals.append((self._busy_since, now))
+        self._busy_since = None
+
+    def close(self, now: float) -> None:
+        """Flush an in-flight interval at a walltime kill."""
+        if self._busy_since is not None:
+            self.mark_idle(now)
+
+
+_ORACLE_NODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def oracle_nodes(cluster: SimulatedCluster) -> list[OracleNode]:
+    """The oracle's nodes for ``cluster``, indexed like ``cluster.pool.nodes``."""
+    nodes = _ORACLE_NODES.get(cluster)
+    if nodes is None:
+        nodes = _ORACLE_NODES[cluster] = [
+            OracleNode(node.index, node.speed) for node in cluster.pool.nodes
+        ]
+    return nodes
+
+
 class _BaseAllocationRun:
     """Common node/event bookkeeping for one allocation."""
 
@@ -71,7 +136,10 @@ class _BaseAllocationRun:
         self.outcome = outcome
         self.done_cb = done_cb
         self.policy = policy if policy is not None else RetryPolicy()
-        self.free = list(alloc.nodes)
+        book = oracle_nodes(cluster)
+        #: This allocation's nodes, in allocation order, as the oracle books them.
+        self.nodes = [book[node.index] for node in alloc.nodes]
+        self.free = list(self.nodes)
         # task -> (attempt, end-event handle, nodes)
         self.running: dict[int, tuple] = {}
         self.finished = False
@@ -88,11 +156,13 @@ class _BaseAllocationRun:
     def on_walltime_kill(self) -> None:
         """Finalize running attempts at the walltime deadline.
 
-        The scheduler has already closed the nodes' busy intervals; here we
-        cancel pending end events and mark the interrupted tasks KILLED so
-        a later resubmission retries them.
+        Close the busy intervals of the nodes still running work, cancel
+        pending end events, and mark the interrupted tasks KILLED so a
+        later resubmission retries them.
         """
         now = self.cluster.sim.now
+        for node in self.nodes:
+            node.close(now)
         for task_id, (attempt, handle, nodes) in list(self.running.items()):
             handle.cancel()
             attempt.end = now

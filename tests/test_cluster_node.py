@@ -6,48 +6,6 @@ from repro.cluster.node import Node, NodePool
 
 
 class TestNode:
-    def test_busy_interval_recorded(self):
-        node = Node(index=0)
-        node.mark_busy(1.0)
-        node.mark_idle(4.0)
-        assert node.busy_intervals == [(1.0, 4.0)]
-        assert node.busy_time() == 3.0
-
-    def test_double_busy_rejected(self):
-        node = Node(index=0)
-        node.mark_busy(0.0)
-        with pytest.raises(RuntimeError, match="already busy"):
-            node.mark_busy(1.0)
-
-    def test_idle_without_busy_rejected(self):
-        node = Node(index=0)
-        with pytest.raises(RuntimeError, match="not busy"):
-            node.mark_idle(1.0)
-
-    def test_end_before_start_rejected(self):
-        node = Node(index=0)
-        node.mark_busy(5.0)
-        with pytest.raises(ValueError):
-            node.mark_idle(4.0)
-
-    def test_close_flushes_open_interval(self):
-        node = Node(index=0)
-        node.mark_busy(2.0)
-        node.close(7.0)
-        assert node.busy_intervals == [(2.0, 7.0)]
-        assert not node.busy
-
-    def test_close_idle_node_is_noop(self):
-        node = Node(index=0)
-        node.close(7.0)
-        assert node.busy_intervals == []
-
-    def test_busy_time_with_horizon_clips(self):
-        node = Node(index=0)
-        node.mark_busy(0.0)
-        node.mark_idle(10.0)
-        assert node.busy_time(horizon=4.0) == 4.0
-
     def test_invalid_cores_rejected(self):
         with pytest.raises(ValueError):
             Node(index=0, cores=0)

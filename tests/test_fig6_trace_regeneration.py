@@ -4,7 +4,9 @@
 ``results/fig6_utilization_timeline.trace.json``; the streaming-report
 tests replay that file, so a change to what the executors emit would go
 unnoticed there.  This reruns the traced drive in process and compares
-its Chrome entries with the committed ones.  It also analyzes the rerun
+its Chrome entries with the committed ones, and its metrics snapshot with
+the committed ``fig6_utilization_timeline.trace.metrics.json``.  It also
+analyzes the rerun
 at the bench's quick and full parameters and compares every report with
 the committed ``fig6_quick_baseline.report.json`` (the CI diff's
 baseline) and ``fig6_utilization_timeline.report.json``.
@@ -25,11 +27,13 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import fig6_timeline, run_with_trace
+from repro.observability import events_from_trace
 from repro.observability.analysis import analyze_events
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 RESULTS = BENCHMARKS / "results"
 COMMITTED = RESULTS / "fig6_utilization_timeline.trace.json"
+COMMITTED_METRICS = RESULTS / "fig6_utilization_timeline.trace.metrics.json"
 
 
 def _bench():
@@ -69,6 +73,8 @@ def test_fig6_trace_matches_the_committed_capture():
     assert len(emitted) == len(committed)
     for index, (ours, theirs) in enumerate(zip(_renumbered(emitted), _renumbered(committed))):
         assert ours == theirs, f"entry {index} differs"
+    snapshot = json.loads(json.dumps(recorder.metrics.snapshot()))
+    _assert_same(snapshot, json.loads(COMMITTED_METRICS.read_text()), "metrics")
 
 
 def _assert_same(ours, theirs, where: str) -> None:
@@ -105,3 +111,34 @@ def test_fig6_reports_match_the_committed_reports(kwargs_name, committed):
         a.pop("pid")
         b.pop("pid")
         _assert_same(a, b, f"report[{index}]")
+
+
+def _with_node_instants(entries) -> list:
+    """``entries`` as captures were written while nodes published their
+    own occupancy: a ``node.busy`` instant per node before each ``task``
+    begin and a ``node.idle`` before each end, sequence numbers left for
+    the loader to derive from file order."""
+    out, held = [], {}
+    for entry in entries:
+        entry = {key: value for key, value in entry.items() if key != "seq"}
+        if entry["name"] == "task":
+            key = (entry["pid"], entry["args"]["task_id"])
+            if entry["ph"] == "B":
+                name, nodes = "node.busy", entry["args"]["nodes"]
+                held[key] = nodes
+            else:
+                name, nodes = "node.idle", held.pop(key)
+            for node in nodes:
+                instant = {"name": name, "ph": "i", "s": "t", "ts": entry["ts"], "t": entry["t"]}
+                out.append(dict(instant, pid=entry["pid"], tid=node + 1, args={"node": node}))
+        out.append(entry)
+    return out
+
+
+def test_captures_with_node_instants_still_analyze():
+    committed = json.loads(COMMITTED.read_text())
+    old_form = _with_node_instants(committed)
+    assert len(old_form) == 890
+    ours = [r.to_dict() for r in analyze_events(events_from_trace(old_form))]
+    theirs = [r.to_dict() for r in analyze_events(events_from_trace(committed))]
+    assert ours == theirs

@@ -2,15 +2,12 @@
 
 A pilot-executor campaign recorded end to end must produce a
 contract-clean stream (monotone per-bus timestamps, balanced spans),
-export as Chrome ``trace_event`` dicts, drive nonzero task counters,
-reconstruct utilization identically to the live node objects, and feed
-the Software Provenance gauge.
+export as Chrome ``trace_event`` dicts, drive nonzero task counters and
+the ``nodes.busy`` gauge, carry the same node occupancy as the
+in-process attempts, and feed the Software Provenance gauge.
 """
 
-import pytest
-
 from repro.cluster.job import Task
-from repro.cluster.trace import UtilizationTrace
 from repro.gauges.levels import ProvenanceTier
 from repro.observability import (
     ALLOC,
@@ -19,8 +16,6 @@ from repro.observability import (
     CAMPAIGN,
     END,
     GROUP,
-    NODE_BUSY,
-    NODE_IDLE,
     TASK,
     TASK_REQUEUED,
     TraceRecorder,
@@ -29,9 +24,11 @@ from repro.observability import (
     provenance_store_from_trace,
     validate_event_stream,
 )
-from repro.savanna import PilotExecutor
+from repro.observability.analysis import SpanTrace
+from repro.savanna import PilotExecutor, RealExecutor
 
 from conftest import make_cluster
+from test_realexec import make_manifest, square
 
 
 def run_recorded_campaign(mttf=None, n_tasks=10, nodes=4, walltime=400.0):
@@ -63,7 +60,9 @@ class TestPilotCampaignStream:
     def test_taxonomy_coverage(self):
         _, recorder, _ = run_recorded_campaign()
         names = {e.name for e in recorder.events}
-        assert {CAMPAIGN, ALLOC, ALLOC_SUBMITTED, TASK, NODE_BUSY, NODE_IDLE} <= names
+        assert {CAMPAIGN, ALLOC, ALLOC_SUBMITTED, TASK} <= names
+        # Node occupancy lives on the task spans alone.
+        assert not any(name.startswith("node.") for name in names)
 
     def test_task_spans_nest_inside_alloc_spans(self):
         _, recorder, _ = run_recorded_campaign()
@@ -118,34 +117,36 @@ class TestPilotCampaignStream:
         validate_event_stream(recorder.events)
 
 
-class TestUtilizationFromEvents:
-    def test_from_events_equals_from_nodes(self):
-        cluster, recorder, _ = run_recorded_campaign()
-        end = cluster.now
-        live = UtilizationTrace.from_nodes(cluster.pool.nodes, 0.0, end)
-        replayed = UtilizationTrace.from_events(recorder.events, 0.0, end)
-        assert [(r.node_index, r.intervals) for r in live.rows] == [
-            (r.node_index, r.intervals) for r in replayed.rows
-        ]
-        assert live.utilization() == pytest.approx(replayed.utilization())
+class TestNodeOccupancy:
+    def test_task_spans_carry_the_outcome_trace(self):
+        """The recorded ``task`` spans place every attempt on the same
+        nodes, over the same interval, as each outcome's ``trace()``."""
+        _, recorder, result = run_recorded_campaign(mttf=2000.0, n_tasks=20)
+        spans = SpanTrace.from_events(recorder.events).tasks
+        for index, outcome in enumerate(result.outcomes):
+            rows = outcome.trace().rows
+            busy = {row.node_index: [] for row in rows}
+            for span in spans:
+                if span.alloc == index:
+                    for node in span.nodes:
+                        busy[node].append((span.start, span.end))
+            assert [(row.node_index, row.intervals) for row in rows] == list(busy.items())
 
-    def test_from_events_ignores_other_names(self):
-        _, recorder, _ = run_recorded_campaign()
-        only_nodes = [
-            e for e in recorder.events if e.name in (NODE_BUSY, NODE_IDLE)
-        ]
-        full = UtilizationTrace.from_events(recorder.events, 0.0, 1000.0)
-        filtered = UtilizationTrace.from_events(only_nodes, 0.0, 1000.0)
-        assert [(r.node_index, r.intervals) for r in full.rows] == [
-            (r.node_index, r.intervals) for r in filtered.rows
-        ]
+    def test_gauge_follows_multi_node_attempts(self):
+        cluster = make_cluster(nodes=4)
+        recorder = TraceRecorder().attach(cluster.bus)
+        tasks = [Task(name=f"w{i}", duration=30.0 + i, nodes=2) for i in range(6)]
+        PilotExecutor(cluster).run(tasks, nodes=4, walltime=400.0)
+        gauge = recorder.metrics.snapshot()["gauges"]["nodes.busy"]
+        assert gauge == {"value": 0.0, "peak": 4.0}
 
-    def test_unbalanced_stream_rejected(self):
-        from repro.observability import Event
-
-        events = [Event(NODE_IDLE, 5.0, fields={"node": 0})]
-        with pytest.raises(ValueError, match="without matching busy"):
-            UtilizationTrace.from_events(events, 0.0, 10.0)
+    def test_gauge_counts_busy_slots_of_a_real_drive(self):
+        recorder = TraceRecorder()
+        with recorder.recording():
+            RealExecutor(max_workers=2).execute(make_manifest(values=range(6)), square)
+        gauge = recorder.metrics.snapshot()["gauges"]["nodes.busy"]
+        assert gauge["value"] == 0.0
+        assert 1.0 <= gauge["peak"] <= 2.0
 
 
 class TestProvenanceFromTrace:

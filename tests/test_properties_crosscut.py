@@ -60,27 +60,44 @@ def test_dataflow_conservation(n_items, policy_kind, knob):
 
 @settings(deadline=None, max_examples=30)
 @given(
-    durations=st.lists(st.floats(1.0, 400.0), min_size=1, max_size=25),
-    nodes=st.integers(1, 6),
+    tasks=st.lists(
+        st.tuples(st.floats(1.0, 400.0), st.integers(1, 3)), min_size=1, max_size=25
+    ),
+    nodes=st.integers(3, 6),
     walltime=st.floats(50.0, 1000.0),
     allocations=st.integers(1, 3),
+    pilot=st.booleans(),
 )
-def test_executor_returns_all_nodes(durations, nodes, walltime, allocations):
-    """Property: after any campaign, every node is back in the free pool
-    and no node has an open busy interval."""
+def test_executor_returns_all_nodes(tasks, nodes, walltime, allocations, pilot):
+    """Property: after any pilot or static campaign, every node is back in
+    the free pool, and no node ran two attempts at once: each outcome's
+    utilization rows are time-ordered, pairwise disjoint and inside the
+    allocation's window."""
     from repro.cluster.job import Task
-    from repro.savanna import PilotExecutor
+    from repro.savanna import PilotExecutor, StaticSetExecutor
 
     cluster = make_cluster(nodes=nodes)
-    tasks = [Task(name=f"t{i}", duration=d) for i, d in enumerate(durations)]
-    PilotExecutor(cluster).run(
-        tasks, nodes=nodes, walltime=walltime, max_allocations=allocations
+    executor = PilotExecutor(cluster) if pilot else StaticSetExecutor(cluster)
+    result = executor.run(
+        [Task(name=f"t{i}", duration=d, nodes=w) for i, (d, w) in enumerate(tasks)],
+        nodes=nodes,
+        walltime=walltime,
+        max_allocations=allocations,
     )
     assert cluster.pool.free_count == nodes
-    for node in cluster.pool.nodes:
-        assert not node.busy
-        for start, end in node.busy_intervals:
-            assert end >= start
+    for outcome in result.outcomes:
+        alloc = outcome.allocation
+        for a in outcome.attempts:
+            assert alloc.start <= a.start < a.end <= alloc.deadline
+        rows = outcome.trace().rows
+        # Every attempt lies inside the window, so each row keeps all of
+        # its node's attempts whole.
+        assert sum(len(row.intervals) for row in rows) == sum(
+            len(a.node_indices) for a in outcome.attempts
+        )
+        for row in rows:
+            for (_, end), (start, _) in zip(row.intervals, row.intervals[1:]):
+                assert end <= start
 
 
 @settings(deadline=None, max_examples=30)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task
-from repro.cluster.node import Node
 from repro.observability import TASK, TASK_FAULT_INJECTED, TASK_RETRY, TASK_TIMEOUT
 from repro.resilience import (
     CRASH_ON_START,
@@ -137,16 +136,14 @@ class TestParseFaultSpecs:
 
 class TestNodeDegradation:
     def test_effective_speed_divides_by_slowdown(self):
-        node = Node(index=0, speed=2.0)
-        assert node.effective_speed == 2.0
-        node.degrade(4.0)
-        assert node.effective_speed == 0.5
-        node.restore()
-        assert node.effective_speed == 2.0
-
-    def test_degrade_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            Node(index=0).degrade(0.9)
+        # A 4x straggler on a speed-2.0 node runs its attempt at 0.5.
+        injector = FaultInjector([FaultSpec(STRAGGLER, 1.0, slowdown=4.0)], seed=2)
+        cluster = fault_cluster(nodes=1, injector=injector)
+        cluster.pool.nodes[0].speed = 2.0
+        result = PilotExecutor(cluster).run(
+            tasks_of([100.0]), nodes=1, walltime=10_000.0, max_allocations=1
+        )
+        assert result.tasks[0].attempts[0].elapsed == pytest.approx(200.0)
 
 
 class TestFaultTolerantExecution:
@@ -188,17 +185,19 @@ class TestFaultTolerantExecution:
         assert injector.injected_count > 0
 
     def test_straggler_stretches_wall_time_and_restores_nodes(self):
-        injector = FaultInjector(
-            [FaultSpec(STRAGGLER, 1.0, slowdown=4.0)], seed=2
+        # One node runs every task in turn; a straggler stretches only the
+        # attempt it strikes, so the node is back at full speed afterwards.
+        plan = [FaultSpec(STRAGGLER, 0.5, slowdown=4.0)]
+        tasks = tasks_of([100.0] * 8)
+        probe = FaultInjector(plan, seed=2)
+        struck = [probe.decide(t.name, 1, t.duration) is not None for t in tasks]
+        assert any(struck) and not all(struck)
+        cluster = fault_cluster(nodes=1, injector=FaultInjector(plan, seed=2))
+        result = PilotExecutor(cluster).run(
+            tasks, nodes=1, walltime=10_000.0, max_allocations=1
         )
-        cluster = fault_cluster(nodes=1, injector=injector)
-        executor = PilotExecutor(cluster)
-        result = executor.run(
-            tasks_of([100.0]), nodes=1, walltime=10_000.0, max_allocations=1
-        )
-        attempt = result.tasks[0].attempts[0]
-        assert attempt.end - attempt.start == pytest.approx(400.0)
-        assert all(node.slowdown == 1.0 for node in cluster.pool.nodes)
+        elapsed = [t.attempts[0].elapsed for t in result.tasks]
+        assert elapsed == pytest.approx([400.0 if s else 100.0 for s in struck])
 
     def test_timeout_cuts_attempt_and_emits_event(self):
         cluster = fault_cluster(nodes=1)

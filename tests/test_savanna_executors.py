@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task, TaskState
 from repro.resilience import RetryPolicy, no_retry
 from repro.savanna import PilotExecutor, StaticSetExecutor, tasks_from_manifest
@@ -183,6 +184,22 @@ class TestRunner:
         )
         # simulation clock should end near 10s, not at walltime
         assert cluster.now < 100.0
+
+    def test_allocation_utilization_counts_only_its_own_attempts(self):
+        """A later allocation on the same nodes, inside this allocation's
+        default window, adds nothing to this allocation's trace."""
+        cluster = SimulatedCluster(
+            ClusterSpec(nodes=2, queue_sigma=0.0, queue_median_wait=10.0), seed=1
+        )
+        first, second = (
+            PilotExecutor(cluster).run(tasks_of([100.0, 100.0]), nodes=2, walltime=10_000)
+            for _ in range(2)
+        )
+        outcome = first.outcomes[0]
+        assert second.outcomes[0].allocation.start < outcome.allocation.deadline
+        rows = outcome.trace().rows
+        assert sum(row.busy_time() for row in rows) == pytest.approx(200.0)
+        assert [len(row.intervals) for row in rows] == [1, 1]
 
     def test_empty_task_list_no_allocations(self):
         cluster = make_cluster(nodes=1)

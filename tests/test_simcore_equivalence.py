@@ -5,9 +5,11 @@ engine kept as the oracle in ``tests/_event_engine.py`` (selected
 through ``tests/_oracle.py``) and once on the vector engines the
 executors ship with — and asserts the runs are *indistinguishable*:
 identical task states and attempt records, identical outcome lists in
-identical order, identical node busy intervals, an identical
-failure-RNG stream position and fault-injector count, and (when a
-recorder is attached) a byte-identical Chrome trace.  The fixed
+identical order, an identical failure-RNG stream position and
+fault-injector count, and (when a recorder is attached) a byte-identical
+Chrome trace.  Node occupancy is compared node by node: the busy
+intervals the oracle books on its own nodes must equal the ones the
+vector engine's attempts imply.  The fixed
 scenario matrix below is joined by a Hypothesis property that draws
 the scenario itself, fault plans and multi-node tasks included.
 
@@ -32,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _event_engine import oracle_nodes
 from _oracle import event_engine
 from repro.cluster.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task
@@ -300,10 +303,24 @@ def _run(scenario, mode: str, traced: bool):
         result = make_executor(cluster).run(tasks, **run_kwargs)
     if recorder is not None:
         recorder.detach()
-    return _snapshot(cluster, tasks, result, recorder)
+    if mode == "event":
+        intervals = [list(node.busy_intervals) for node in oracle_nodes(cluster)]
+    else:
+        intervals = _attempt_intervals(cluster, result)
+    return _snapshot(cluster, tasks, result, recorder, intervals)
 
 
-def _snapshot(cluster, tasks, result, recorder):
+def _attempt_intervals(cluster, result):
+    """Each node's busy intervals as the attempts record them, in launch order."""
+    intervals = [[] for _ in cluster.pool.nodes]
+    for outcome in result.outcomes:
+        for a in outcome.attempts:
+            for index in a.node_indices:
+                intervals[index].append((a.start, a.end))
+    return intervals
+
+
+def _snapshot(cluster, tasks, result, recorder, intervals):
     base = min(t.task_id for t in tasks)
     snap = {
         "tasks": [
@@ -329,7 +346,7 @@ def _snapshot(cluster, tasks, result, recorder):
             }
             for o in result.outcomes
         ],
-        "intervals": [list(n.busy_intervals) for n in cluster.pool.nodes],
+        "intervals": intervals,
         "rng": cluster.failures._rng.bit_generator.state,
         "injected": cluster.faults.injected_count if cluster.faults else 0,
         "now": cluster.sim.now,
