@@ -14,8 +14,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro._util import check_positive
 
 
@@ -36,6 +34,8 @@ class Node:
         parts, thermal throttling, and OS jitter — a second straggler
         source on real machines beyond workload skew.  A straggler fault
         divides the speed of the one attempt it strikes, not the node's.
+        The simulated executors read it when an allocation starts, so a
+        change takes effect from the next allocation on.
     """
 
     index: int
@@ -68,9 +68,6 @@ class NodePool:
         if len(speeds) != count:
             raise ValueError(f"{len(speeds)} speeds for {count} nodes")
         self.nodes = [Node(index=i, cores=cores, speed=float(s)) for i, s in enumerate(speeds)]
-        #: Nominal per-node speed factors as a dense array; the vectorized
-        #: executors index this instead of touching Node objects per task.
-        self.speed_array = np.asarray(speeds, dtype=np.float64)
         self._free_heap = list(range(count))  # min-heap: lowest index first
         self._is_free = bytearray([1]) * count
 

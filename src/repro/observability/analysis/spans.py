@@ -40,6 +40,7 @@ from repro.observability.events import (
     TASK_REQUEUED,
     TASK_RETRY,
     TASK_TIMEOUT,
+    attempt_number,
 )
 
 #: The event names :meth:`SpanTrace.feed` folds besides ``task``.
@@ -146,7 +147,10 @@ class SpanTrace:
     capture or loaded trace), or :meth:`feed` it one event at a time and
     call :meth:`close_open` when the stream ends — the form the streaming
     report builder (:mod:`.streaming`) drives off the bus.
-    ``from_events`` *is* that feed loop.
+    ``from_events`` *is* that feed loop.  :meth:`feed_block` folds a
+    simulated allocation's published
+    :class:`~repro.observability.events.AttemptBlock` into the same
+    spans without building its events.
     """
 
     campaigns: list = field(default_factory=list)  # list[CampaignSpan]
@@ -195,8 +199,7 @@ class SpanTrace:
         if name == TASK:
             key = (pid, f.get("task_id"))
             if phase == BEGIN:
-                members = self._open_campaign.get(pid)
-                alloc = self._open_alloc.get(pid)
+                members, alloc, group, campaign = self._context(pid)
                 node = f.get("node")
                 span = TaskSpan(
                     pid=pid,
@@ -207,18 +210,11 @@ class SpanTrace:
                     attempt=f.get("attempt", 1),
                     start=time,
                     payload=f.get("payload") or {},
-                    alloc=alloc.index if alloc is not None else None,
-                    group=(self._open_group.get(pid) or {}).get("group"),
-                    campaign=members.campaign.name if members is not None else None,
+                    alloc=alloc,
+                    group=group,
+                    campaign=campaign,
                 )
-                displaced = self._open_tasks.get(key)
-                if displaced is not None:
-                    self._displaced.append(displaced)
-                self._open_tasks[key] = span
-                self.tasks.append(span)
-                if members is not None:
-                    members.tasks.append(span)
-                    members.latest[key[1]] = span
+                self._open_task(key, span, members)
             elif phase == END:
                 span = self._open_tasks.pop(key, None)
                 if span is not None:
@@ -299,6 +295,87 @@ class SpanTrace:
                 span.faults += 1
         elif name == TASK_REQUEUED:
             self.requeues.append(event)
+
+    def feed_block(self, block) -> None:
+        """Fold a published
+        :class:`~repro.observability.events.AttemptBlock` from its
+        attempts.
+
+        The spans, their order, ``last_time`` and the handling of a
+        displaced attempt are what :meth:`feed` makes of the block's
+        events, one by one; a begin's span gets its own ``nodes`` tuple
+        and ``payload`` copy.  The block's spec items go through
+        :meth:`feed` itself, as the events they stand for, so a
+        ``task.requeued`` keeps its real ``seq``.
+        """
+        pid = block.pid
+        open_tasks = self._open_tasks
+        last = self.last_time
+        context = None
+        for index, (item, phase) in enumerate(zip(block.items, block.phases())):
+            if item.__class__ is tuple:
+                self.last_time = last
+                self.feed(block.event(index))
+                last = self.last_time
+                context = None  # a spec may open or close an enclosing span
+                continue
+            task = item.task
+            key = (pid, task.task_id)
+            if phase is BEGIN:
+                if context is None:
+                    context = self._context(pid)
+                members, alloc, group, campaign = context
+                time = float(item.start)
+                indices = item.node_indices
+                span = TaskSpan(
+                    pid,
+                    key[1],
+                    task.name,
+                    indices[0],
+                    tuple(indices),
+                    attempt_number(item),
+                    time,
+                    None,
+                    None,
+                    dict(task.payload),
+                    alloc,
+                    group,
+                    campaign,
+                )
+                self._open_task(key, span, members)
+            else:
+                time = float(item.end)
+                span = open_tasks.pop(key, None)
+                if span is not None:
+                    span.end = time
+                    span.outcome = item.outcome._value_
+            if time > last:
+                last = time
+        self.last_time = last
+
+    def _context(self, pid: int) -> tuple:
+        """What a task span beginning now on ``pid`` belongs to: the open
+        campaign's members, and the alloc index, group and campaign
+        names it records."""
+        members = self._open_campaign.get(pid)
+        alloc = self._open_alloc.get(pid)
+        return (
+            members,
+            alloc.index if alloc is not None else None,
+            (self._open_group.get(pid) or {}).get("group"),
+            members.campaign.name if members is not None else None,
+        )
+
+    def _open_task(self, key: tuple, span: TaskSpan, members) -> None:
+        """Open ``span`` under ``key``, displacing an attempt still open there."""
+        displaced = self._open_tasks.get(key)
+        if displaced is not None:
+            self._displaced.append(displaced)
+        self._open_tasks[key] = span
+        self.tasks.append(span)
+        if members is not None:
+            members.tasks.append(span)
+            members.latest[key[1]] = span
 
     def close_open(self) -> None:
         """Close anything the stream left open at the last observed time.

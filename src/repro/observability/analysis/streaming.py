@@ -5,9 +5,10 @@ event into a :class:`~repro.observability.analysis.spans.SpanTrace` the
 moment it is emitted (:meth:`SpanTrace.feed` — one span record per task
 attempt, allocation and campaign; instants collapse into counters on
 those spans; the raw event object is dropped on the spot).  The builder
-is batch-aware (:meth:`StreamingCampaignReport.on_batch`), so the
-vectorized executors' ``publish_batch`` emissions fold in one call per
-batch.
+is batch-aware (:meth:`StreamingCampaignReport.on_batch`): a batch folds
+in one call, and the vectorized executors' attempt blocks fold straight
+from their attempts (:meth:`SpanTrace.feed_block`), with no event
+built.
 
 :meth:`StreamingCampaignReport.reports` is the one finalize: it closes
 the spans the stream left open and runs
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from repro.observability.analysis.report import CampaignReport, report_for_campaign
 from repro.observability.analysis.spans import SpanTrace
+from repro.observability.events import AttemptBlock
 
 
 class StreamingCampaignReport:
@@ -80,8 +82,12 @@ class StreamingCampaignReport:
     __call__ = feed
 
     def on_batch(self, events) -> None:
-        """Batch-aware subscriber hook (see ``EventBus.publish_batch``)."""
+        """Batch-aware subscriber hook (see ``EventBus.publish_batch``);
+        an attempt block folds from its attempts."""
         self._check_open()
+        if isinstance(events, AttemptBlock):
+            self.trace.feed_block(events)
+            return
         feed = self.trace.feed
         for event in events:
             feed(event)

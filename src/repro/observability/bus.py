@@ -18,20 +18,24 @@ without building an :class:`Event`, so instrumented hot paths cost one
 truthiness check per event in unobserved runs.
 
 Batched emission: hot paths that produce many events at one code site
-(the vectorized executors, trace replay, bench harnesses) can hand the
-bus a whole batch of ``(name, phase, time, fields)`` specs at once via
+(trace replay, bench harnesses) can hand the bus a whole batch of
+``(name, phase, time, fields)`` specs at once via
 :meth:`EventBus.publish_batch`.  Ordering and sequence numbering are
 identical to the equivalent ``emit`` loop — subscribers that only
 understand single events observe the exact same stream — but
 subscribers that declare an ``on_batch`` method (the Chrome-trace
 recorder, the streaming report builder, the checkpoint journal) receive
 the batch in one call, dropping the per-event Python function-call
-overhead.
+overhead.  The simulated executors publish each allocation as one
+:class:`~repro.observability.events.AttemptBlock` instead: the same
+stream held as task attempts, which ``on_batch`` subscribers that know
+the block read without any event being built, and which builds its
+events once for the first subscriber that iterates it.
 
 Ownership: each event keeps the ``fields`` dict it was built with, so a
 batch producer hands over one fresh dict per spec and never mutates it
 after publishing; ``emit`` builds a fresh dict from its keyword
-arguments.
+arguments, and a block builds fresh dicts and lists for its events.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import warnings
 from contextlib import contextmanager
 from typing import Callable
 
-from repro.observability.events import BEGIN, END, INSTANT, Event
+from repro.observability.events import BEGIN, END, INSTANT, AttemptBlock, Event
 
 
 class SubscriberError(UserWarning):
@@ -160,19 +164,24 @@ class EventBus:
                 self._warn_subscriber(callback, name, exc)
         return event
 
-    def publish_batch(self, specs) -> list[Event] | None:
+    def publish_batch(self, specs) -> list[Event] | AttemptBlock | None:
         """Build and deliver many events in one call; returns them.
 
         ``specs`` is an iterable of ``(name, phase, time, fields)``
         tuples (``phase``/``time``/``fields`` may be ``None``, meaning
-        the :meth:`emit` default).  Sequence numbers are assigned in
-        input order, so the resulting stream is indistinguishable from
-        the equivalent ``emit`` loop; returns ``None`` without building
-        anything when nobody listens.
+        the :meth:`emit` default), or an
+        :class:`~repro.observability.events.AttemptBlock`.  Sequence
+        numbers are assigned in input order, so the resulting stream is
+        indistinguishable from the equivalent ``emit`` loop; returns
+        ``None`` without building anything when nobody listens.
 
         Each event takes ownership of its spec's ``fields`` dict, as is
         (a ``None`` gets a fresh ``{}``): hand over one fresh dict per
-        spec and never mutate it after publishing.
+        spec and never mutate it after publishing.  A block is stamped
+        with this bus's ``pid`` and its first ``seq``, delivered and
+        returned as it is: it builds its events only if a subscriber
+        iterates it, and its ``len`` is the number of events it stands
+        for either way.
 
         Subscribers exposing an ``on_batch(events)`` method receive the
         whole batch in a single call (the Chrome-trace recorder and the
@@ -183,21 +192,26 @@ class EventBus:
         """
         if not self._subscribers and not _GLOBAL_SUBSCRIBERS:
             return None
-        default_time = None
-        events: list[Event] = []
-        append = events.append
-        pid = self.pid
-        seq = self._seq
-        for name, phase, time, fields in specs:
-            if phase is None:
-                phase = INSTANT
-            if time is None:
-                if default_time is None:
-                    default_time = self.clock() if self.clock is not None else 0.0
-                time = default_time
-            append(Event(name, float(time), phase, seq, pid, fields))
-            seq += 1
-        self._seq = seq
+        if isinstance(specs, AttemptBlock):
+            events = specs
+            events.pid, events.seq = self.pid, self._seq
+            self._seq += len(events)
+        else:
+            default_time = None
+            events = []
+            append = events.append
+            pid = self.pid
+            seq = self._seq
+            for name, phase, time, fields in specs:
+                if phase is None:
+                    phase = INSTANT
+                if time is None:
+                    if default_time is None:
+                        default_time = self.clock() if self.clock is not None else 0.0
+                    time = default_time
+                append(Event(name, float(time), phase, seq, pid, fields))
+                seq += 1
+            self._seq = seq
         if not events:
             return events
         for callback in (*self._subscribers, *_GLOBAL_SUBSCRIBERS):

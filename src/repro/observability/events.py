@@ -41,6 +41,10 @@ name                 phase    fields
                               trace_id
 ===================  =======  ===============================================
 
+A simulated allocation publishes its stream as one
+:class:`AttemptBlock`: the events it stands for, held as the task
+attempts they describe until a subscriber reads them as events.
+
 The real-execution engine (:mod:`repro.savanna.realexec`) emits the same
 ``campaign``/``alloc``/``task`` taxonomy over wall-clock time — worker
 slots stand in for nodes — so trace analytics read simulated and real
@@ -184,6 +188,110 @@ class Event(_EventRecord):
     @property
     def is_span(self) -> bool:
         return self.phase in (BEGIN, END)
+
+
+class AttemptBlock:
+    """One simulated allocation's event stream, held as its task attempts.
+
+    ``items`` is the stream in order.  A
+    :class:`~repro.cluster.job.TaskAttempt` stands for the two events of
+    its ``task`` span: where it first appears, the ``begin`` at its
+    ``start``; where it appears again, the ``end`` at its ``end``.  Any
+    other item is a ``(name, phase, time, fields)`` spec, none of them
+    ``None`` (the simulator puts its rare ``task.retry``,
+    ``task.requeued``, ``task.timeout`` and ``task.fault_injected``
+    instants there).  Both appearances of an attempt sit in one block,
+    and the attempt is final when the block is published.
+
+    :meth:`~repro.observability.EventBus.publish_batch` stamps the block
+    with its bus's ``pid`` and the ``seq`` of its first event.  The block
+    then reads as the :class:`Event` sequence its items stand for:
+    ``len`` counts the events, and iterating or indexing builds them,
+    once, on first use.  Subscribers that know the block (the checkpoint
+    journal, the streaming report) read ``items`` and :meth:`phases`
+    instead and build nothing.  Whichever way it is read, every event
+    matches the one the spec-per-event stream carried: name, time,
+    phase, seq, pid, and its fields in the same key order, in dicts and
+    lists of its own.
+    """
+
+    __slots__ = ("items", "pid", "seq", "_phases", "_events")
+
+    def __init__(self, items: list):
+        self.items = items
+        self.pid = 0
+        self.seq = 0
+        self._phases: list | None = None
+        self._events: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def _built(self) -> list:
+        if self._events is None:
+            self._events = [self.event(i) for i in range(len(self.items))]
+        return self._events
+
+    def phases(self) -> list:
+        """Each item's phase, in order: an attempt is ``begin`` where it
+        first appears and ``end`` where it appears again."""
+        if self._phases is None:
+            phases = []
+            append = phases.append
+            begun = set()
+            for item in self.items:
+                if item.__class__ is tuple:
+                    append(item[1])
+                elif id(item) in begun:
+                    append(END)
+                else:
+                    begun.add(id(item))
+                    append(BEGIN)
+            self._phases = phases
+        return self._phases
+
+    def event(self, index: int) -> Event:
+        """The event ``items[index]`` stands for, built anew on each call."""
+        item = self.items[index]
+        seq = self.seq + index
+        if item.__class__ is tuple:
+            name, phase, time, fields = item
+            return Event(name, float(time), phase, seq, self.pid, dict(fields))
+        task = item.task
+        indices = item.node_indices
+        if self.phases()[index] == END:
+            fields = {
+                "task": task.name,
+                "task_id": task.task_id,
+                "node": indices[0],
+                "outcome": item.outcome.value,
+            }
+            return Event(TASK, float(item.end), END, seq, self.pid, fields)
+        fields = {
+            "task": task.name,
+            "task_id": task.task_id,
+            "node": indices[0],
+            "nodes": list(indices),
+            "attempt": attempt_number(item),
+            "payload": dict(task.payload),
+        }
+        return Event(TASK, float(item.start), BEGIN, seq, self.pid, fields)
+
+
+def attempt_number(attempt) -> int:
+    """The 1-based ``attempt`` a ``task`` begin reports: where the attempt
+    sits in its task's ``attempts`` (searched from the newest)."""
+    attempts = attempt.task.attempts
+    number = len(attempts)
+    while attempts[number - 1] is not attempt:
+        number -= 1
+    return number
 
 
 def span_key(event: Event):

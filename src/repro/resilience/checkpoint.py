@@ -26,15 +26,18 @@ when the bus delivery that carried its transition returns: at once for
 an ``emit``, at the end of the whole batch for a ``publish_batch``
 (one flush per batch).  From then on a concurrent reader, or a driver
 killed with SIGKILL, sees it.  Batching loses nothing a per-line flush
-would keep: the vectorized executors publish an allocation's batch
-only after simulating all of it, so a driver killed during the
-delivery loses those runs to resume either way, and a real drive
-``emit``-s every transition.  A driver killed mid-write leaves a torn
-final line, which the next ``attach`` cuts back to the last newline
-before appending (a final line that lost only its newline is kept and
-terminated).  Lines are not fsynced: they survive the death of the
-driver process, not of the machine, while every ``status.json`` write
-is fsynced.
+would keep: the vectorized executors publish an allocation's stream,
+as one :class:`~repro.observability.events.AttemptBlock`, only after
+simulating all of it, so a driver killed during the delivery loses
+those runs to resume either way, and a real drive ``emit``-s every
+transition.  The journal reads such a block's attempts directly, one
+:meth:`~CampaignCheckpoint.record` per transition in stream order,
+without building the events they stand for.  A driver killed
+mid-write leaves a torn final line, which the next ``attach`` cuts back
+to the last newline before appending (a final line that lost only its
+newline is kept and terminated).  Lines are not fsynced: they survive
+the death of the driver process, not of the machine, while every
+``status.json`` write is fsynced.
 
 Each line is ``json.dumps({"run": ..., "status": ..., "time": ...})``
 byte for byte, built by :func:`_journal_line` without the encoder for a
@@ -69,6 +72,7 @@ from pathlib import Path
 from repro._util import path_lock
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.observability import BEGIN, END, TASK
+from repro.observability.events import AttemptBlock
 
 #: Task-span ``outcome`` field -> durable run status: the one
 #: outcome-to-status policy, for simulated and real drives alike.  A
@@ -86,15 +90,15 @@ _OUTCOME_TO_STATUS = {
 def _journal_line(run_id: str, status: str, time) -> str:
     """``json.dumps({"run": run_id, "status": status, "time": time}) + "\\n"``.
 
-    A finite float time, the case every bus event carries, is spelled
-    the way ``json`` spells it (``float.__repr__``) without the call
-    into the encoder; ``None``, other types and non-finite floats go
-    through ``json.dumps`` itself.
+    A finite ``float`` time, the case every bus event carries, is spelled
+    the way ``json`` spells it (its ``repr``) without the call into the
+    encoder; ``None``, other types (float subclasses included) and
+    non-finite floats go through ``json.dumps`` itself.
     """
-    if isinstance(time, float) and isfinite(time):
+    if type(time) is float and isfinite(time):
         return (
             f'{{"run": {encode_basestring_ascii(run_id)}, "status": "{status}", '
-            f'"time": {float.__repr__(time)}}}\n'
+            f'"time": {time!r}}}\n'
         )
     return json.dumps({"run": run_id, "status": status, "time": time}) + "\n"
 
@@ -216,7 +220,9 @@ class CampaignCheckpoint:
         """
         if run_id not in self._known:
             raise KeyError(f"unknown run_id {run_id!r}")
-        line = _journal_line(run_id, status.value, time)
+        # ``_value_`` is the member's value without the ``value``
+        # property's descriptor call: one less per transition.
+        line = _journal_line(run_id, status._value_, time)
         if self._journal is not None:
             self._journal.write(line)
             if not self._batching:
@@ -369,13 +375,34 @@ class CampaignCheckpoint:
                 if status is not None:
                     self.record(run_id, status, time=event.time)
 
+        def observe_block(block) -> None:
+            # The attempts themselves: a begin journals RUNNING at the
+            # attempt's start, an end its mapped outcome at its end.
+            record, known, running = self.record, self._known, RunStatus.RUNNING
+            for index, (item, phase) in enumerate(zip(block.items, block.phases())):
+                if item.__class__ is tuple:
+                    observe(block.event(index))
+                    continue
+                run_id = item.task.name
+                if run_id not in known:
+                    continue
+                if phase is BEGIN:
+                    record(run_id, running, float(item.start))
+                else:
+                    status = _OUTCOME_TO_STATUS.get(item.outcome._value_)
+                    if status is not None:
+                        record(run_id, status, float(item.end))
+
         def observe_batch(events) -> None:
             # One record() per transition, as an emit loop makes, and
             # one flush for the whole batch.
             self._batching = True
             try:
-                for event in events:
-                    observe(event)
+                if isinstance(events, AttemptBlock):
+                    observe_block(events)
+                else:
+                    for event in events:
+                        observe(event)
             finally:
                 self._batching = False
                 self._journal.flush()

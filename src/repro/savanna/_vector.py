@@ -14,8 +14,15 @@ Each engine simulates its whole allocation *synchronously* inside
 surfaces it through a single simulator event (the early finish) or the
 scheduler's existing walltime kill.  Node occupancy is recorded once, on
 the attempts: each :class:`~repro.cluster.job.TaskAttempt` names its
-nodes, start and end.  Whether anything observes the cluster bus decides
-only whether the loop records the event batch as it goes.
+nodes, start and end.  The node speeds are read from the allocation's
+nodes when it starts.  Whether anything observes the cluster bus decides
+only whether the loop records the allocation's stream as it goes: one
+list that holds each attempt twice, at its launch and at its end, and
+the rare ``task.retry``, ``task.requeued``, ``task.timeout`` and
+``task.fault_injected`` instants as spec tuples.  The finish publishes
+it as one :class:`~repro.observability.events.AttemptBlock`, whose
+subscribers read the attempts or, if they iterate it, the events they
+stand for.
 
 The contract is **bit-exactness** with the per-event reference engine
 (one simulator event and one scalar RNG draw per attempt) that the test
@@ -24,7 +31,7 @@ states, attempt records and outcome lists, in identical order; per-node
 busy intervals, as the attempts imply them, identical to those the
 oracle books on its nodes; when anyone is subscribed, an identical event
 stream (same names, phases, timestamps, field dicts and sequence
-numbers), emitted once through
+numbers), published once through
 :meth:`~repro.observability.EventBus.publish_batch`; identical
 failure-RNG consumption (see :class:`_FailureDraws`); and identical
 fault decisions, because the injector's draw is keyed on (seed, task
@@ -63,14 +70,12 @@ import numpy as np
 
 from repro.cluster.job import TaskAttempt, TaskState
 from repro.observability.events import (
-    BEGIN,
-    END,
     INSTANT,
-    TASK,
     TASK_FAULT_INJECTED,
     TASK_REQUEUED,
     TASK_RETRY,
     TASK_TIMEOUT,
+    AttemptBlock,
 )
 from repro.resilience.policy import RetryPolicy
 
@@ -89,52 +94,16 @@ _END_EV, _WIDE_END_EV, _REQUEUE_EV, _RELAUNCH_EV = 0, 1, 2, 3
 _task_nodes = attrgetter("nodes")
 
 
-def _record_launch(rec, task, node, t: float, wide=None) -> None:
-    """Record a launch: the ``task`` begin, whose ``nodes`` lists the
-    attempt's node, or the ``wide`` nodes of a multi-node attempt."""
-    index = node.index
-    indices = [index] if wide is None else [other.index for other in wide]
+def _record_timeout(rec, task, index: int, t: float, timeout: float) -> None:
+    """Record the ``task.timeout`` instant that precedes a cut attempt's end."""
     rec(
         (
-            TASK,
-            BEGIN,
+            TASK_TIMEOUT,
+            INSTANT,
             t,
-            {
-                "task": task.name,
-                "task_id": task.task_id,
-                "node": index,
-                "nodes": indices,
-                "attempt": len(task.attempts),
-                "payload": dict(task.payload),
-            },
+            {"task": task.name, "task_id": task.task_id, "node": index, "timeout": timeout},
         )
     )
-
-
-def _task_end(task, index: int, t: float, result: TaskState) -> tuple:
-    """The ``task`` span's end event, as a batch spec."""
-    return (
-        TASK,
-        END,
-        t,
-        {"task": task.name, "task_id": task.task_id, "node": index, "outcome": result.value},
-    )
-
-
-def _record_end(rec, task, node, t: float, result: TaskState, timeout) -> None:
-    """Record an attempt's end: a ``task.timeout`` when ``timeout`` cut
-    the attempt, then the ``task`` end."""
-    index = node.index
-    if timeout is not None:
-        rec(
-            (
-                TASK_TIMEOUT,
-                INSTANT,
-                t,
-                {"task": task.name, "task_id": task.task_id, "node": index, "timeout": timeout},
-            )
-        )
-    rec(_task_end(task, index, t, result))
 
 
 def _record_retry(rec, task, t: float, index: int, delay: float) -> None:
@@ -250,8 +219,14 @@ class _VectorAllocationRun:
 
     def _setup(self, task_count: int) -> None:
         self._free_nodes = deque(self.alloc.nodes)
-        #: The event batch; built only while someone observes the bus.
-        self._specs: list | None = [] if self.bus.has_subscribers else None
+        # ``Node.speed`` is writable: read the speeds as this allocation
+        # starts.  Homogeneous allocations (the common case) divide by
+        # one scalar, bit-identical to per-node division by equal floats.
+        speeds = [node.speed for node in self.alloc.nodes]
+        self._max_speed = max(speeds, default=1.0)
+        self._speed0 = speeds[0] if speeds and speeds.count(speeds[0]) == len(speeds) else None
+        #: The allocation's stream; recorded only while someone observes the bus.
+        self._stream: list | None = [] if self.bus.has_subscribers else None
         failures = self.cluster.failures
         self._draws = None
         if failures.mttf is not None:
@@ -286,18 +261,18 @@ class _VectorAllocationRun:
         task.attempts.append(a)
         self.outcome.attempts.append(a)
         attempt = len(task.attempts)
-        specs = self._specs
-        if specs is not None:
-            _record_launch(specs.append, task, node, t, wide)
+        stream = self._stream
+        if stream is not None:
+            stream.append(a)
         faults = self.cluster.faults
         decision = None if faults is None else faults.decide(task.name, attempt, task.duration)
         if decision is not None:
-            if specs is not None:
+            if stream is not None:
                 fields = dict(
                     task=task.name, task_id=task.task_id, node=node.index, kind=decision.kind,
                     attempt=attempt, fail_at=decision.fail_at, slowdown=decision.slowdown,
                 )
-                specs.append((TASK_FAULT_INJECTED, INSTANT, t, fields))
+                stream.append((TASK_FAULT_INJECTED, INSTANT, t, fields))
             if decision.slowdown > 1.0:  # a straggler slows only this attempt
                 speed /= decision.slowdown
         elapsed = wall = task.duration / speed
@@ -331,8 +306,11 @@ class _VectorAllocationRun:
         order, and record its end."""
         nodes = entry[5]
         self._free_nodes.extend(nodes)
-        if self._specs is not None:
-            _record_end(self._specs.append, entry[3], nodes[0], t, entry[6], entry[7])
+        stream = self._stream
+        if stream is not None:
+            if entry[7] is not None:
+                _record_timeout(stream.append, entry[3], nodes[0].index, t, entry[7])
+            stream.append(entry[4])
 
     def _kill_running(self, remnants, deadline: float) -> None:
         """Finalize the attempts still running at the walltime deadline.
@@ -343,7 +321,7 @@ class _VectorAllocationRun:
         fires later and finds nothing running.
         """
         ends = sorted((e for e in remnants if e[2] <= _WIDE_END_EV), key=itemgetter(1))
-        specs = self._specs
+        stream = self._stream
         killed = self.outcome.killed
         for entry in ends:
             task, a = entry[3], entry[4]
@@ -351,18 +329,18 @@ class _VectorAllocationRun:
             a.outcome = _KILLED
             task.state = _KILLED
             killed.append(task)
-            if specs is not None:
-                specs.append(_task_end(task, a.node_indices[0], deadline, _KILLED))
+            if stream is not None:
+                stream.append(a)
 
     def _finalize(self, done_time: float | None) -> None:
-        """Commit RNG consumption, publish the batch, arrange the finish."""
+        """Commit RNG consumption, publish the stream, arrange the finish."""
         if self._draws is not None:
             # One draw per launch, and every launch appends one attempt
             # to this allocation's own outcome.
             self._draws.commit(len(self.outcome.attempts))
-        if self._specs:
-            self.bus.publish_batch(self._specs)
-        self._specs = None
+        if self._stream:
+            self.bus.publish_batch(AttemptBlock(self._stream))
+        self._stream = None
         if done_time is not None:
             self.finished = True
             self.cluster.sim.schedule_at(done_time, self.done_cb)
@@ -393,8 +371,8 @@ class VectorPilotRun(_VectorAllocationRun):
         Tuple queue entries, plain-float draw buffers, and no
         running-task dict (interrupted attempts are recovered from the
         queue remnants at the deadline).  When the bus is observed, each
-        step also appends the events the event engine would have
-        emitted to the batch :meth:`_finalize` publishes.
+        step also appends what it launched, ended or granted to the
+        stream :meth:`_finalize` publishes.
 
         The event queue is a sorted list with a read cursor and a
         *lookahead window*, not a binary heap.  No relaunch can finish
@@ -433,9 +411,9 @@ class VectorPilotRun(_VectorAllocationRun):
         dbuf = draws.vals if draws is not None else []
         dlen = 0
         dpos = 0
-        specs = self._specs
-        observed = specs is not None
-        rec = specs.append if observed else None
+        stream = self._stream
+        observed = stream is not None
+        rec = stream.append if observed else None
         seq = 0
         nrunning = 0
         backing_off = 0
@@ -466,12 +444,8 @@ class VectorPilotRun(_VectorAllocationRun):
         # bound.  This is purely a throughput knob: entries that beat it
         # (failure cuts, per-task timeouts, short backoffs) are spliced
         # into the open window at their bisect position.
-        sarr = self.cluster.pool.speed_array
-        max_speed = float(sarr.max()) if len(sarr) else 1.0
-        speed0 = (
-            float(sarr[0]) if len(sarr) and bool((sarr == sarr[0]).all()) else None
-        )
-        bound = min([task.duration for task in pending], default=1.0) / max_speed
+        speed0 = self._speed0
+        bound = min([task.duration for task in pending], default=1.0) / self._max_speed
         if self._timeout_const and timeout is not None and timeout < bound:
             bound = timeout
         bisect = bisect_left
@@ -499,11 +473,9 @@ class VectorPilotRun(_VectorAllocationRun):
             # beat it were just ruled out).  The whole slice then folds
             # with batched numpy wall/end arithmetic and zero splice
             # checks, exactly like the static executor's set batches.
-            # An observed run skips it: with every event recorded, the
-            # batch measured slower than the per-event path below.
             m = j - qi
             batched = False
-            if m > 8 and inline and timeout_for is None and not observed:
+            if m > 8 and inline and timeout_for is None:
                 win = q[qi:j]
                 for e in win:
                     if e[2] is not _END_EV or e[6] is not _DONE:
@@ -557,12 +529,16 @@ class VectorPilotRun(_VectorAllocationRun):
                             a.end = te
                             a.outcome = _DONE
                             task.state = _DONE
+                            if observed:
+                                rec(a)
                             if i < launch_n:
                                 task = pend_pop()
                                 task.state = _RUNNING
                                 a = Attempt(task, [node.index], te)
                                 task.attempts.append(a)
                                 out_push(a)
+                                if observed:
+                                    rec(a)
                                 new_push(
                                     (ends_l[i], seq, _END_EV, task, a, node, _DONE, None)
                                 )
@@ -597,7 +573,9 @@ class VectorPilotRun(_VectorAllocationRun):
                     task.state = result
                     if kind == _END_EV:
                         if observed:
-                            _record_end(rec, task, node, t, result, entry[7])
+                            if entry[7] is not None:
+                                _record_timeout(rec, task, node.index, t, entry[7])
+                            rec(a)
                         if result is _DONE and inline and pending and not free:
                             # Steady state: the freed node is the FIFO
                             # head, so the next pending task lands on it
@@ -611,7 +589,7 @@ class VectorPilotRun(_VectorAllocationRun):
                             task.attempts.append(a)
                             out_push(a)
                             if observed:
-                                _record_launch(rec, task, node, t)
+                                rec(a)
                             wall = task.duration / node.speed
                             result = _DONE
                             cut = None
@@ -774,8 +752,8 @@ class VectorStaticSetRun(_VectorAllocationRun):
         resumes at the next barrier.  Failure draws are *peeked* before
         committing to the fast path so the fallback consumes the
         identical RNG stream one value at a time.  When the bus is
-        observed, both paths also append the events the event engine
-        would have emitted to the batch :meth:`_finalize` publishes.
+        observed, both paths also append what they launched, ended or
+        granted to the stream :meth:`_finalize` publishes.
         """
         self._setup(sum(map(len, self.sets)))
         sim = self.cluster.sim
@@ -797,9 +775,9 @@ class VectorStaticSetRun(_VectorAllocationRun):
         dbuf = draws.vals if draws is not None else []
         dlen = 0
         dpos = 0
-        specs = self._specs
-        observed = specs is not None
-        rec = specs.append if observed else None
+        stream = self._stream
+        observed = stream is not None
+        rec = stream.append if observed else None
         set_gap = self.set_gap
         seq = 1
         done_time = None
@@ -808,10 +786,7 @@ class VectorStaticSetRun(_VectorAllocationRun):
         free_pop, free_push = free.popleft, free.append
         out_push = attempts_out.append
         done_push = completed.append
-        sarr = self.cluster.pool.speed_array
-        # Homogeneous pools (the common case) divide by one scalar; the
-        # result is bit-identical to per-node division by equal floats.
-        speed0 = float(sarr[0]) if len(sarr) and bool((sarr == sarr[0]).all()) else None
+        speed0 = self._speed0
         t = sim.now
         nsets = len(self.sets)
         for number, batch in enumerate(self.sets, 1):
@@ -849,9 +824,9 @@ class VectorStaticSetRun(_VectorAllocationRun):
                     a = Attempt(task, [node.index], t)
                     task.attempts.append(a)
                     out_push(a)
-                    if observed:
-                        _record_launch(rec, task, node, t)
                 atts = attempts_out[base:]
+                if observed:
+                    stream.extend(atts)
                 order = np.argsort(ends, kind="stable").tolist()
                 for j in order:  # completion order == (end, launch) order
                     te = ends_l[j]
@@ -860,7 +835,7 @@ class VectorStaticSetRun(_VectorAllocationRun):
                     a.outcome = _DONE
                     batch[j].state = _DONE
                     if observed:
-                        _record_end(rec, batch[j], assigned[j], te, _DONE, None)
+                        rec(a)
                 # Bulk equivalents of the per-event free_push/done_push
                 # interleaving — same sequences, two C-level extends.
                 free.extend(assigned[j] for j in order)
@@ -890,7 +865,9 @@ class VectorStaticSetRun(_VectorAllocationRun):
                         if kind == _END_EV:
                             free_push(node)
                             if observed:
-                                _record_end(rec, task, node, te, result, entry[7])
+                                if entry[7] is not None:
+                                    _record_timeout(rec, task, node.index, te, entry[7])
+                                rec(a)
                         else:
                             free_wide(entry, te)
                         if result is _DONE:

@@ -9,7 +9,9 @@ records every drive of the simulator-equivalence scenario matrix (pilot
 and static sets; faults, retries, timeouts, multi-node tasks and
 walltime kills) on both engines and checks that no two events share a
 ``fields`` dict and that no ``task`` begin hands out a task's own
-``payload`` dict.
+``payload`` dict or its attempt's ``node_indices`` list.  The vector
+engine publishes attempt blocks, so its events here are the ones a
+block built for the recorder.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ def test_every_event_owns_its_fields(name, engine):
     assert events
     assert len({id(e.fields) for e in events}) == len(events)
     payloads = {t.task_id: t.payload for t in tasks}
+    attempts = {(t.task_id, n): a for t in tasks for n, a in enumerate(t.attempts, 1)}
     begins = [e for e in events if e.name == TASK and e.phase == BEGIN]
     assert begins
     for event in begins:
-        assert event.fields["payload"] is not payloads[event.fields["task_id"]]
+        f = event.fields
+        assert f["payload"] is not payloads[f["task_id"]]
+        attempt = attempts[f["task_id"], f["attempt"]]
+        assert f["nodes"] == attempt.node_indices
+        assert f["nodes"] is not attempt.node_indices

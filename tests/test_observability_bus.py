@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.cluster.job import Task, TaskAttempt, TaskState
 from repro.observability import (
     BEGIN,
     END,
@@ -28,6 +29,9 @@ from repro.observability import (
     subscribe_all,
     validate_event_stream,
 )
+from repro.observability.analysis import StreamingCampaignReport
+from repro.observability.analysis.spans import SpanTrace
+from repro.observability.events import AttemptBlock
 
 
 class TestEvent:
@@ -615,6 +619,110 @@ class TestPublishBatch:
         assert len(caught) == 1 and issubclass(caught[0].category, SubscriberError)
         assert "'task'" in str(caught[0].message)
         assert "batch of 1" in str(caught[0].message)
+
+
+class TestAttemptBlock:
+    """A published attempt block reads as the spec stream it stands for."""
+
+    @staticmethod
+    def _streams():
+        """One stream twice: as the specs of every event, and as a block
+        of attempts with its instants left as specs."""
+        wide = Task(name="wide", duration=5.0, nodes=2, payload={"x": 1, "dir": "a"})
+        small = Task(name="small", duration=1.0)
+        first = TaskAttempt(wide, [3, 1], 0.0, 2.0, TaskState.FAILED)
+        second = TaskAttempt(wide, [0, 2], 4.0, 9.0, TaskState.DONE)
+        third = TaskAttempt(small, [5], 1.0, 3.0, TaskState.KILLED)
+        wide.attempts += [first, second]
+        small.attempts.append(third)
+        retry = ("task.retry", INSTANT, 2.0, {"task": "wide", "task_id": wide.task_id})
+
+        def begin(a, number):
+            task = a.task
+            return (TASK, BEGIN, a.start, {
+                "task": task.name, "task_id": task.task_id, "node": a.node_indices[0],
+                "nodes": list(a.node_indices), "attempt": number, "payload": dict(task.payload),
+            })
+
+        def end(a):
+            task = a.task
+            return (TASK, END, a.end, {
+                "task": task.name, "task_id": task.task_id, "node": a.node_indices[0],
+                "outcome": a.outcome.value,
+            })
+
+        specs = [begin(first, 1), begin(third, 1), end(first), retry, end(third),
+                 begin(second, 2), end(second)]
+        items = [first, third, first, retry, third, second, second]
+        return specs, items
+
+    @staticmethod
+    def _recorded(stream):
+        bus = EventBus()
+        recorder = TraceRecorder().attach(bus)
+        bus.emit("before", time=0.0)
+        returned = bus.publish_batch(stream)
+        bus.emit("after", time=9.0)
+        return recorder.events, returned
+
+    def test_events_equal_the_spec_stream(self):
+        specs, items = self._streams()
+        want, _ = self._recorded(specs)
+        got, block = self._recorded(AttemptBlock(items))
+        assert len(block) == len(items) == 7
+        normalized = [
+            [(e.name, e.time, e.phase, e.seq, list(e.fields.items())) for e in events]
+            for events in (got, want)
+        ]
+        assert normalized[0] == normalized[1]
+        assert [e.seq for e in got] == list(range(9))
+
+    def test_each_event_gets_fresh_fields(self):
+        _, items = self._streams()
+        block = AttemptBlock(items)
+        got, _ = self._recorded(block)
+        assert len({id(e.fields) for e in got}) == len(got)
+        assert got[1].fields["nodes"] is not items[0].node_indices
+        assert got[1].fields["payload"] is not items[0].task.payload
+        assert got[4].fields is not items[3][3]  # the retry spec's own dict
+
+    def test_fold_displaces_an_open_attempt_as_the_event_fold_does(self):
+        # A task span still open when the block begins the same task
+        # again is displaced, and closed at the last time seen.
+        _, items = self._streams()
+        block = AttemptBlock(items)
+        block.pid, block.seq = 7, 1
+        leftover = Event(TASK, 0.0, BEGIN, 0, 7, {"task": "wide", "task_id": items[0].task.task_id})
+        folded, replayed = SpanTrace(), SpanTrace()
+        folded.feed(leftover)
+        folded.feed_block(block)
+        for event in (leftover, *block):
+            replayed.feed(event)
+        for trace in (folded, replayed):
+            trace.close_open()
+        assert len(folded.tasks) == 4
+        assert (folded.tasks[0].end, folded.tasks[0].outcome) == (9.0, None)
+        assert [repr(t) for t in folded.tasks] == [repr(t) for t in replayed.tasks]
+        assert folded.last_time == replayed.last_time == 9.0
+
+    def test_built_only_for_an_iterating_subscriber(self, monkeypatch):
+        built = []
+        event = AttemptBlock.event
+        monkeypatch.setattr(AttemptBlock, "event", lambda self, i: built.append(i) or event(self, i))
+        _, items = self._streams()
+        bus = EventBus()
+        StreamingCampaignReport().attach(bus)
+        block = AttemptBlock(items)
+        assert bus.publish_batch(block) is block
+        assert built == [3]  # the fold feeds the retry spec as its event
+        built.clear()
+        bus, seen = EventBus(), []
+        bus.subscribe(seen.append)
+        TraceRecorder().attach(bus)
+        block = AttemptBlock(items)
+        bus.publish_batch(block)
+        assert built == list(range(len(items)))  # once, for both iterating subscribers
+        assert seen == list(block)
 
 
 class TestBatchedEmissionProperty:

@@ -8,13 +8,16 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory, RunStatus
+from repro.cluster.job import Task, TaskAttempt, TaskState
 from repro.observability import BEGIN, END, GROUP_RESUMED, INSTANT, TASK, EventBus
+from repro.observability.events import AttemptBlock
 from repro.resilience import CampaignCheckpoint
 from repro.resilience.checkpoint import _journal_entries, _journal_line
 from repro.savanna import execute_campaign, execute_manifest
@@ -363,6 +366,7 @@ class TestJournalWriter:
     @example(run_id="g/run-0000", status=RunStatus.DONE, time=-math.inf)
     @example(run_id="g/run-0000", status=RunStatus.DONE, time=math.nan)
     @example(run_id="g/run-0000", status=RunStatus.DONE, time=1e300)
+    @example(run_id="g/run-0000", status=RunStatus.DONE, time=np.float64(2.25))
     def test_line_is_the_json_dumps_line(self, run_id, status, time):
         expected = json.dumps({"run": run_id, "status": status.value, "time": time}) + "\n"
         assert _journal_line(run_id, status.value, time) == expected
@@ -384,9 +388,10 @@ class TestJournalWriter:
             assert list(_journal_entries(path)) == expected
 
     def test_batch_and_emit_deliveries_journal_the_same_bytes(self, tmp_path, monkeypatch):
-        # The same task events, once through publish_batch (two batches)
-        # and once through an emit loop: byte-identical journals, one
-        # record() per transition on both paths, and one flush per batch.
+        # The same task events through publish_batch (two batches), as
+        # two attempt blocks, and through an emit loop: byte-identical
+        # journals, one record() per transition on every path, and one
+        # flush per batch or block.
         manifest = make_manifest(n=6)
         outcomes = ["done", "failed", "killed", "interrupted", "done", "done"]
         specs = []
@@ -398,6 +403,23 @@ class TestJournalWriter:
         specs.append((TASK, BEGIN, 99.0, {"task": "not-a-campaign-run"}))
         transitions = 2 * len(outcomes)
         batches = [specs[:7], specs[7:]]
+        # The blocks hold an attempt per simulated outcome; the
+        # "interrupted" run (a real drive's outcome) and the instants
+        # stay spec items.  A block holds both ends of an attempt.
+        items = []
+        for i, outcome in enumerate(outcomes):
+            begin, instant, end = specs[3 * i : 3 * i + 3]
+            if outcome == "interrupted":
+                items += [begin, instant, end]
+                continue
+            task = Task(name=begin[3]["task"], duration=1.0)
+            attempt = TaskAttempt(task, [0], begin[2], end[2], TaskState(outcome))
+            task.attempts.append(attempt)
+            items += [attempt, instant, attempt]
+        stray = Task(name="not-a-campaign-run", duration=1.0)
+        stray.attempts.append(TaskAttempt(stray, [0], 99.0))
+        items += stray.attempts
+        blocks = [items[:9], items[9:]]
 
         records = []
         record = CampaignCheckpoint.record
@@ -423,9 +445,14 @@ class TestJournalWriter:
                 self.fh.close()
 
         journals, statuses = [], []
-        for name, deliver in [
-            ("batched", lambda bus: [bus.publish_batch(batch) for batch in batches]),
-            ("emitted", lambda bus: [bus.emit(n, p, t, **f) for n, p, t, f in specs]),
+        for name, deliver, flushes in [
+            ("batched", lambda bus: [bus.publish_batch(b) for b in batches], len(batches)),
+            (
+                "blocks",
+                lambda bus: [bus.publish_batch(AttemptBlock(list(b))) for b in blocks],
+                len(blocks),
+            ),
+            ("emitted", lambda bus: [bus.emit(n, p, t, **f) for n, p, t, f in specs], transitions),
         ]:
             directory = make_directory(tmp_path / name, manifest)
             checkpoint, bus = CampaignCheckpoint(directory), EventBus()
@@ -434,13 +461,13 @@ class TestJournalWriter:
             deliver(bus)
             checkpoint.detach()
             assert records.count(checkpoint) == transitions
-            assert journal.flushes == (len(batches) if name == "batched" else transitions)
+            assert journal.flushes == flushes
             journals.append(journal_path(directory).read_bytes())
             checkpoint.compact()
             statuses.append(json.loads(directory._status_path().read_text()))
-        assert journals[0] == journals[1]
+        assert journals[0] == journals[1] == journals[2]
         assert len(journals[0].splitlines()) == transitions
-        assert statuses[0] == statuses[1]
+        assert statuses[0] == statuses[1] == statuses[2]
         assert statuses[0]["g/run-0001"] == "failed"
         assert statuses[0]["g/run-0002"] == "pending"
 

@@ -7,11 +7,15 @@ executors ship with — and asserts the runs are *indistinguishable*:
 identical task states and attempt records, identical outcome lists in
 identical order, an identical failure-RNG stream position and
 fault-injector count, and (when a recorder is attached) a byte-identical
-Chrome trace.  Node occupancy is compared node by node: the busy
+Chrome trace and the same recorded events, sequence numbers included.
+Node occupancy is compared node by node: the busy
 intervals the oracle books on its own nodes must equal the ones the
 vector engine's attempts imply.  The fixed
 scenario matrix below is joined by a Hypothesis property that draws
-the scenario itself, fault plans and multi-node tasks included.
+the scenario itself, fault plans and multi-node tasks included.  The
+vector engine publishes each allocation as one attempt block; the span
+fold that reads the block's attempts must rebuild exactly the spans
+the block's events give.
 
 Two process-global counters must be normalized before comparing runs
 that execute in the same process:
@@ -38,6 +42,8 @@ from _event_engine import oracle_nodes
 from _oracle import event_engine
 from repro.cluster.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task
+from repro.observability.analysis import StreamingCampaignReport
+from repro.observability.analysis.spans import SpanTrace
 from repro.observability.recorder import TraceRecorder
 from repro.resilience.policy import (
     ExponentialBackoffPolicy,
@@ -90,6 +96,17 @@ def _spec(nodes, mttf, speed_sigma=0.0):
         node_mttf=mttf,
         node_speed_sigma=speed_sigma,
     )
+
+
+def _node0_slowed(make_executor):
+    """An executor factory that first halves node 0's speed: ``Node.speed``
+    is writable, and an allocation must read it when it starts."""
+
+    def make(cluster):
+        cluster.pool.nodes[0].speed = 0.5
+        return make_executor(cluster)
+
+    return make
 
 
 #: A fault plan with every kind the injector knows.
@@ -269,6 +286,22 @@ SCENARIOS = {
         lambda: _tasks(36, 23),
         {"nodes": 6, "walltime": 3500.0, "max_allocations": 2},
     ),
+    # A node slowed after the cluster was built: the static whole-set
+    # batch and the pilot's whole-window batch must see it.
+    "static-node-slowed": (
+        _spec(2, None),
+        (),
+        _node0_slowed(lambda c: StaticSetExecutor(c)),
+        lambda: [Task(name="t000", duration=10.0), Task(name="t001", duration=10.0)],
+        {"nodes": 2, "walltime": 1000.0},
+    ),
+    "pilot-node-slowed": (
+        _spec(20, None),
+        (),
+        _node0_slowed(lambda c: PilotExecutor(c)),
+        lambda: _tasks(200, 31, mean=10.0, sigma=0.01),
+        {"nodes": 20, "walltime": 1000.0},
+    ),
 }
 
 SEED = 21
@@ -353,7 +386,21 @@ def _snapshot(cluster, tasks, result, recorder, intervals):
     }
     if recorder is not None:
         snap["trace"] = _normalized_trace(recorder, base)
+        snap["events"] = _normalized_events(recorder, base)
     return snap
+
+
+def _normalized_events(recorder, base):
+    """Each recorded event as ``(name, phase, time, seq, fields)``, with
+    the fields serialized (key order included) and ``task_id`` rebased;
+    the pid is left out, as every run's bus gets a fresh one."""
+    out = []
+    for event in recorder.events:
+        fields = dict(event.fields)
+        if "task_id" in fields:
+            fields["task_id"] -= base
+        out.append((event.name, event.phase, event.time, event.seq, json.dumps(fields)))
+    return out
 
 
 def _normalized_trace(recorder, base):
@@ -389,6 +436,48 @@ def test_traced_runs_produce_identical_chrome_traces(name):
     evt = _run(name, "event", True)
     assert vec["trace"] == evt["trace"]
     assert vec == evt
+
+
+def _span_rows(trace):
+    """Every span and requeue of ``trace`` as its ``repr``, which spells
+    each field and its type (``pid`` forced to 0), each campaign's task
+    spans as positions in ``trace.tasks``, and ``last_time``."""
+    rows = []
+    for kind in ("campaigns", "allocs", "tasks"):
+        for span in getattr(trace, kind):
+            span.pid = 0
+            rows.append((kind, repr(span)))
+    rows += [("requeue", repr(event._replace(pid=0))) for event in trace.requeues]
+    position = {id(span): i for i, span in enumerate(trace.tasks)}
+    for campaign in trace.campaigns:
+        rows.append(("members", [position[id(span)] for span in trace.tasks_of(campaign)]))
+    rows.append(("last_time", repr(trace.last_time)))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_block_fold_matches_its_materialized_stream(name, monkeypatch):
+    """The span fold of each published attempt block equals the fold of
+    the events the block stands for, field by field."""
+    blocks = []
+    feed_block = SpanTrace.feed_block
+
+    def counted(self, block):
+        blocks.append(block)
+        return feed_block(self, block)
+
+    monkeypatch.setattr(SpanTrace, "feed_block", counted)
+    spec, faults, make_executor, make_tasks, run_kwargs = SCENARIOS[name]
+    cluster = _cluster(spec, faults)
+    builder = StreamingCampaignReport().attach(cluster.bus)
+    recorder = TraceRecorder().attach(cluster.bus)
+    make_executor(cluster).run(make_tasks(), **run_kwargs)
+    builder.detach()
+    recorder.detach()
+    assert blocks
+    folded = builder.trace
+    folded.close_open()
+    assert _span_rows(folded) == _span_rows(SpanTrace.from_events(recorder.events))
 
 
 # ---------------------------------------------------------------------------
