@@ -38,8 +38,9 @@ so concurrent campaign-service submissions cannot drop each other's
 status transitions.  When a campaign-result store
 (:mod:`repro.store`) has been materialized at ``.cheetah/store.sqlite``,
 status updates and reports are mirrored into it and
-:meth:`CampaignDirectory.read_run_result` falls back to it — the store
-is the durable record at scale.
+:meth:`CampaignDirectory.read_run_result` reads outcomes from it, not
+from the ``result.json`` exports — the store is the durable record at
+scale.
 
 **Format.** The ``.cheetah/`` records — ``manifest.json``,
 ``status.json``, ``report.json`` and ``lint.json`` — are compact JSON
@@ -72,6 +73,10 @@ class RunStatus(enum.Enum):
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
+
+
+#: Each status, and each status's value, -> the value ``status.json`` holds.
+_STATUS_VALUE = {s: s.value for s in RunStatus} | {s.value: s.value for s in RunStatus}
 
 
 class CampaignDirectory:
@@ -109,9 +114,8 @@ class CampaignDirectory:
         status_path = meta / "status.json"
         with path_lock(status_path):
             if not status_path.exists():
-                self._write_status(
-                    {run.run_id: RunStatus.PENDING.value for run in self.manifest.runs}
-                )
+                run_ids = (run.run_id for run in self.manifest.runs)
+                self._write_status(dict.fromkeys(run_ids, RunStatus.PENDING.value))
         return self.root
 
     @classmethod
@@ -156,6 +160,10 @@ class CampaignDirectory:
     def update_status(self, updates: dict) -> None:
         """Batch status update ``{run_id: RunStatus}``.
 
+        A status may also be given as its value (``"done"``), as the
+        journal holds it, so compaction writes the journal's strings
+        without an enum round trip; anything outside the status
+        vocabulary raises ``ValueError``, as ``RunStatus(value)`` does.
         The read-modify-write cycle runs under the per-directory lock
         (:func:`repro._util.path_lock`), so two concurrent submissions
         sharing a campaign directory serialize instead of silently
@@ -168,7 +176,10 @@ class CampaignDirectory:
             for run_id, status in updates.items():
                 if run_id not in current:
                     raise KeyError(f"unknown run_id {run_id!r}")
-                current[run_id] = status.value
+                value = _STATUS_VALUE.get(status)
+                if value is None:
+                    raise ValueError(f"{status!r} is not a valid RunStatus")
+                current[run_id] = value
             self._write_status(current)
         self._mirror_status(updates)
 
@@ -252,18 +263,19 @@ class CampaignDirectory:
     def read_run_result(self, run_id: str) -> dict | None:
         """The persisted outcome of one run (``None`` if never recorded).
 
-        Prefers the ``result.json`` export when present (tagged values
-        decode back to their original types), and otherwise falls back
-        to the campaign store at ``.cheetah/store.sqlite`` — so callers
-        keep one read API whether outcomes were exported as JSON or
-        recorded durably in SQL.
+        Reads the campaign store at ``.cheetah/store.sqlite`` when the
+        directory has one: the store is the record every drive writes,
+        and a ``result.json`` is only an export of it, which a later
+        drive does not rewrite.  A directory without a store answers
+        from the run's ``result.json`` (tagged values decode back to
+        their original types).
         """
-        path = self.run_dir(run_id) / "result.json"
-        if path.exists():
-            return loads_tagged(path.read_text())
         if self.store_path().exists():
             with self.open_store() as store:
                 return store.read_run_result(self.manifest.campaign, run_id)
+        path = self.run_dir(run_id) / "result.json"
+        if path.exists():
+            return loads_tagged(path.read_text())
         return None
 
     # -- result store --------------------------------------------------------

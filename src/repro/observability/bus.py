@@ -17,25 +17,19 @@ Emission is near-free when nobody listens: ``emit`` returns ``None``
 without building an :class:`Event`, so instrumented hot paths cost one
 truthiness check per event in unobserved runs.
 
-Batched emission: hot paths that produce many events at one code site
-(trace replay, bench harnesses) can hand the bus a whole batch of
-``(name, phase, time, fields)`` specs at once via
-:meth:`EventBus.publish_batch`.  Ordering and sequence numbering are
-identical to the equivalent ``emit`` loop — subscribers that only
-understand single events observe the exact same stream — but
-subscribers that declare an ``on_batch`` method (the Chrome-trace
-recorder, the streaming report builder, the checkpoint journal) receive
-the batch in one call, dropping the per-event Python function-call
-overhead.  The simulated executors publish each allocation as one
-:class:`~repro.observability.events.AttemptBlock` instead: the same
-stream held as task attempts, which ``on_batch`` subscribers that know
-the block read without any event being built, and which builds its
-events once for the first subscriber that iterates it.
-
-Ownership: each event keeps the ``fields`` dict it was built with, so a
-batch producer hands over one fresh dict per spec and never mutates it
-after publishing; ``emit`` builds a fresh dict from its keyword
-arguments, and a block builds fresh dicts and lists for its events.
+Batched emission: a simulated allocation reaches the bus as one
+:class:`~repro.observability.events.AttemptBlock`, handed over with
+:meth:`EventBus.publish_batch` once the allocation is finished.  The
+block holds the allocation's stream as its task attempts, plus the rare
+task instants as specs.  Ordering and sequence numbering are identical
+to the equivalent ``emit`` loop, so subscribers that only understand
+single events observe the exact same stream.  Subscribers that declare
+an ``on_batch`` method (the Chrome-trace recorder, the streaming report
+builder, the checkpoint journal) receive the whole block in one call;
+the journal and the report read its attempts without any event being
+built, and the block builds its events once, for the first subscriber
+that iterates it, in fresh dicts and lists of their own.  ``emit``
+builds a fresh ``fields`` dict from its keyword arguments.
 """
 
 from __future__ import annotations
@@ -122,8 +116,8 @@ class EventBus:
         not alter, let alone kill, the run it observes.
 
         A subscriber object may additionally expose an ``on_batch(events)``
-        method; :meth:`publish_batch` will then deliver whole batches in
-        one call instead of one call per event.
+        method; :meth:`publish_batch` will then deliver each attempt block
+        in one call instead of one call per event.
         """
         self._subscribers.append(callback)
 
@@ -164,70 +158,48 @@ class EventBus:
                 self._warn_subscriber(callback, name, exc)
         return event
 
-    def publish_batch(self, specs) -> list[Event] | AttemptBlock | None:
-        """Build and deliver many events in one call; returns them.
+    def publish_batch(self, block: AttemptBlock) -> AttemptBlock | None:
+        """Deliver one finished simulated allocation; returns the block.
 
-        ``specs`` is an iterable of ``(name, phase, time, fields)``
-        tuples (``phase``/``time``/``fields`` may be ``None``, meaning
-        the :meth:`emit` default), or an
-        :class:`~repro.observability.events.AttemptBlock`.  Sequence
-        numbers are assigned in input order, so the resulting stream is
-        indistinguishable from the equivalent ``emit`` loop; returns
-        ``None`` without building anything when nobody listens.
-
-        Each event takes ownership of its spec's ``fields`` dict, as is
-        (a ``None`` gets a fresh ``{}``): hand over one fresh dict per
-        spec and never mutate it after publishing.  A block is stamped
-        with this bus's ``pid`` and its first ``seq``, delivered and
-        returned as it is: it builds its events only if a subscriber
-        iterates it, and its ``len`` is the number of events it stands
-        for either way.
+        ``block`` is an :class:`~repro.observability.events.AttemptBlock`
+        (anything else raises ``TypeError``).  It is stamped with this
+        bus's ``pid`` and the ``seq`` of its first event, so the stream it
+        stands for is indistinguishable from the equivalent ``emit``
+        loop, and delivered and returned as it is: it builds its events
+        only if a subscriber iterates it, and its ``len`` is the number
+        of events it stands for either way.  Returns ``None`` without
+        touching the block when nobody listens.
 
         Subscribers exposing an ``on_batch(events)`` method receive the
-        whole batch in a single call (the Chrome-trace recorder and the
-        streaming report builder do); plain callables are invoked once
-        per event, in order.  Isolation matches :meth:`emit`: a raising
-        subscriber is warned about (with the event name that triggered
-        it) and the rest of the delivery proceeds.
+        whole block in a single call (the Chrome-trace recorder, the
+        streaming report builder and the checkpoint journal do); plain
+        callables are invoked once per event, in order.  Isolation
+        matches :meth:`emit`: a raising subscriber is warned about (with
+        the event name that triggered it) and the rest of the delivery
+        proceeds.
         """
+        if not isinstance(block, AttemptBlock):
+            raise TypeError(f"publish_batch takes an AttemptBlock, got {type(block).__name__}")
         if not self._subscribers and not _GLOBAL_SUBSCRIBERS:
             return None
-        if isinstance(specs, AttemptBlock):
-            events = specs
-            events.pid, events.seq = self.pid, self._seq
-            self._seq += len(events)
-        else:
-            default_time = None
-            events = []
-            append = events.append
-            pid = self.pid
-            seq = self._seq
-            for name, phase, time, fields in specs:
-                if phase is None:
-                    phase = INSTANT
-                if time is None:
-                    if default_time is None:
-                        default_time = self.clock() if self.clock is not None else 0.0
-                    time = default_time
-                append(Event(name, float(time), phase, seq, pid, fields))
-                seq += 1
-            self._seq = seq
-        if not events:
-            return events
+        block.pid, block.seq = self.pid, self._seq
+        self._seq += len(block)
+        if not block:
+            return block
         for callback in (*self._subscribers, *_GLOBAL_SUBSCRIBERS):
             batch_cb = getattr(callback, "on_batch", None)
             if batch_cb is not None:
                 try:
-                    batch_cb(events)
+                    batch_cb(block)
                 except Exception as exc:
-                    self._warn_subscriber(callback, events[0].name, exc, batch=len(events))
+                    self._warn_subscriber(callback, block.event(0).name, exc, batch=len(block))
                 continue
-            for event in events:
+            for event in block:
                 try:
                     callback(event)
                 except Exception as exc:
                     self._warn_subscriber(callback, event.name, exc)
-        return events
+        return block
 
     def _warn_subscriber(self, callback, name: str, exc: Exception, batch: int = 0) -> None:
         """Report one isolated subscriber failure (once per event name)."""

@@ -41,9 +41,10 @@ name                 phase    fields
                               trace_id
 ===================  =======  ===============================================
 
-A simulated allocation publishes its stream as one
-:class:`AttemptBlock`: the events it stands for, held as the task
-attempts they describe until a subscriber reads them as events.
+A simulated allocation publishes its stream, once it has finished, as
+one :class:`AttemptBlock`: the events it stands for, held as the task
+attempts they describe until a subscriber reads them as events, with
+the rare task instants as specs.
 
 The real-execution engine (:mod:`repro.savanna.realexec`) emits the same
 ``campaign``/``alloc``/``task`` taxonomy over wall-clock time — worker
@@ -191,17 +192,19 @@ class Event(_EventRecord):
 
 
 class AttemptBlock:
-    """One simulated allocation's event stream, held as its task attempts.
+    """One finished simulated allocation's event stream, held as its task
+    attempts.
 
     ``items`` is the stream in order.  A
     :class:`~repro.cluster.job.TaskAttempt` stands for the two events of
     its ``task`` span: where it first appears, the ``begin`` at its
     ``start``; where it appears again, the ``end`` at its ``end``.  Any
-    other item is a ``(name, phase, time, fields)`` spec, none of them
-    ``None`` (the simulator puts its rare ``task.retry``,
-    ``task.requeued``, ``task.timeout`` and ``task.fault_injected``
-    instants there).  Both appearances of an attempt sit in one block,
-    and the attempt is final when the block is published.
+    other item is a ``(name, INSTANT, time, fields)`` spec of an instant:
+    the simulator's rare ``task.retry``, ``task.requeued``,
+    ``task.timeout`` and ``task.fault_injected``.  Reading a block whose
+    spec has another phase raises ``ValueError``.  Both appearances of
+    an attempt sit in one block, and the attempt has ended when the
+    block is published: no attempt of a block is in flight.
 
     :meth:`~repro.observability.EventBus.publish_batch` stamps the block
     with its bus's ``pid`` and the ``seq`` of its first event.  The block
@@ -210,9 +213,9 @@ class AttemptBlock:
     once, on first use.  Subscribers that know the block (the checkpoint
     journal, the streaming report) read ``items`` and :meth:`phases`
     instead and build nothing.  Whichever way it is read, every event
-    matches the one the spec-per-event stream carried: name, time,
-    phase, seq, pid, and its fields in the same key order, in dicts and
-    lists of its own.
+    matches the one the per-event engine emits: name, time, phase, seq,
+    pid, and its fields in the same key order, in dicts and lists of its
+    own.
     """
 
     __slots__ = ("items", "pid", "seq", "_phases", "_events")
@@ -235,19 +238,23 @@ class AttemptBlock:
 
     def _built(self) -> list:
         if self._events is None:
+            self.phases()  # checks the spec items, as every read does
             self._events = [self.event(i) for i in range(len(self.items))]
         return self._events
 
     def phases(self) -> list:
         """Each item's phase, in order: an attempt is ``begin`` where it
-        first appears and ``end`` where it appears again."""
+        first appears and ``end`` where it appears again, a spec is an
+        instant (``ValueError`` if its phase says otherwise)."""
         if self._phases is None:
             phases = []
             append = phases.append
             begun = set()
             for item in self.items:
                 if item.__class__ is tuple:
-                    append(item[1])
+                    if item[1] != INSTANT:
+                        raise ValueError(f"a block holds instants as specs, not {item[:3]}")
+                    append(INSTANT)
                 elif id(item) in begun:
                     append(END)
                 else:

@@ -22,7 +22,9 @@ come first and are always present when the event carries them —
 
 Emission is serialized by an internal lock (the service's monitoring
 bus delivers from many threads) and each line is flushed, so ``tail
--f`` keeps up with a live service.
+-f`` keeps up with a live service.  A simulated allocation's attempt
+block reaches the subscriber one event at a time, so it too writes one
+line and one flush per event.
 """
 
 from __future__ import annotations
@@ -105,20 +107,6 @@ class JsonLogSubscriber:
             self.stream.write(line + "\n")
             self.stream.flush()
             self.lines += 1
-
-    def on_batch(self, events) -> None:
-        """Batch-aware hook: one write + flush per delivered batch."""
-        lines = [
-            json.dumps(self.format(e), default=repr)
-            for e in events
-            if self._wants(e.name)
-        ]
-        if not lines:
-            return
-        with self._lock:
-            self.stream.write("\n".join(lines) + "\n")
-            self.stream.flush()
-            self.lines += len(lines)
 
     @staticmethod
     def format(event) -> dict:

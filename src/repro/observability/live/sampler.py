@@ -33,7 +33,8 @@ randomized interleavings in ``tests/test_telemetry_churn.py``)::
 
 Thread safety: folding and reading are serialized by one internal lock,
 so the HTTP server (its own thread) can snapshot while the service's
-worker threads emit.
+worker threads emit.  A simulated allocation's attempt block reaches
+the sampler one event at a time, like every other delivery.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import threading
 import time
 
 from repro.observability.events import (
-    BEGIN,
     END,
     SERVICE_CANCELLED,
     SERVICE_FINISHED,
@@ -161,7 +161,7 @@ class TelemetrySampler:
     # -- attachment ----------------------------------------------------------
 
     def attach(self, bus) -> "TelemetrySampler":
-        """Subscribe to one bus (chainable); batch-aware."""
+        """Subscribe to one bus (chainable)."""
         self._unsubscribers.append(bus.subscribe(self))
         return self
 
@@ -209,12 +209,6 @@ class TelemetrySampler:
 
     #: Samplers are plain callables, so ``bus.subscribe(sampler)`` works.
     __call__ = feed
-
-    def on_batch(self, events) -> None:
-        """Batch-aware subscriber hook (one lock round per batch)."""
-        with self._lock:
-            for event in events:
-                self._feed(event)
 
     def _feed(self, event) -> None:
         self._events_seen += 1

@@ -21,42 +21,41 @@ the base record, so a driver killed mid-campaign still resumes exactly
 the pending set.
 
 The journal is opened once per :meth:`~CampaignCheckpoint.attach` and
-closed by :meth:`~CampaignCheckpoint.detach`.  A line reaches the OS
-when the bus delivery that carried its transition returns: at once for
-an ``emit``, at the end of the whole batch for a ``publish_batch``
-(one flush per batch).  From then on a concurrent reader, or a driver
-killed with SIGKILL, sees it.  Batching loses nothing a per-line flush
-would keep: the vectorized executors publish an allocation's stream,
-as one :class:`~repro.observability.events.AttemptBlock`, only after
-simulating all of it, so a driver killed during the delivery loses
-those runs to resume either way, and a real drive ``emit``-s every
-transition.  The journal reads such a block's attempts directly, one
-:meth:`~CampaignCheckpoint.record` per transition in stream order,
-without building the events they stand for.  A driver killed
-mid-write leaves a torn final line, which the next ``attach`` cuts back
-to the last newline before appending (a final line that lost only its
-newline is kept and terminated).  Lines are not fsynced: they survive
-the death of the driver process, not of the machine, while every
-``status.json`` write is fsynced.
+closed by :meth:`~CampaignCheckpoint.detach`.  A RUNNING line is written
+only for an attempt in flight when the line is written: a real drive
+``emit``-s each transition, RUNNING at launch and the mapped outcome at
+the end, each line reaching the OS when its ``emit`` returns.  A
+simulated allocation arrives finished, as one
+:class:`~repro.observability.events.AttemptBlock` through
+``publish_batch``; the journal reads its attempts directly, one
+:meth:`~CampaignCheckpoint.record` per attempt end in stream order and
+one flush for the block, with no event built.  A driver killed during
+that flush loses only the outcomes whose lines had not reached the OS:
+those runs keep the status they had before the allocation.  A driver
+killed mid-write leaves a torn final line, which the next ``attach``
+cuts back to the last newline before appending (a final line that lost
+only its newline is kept and terminated).  Lines are not fsynced: they
+survive the death of the driver process, not of the machine, while
+every ``status.json`` write is fsynced.
 
 Each line is ``json.dumps({"run": ..., "status": ..., "time": ...})``
 byte for byte, built by :func:`_journal_line` without the encoder for a
 finite float time.  Reading folds the journal in one streaming pass
 with one reused decoder (:func:`_journal_entries`).
 
-**Per-submission scoping**: with the campaign service
-(:mod:`repro.savanna.service`) many drive pipelines run concurrently in
-one process, each attaching its own checkpoint.  The journal format is
-append-per-line and therefore safe for *distinct* directories, but two
-live writers on the *same* campaign directory would interleave
-transitions from unrelated attempts — so :meth:`CampaignCheckpoint.attach`
-enforces one attached writer per journal path process-wide and raises
-``RuntimeError`` on the second.  A concurrent re-submission of a
-still-running campaign fails loudly at attach time instead of silently
-corrupting the resume record.  :meth:`CampaignCheckpoint.compact` holds
-the same writer slot while it folds and deletes the journal, and leaves
-alone a journal another writer holds: that writer's own compaction folds
-it.
+**One writer per campaign directory**: the campaign service
+(:mod:`repro.savanna.service`) runs many drive pipelines in one process,
+and a campaign may be re-submitted from another.  Two live writers on
+one journal would interleave transitions from unrelated attempts, so
+:meth:`CampaignCheckpoint.attach` takes the journal's writer slot and
+raises ``RuntimeError`` while another writer holds it.  The slot is an
+entry in a process-wide registry plus, where ``fcntl`` exists, a
+non-blocking exclusive POSIX record lock on ``journal.jsonl.lock``.  A
+record lock, unlike an ``flock``, is not shared with the pool workers a
+drive forks, so it ends with its writer, even one killed with SIGKILL.
+:meth:`CampaignCheckpoint.compact` holds the same slot while it folds
+and deletes the journal, and leaves alone a journal another writer
+holds: that writer's own compaction folds it.
 """
 
 from __future__ import annotations
@@ -72,7 +71,11 @@ from pathlib import Path
 from repro._util import path_lock
 from repro.cheetah.directory import CampaignDirectory, RunStatus
 from repro.observability import BEGIN, END, TASK
-from repro.observability.events import AttemptBlock
+
+try:  # the cross-process writer lock: POSIX only
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platform
+    fcntl = None
 
 #: Task-span ``outcome`` field -> durable run status: the one
 #: outcome-to-status policy, for simulated and real drives alike.  A
@@ -193,8 +196,8 @@ class CampaignCheckpoint:
 
     JOURNAL_NAME = "journal.jsonl"
 
-    #: Process-wide registry of journal paths with a live attached writer
-    #: (per-submission scoping: one writer per campaign directory).
+    #: Process-wide registry of held writer slots (one writer per campaign
+    #: directory): journal path -> (holder label, lock descriptor or None).
     _ATTACHED: dict = {}
     _ATTACHED_LOCK = threading.Lock()
 
@@ -285,6 +288,38 @@ class CampaignCheckpoint:
             if st is not RunStatus.DONE
         }
 
+    # -- the writer slot ----------------------------------------------------
+
+    def _claim(self, holder: str) -> str | None:
+        """Take the writer slot for ``holder``; returns ``None``, or the
+        label of the slot's current holder.
+
+        Closing any descriptor of a file drops the process's record locks
+        on it, so only the slot opens the lock file, and only while this
+        process holds no slot on it."""
+        key = str(self._journal_path)
+        with self._ATTACHED_LOCK:
+            entry = self._ATTACHED.get(key)
+            if entry is not None:
+                return entry[0]
+            fd = None
+            if fcntl is not None:
+                fd = os.open(key + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+                try:
+                    fcntl.lockf(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except OSError:  # another process holds it
+                    os.close(fd)
+                    return "a writer in another process"
+            self._ATTACHED[key] = (holder, fd)
+        return None
+
+    def _release(self) -> None:
+        """Give the writer slot back."""
+        with self._ATTACHED_LOCK:
+            _, fd = self._ATTACHED.pop(str(self._journal_path))
+            if fd is not None:
+                os.close(fd)  # drops the record lock
+
     # -- compaction ----------------------------------------------------------
 
     def compact(self) -> None:
@@ -292,12 +327,13 @@ class CampaignCheckpoint:
 
         A run interrupted while RUNNING compacts to PENDING — an
         in-flight attempt whose outcome was never journaled must be
-        re-queued, not trusted.  Call it after :meth:`detach`: an
+        re-queued, not trusted.  The journal's status strings go to the
+        status write as they are.  Call it after :meth:`detach`: an
         attached writer would keep appending to the deleted file.
 
         Compaction holds the writer slot :meth:`attach` takes, so no
         writer can attach between the fold and the delete.  If another
-        checkpoint already holds the slot (a re-submission that attached
+        writer already holds the slot (a re-submission that attached
         after this one detached), the journal is left to that writer,
         whose own compaction folds it.  It also holds the ``status.json``
         lock from the journal read to the delete, which keeps
@@ -305,42 +341,37 @@ class CampaignCheckpoint:
         """
         if self._journal is not None:
             raise RuntimeError("detach the checkpoint before compacting its journal")
-        key = str(self._journal_path)
-        with self._ATTACHED_LOCK:
-            if key in self._ATTACHED:
-                return
-            self._ATTACHED[key] = f"compaction@{id(self):#x}"
+        if self._claim(f"compaction@{id(self):#x}") is not None:
+            return
         try:
             with path_lock(self.directory._status_path()):
                 journaled = self._journaled()
                 if journaled:
                     self.directory.update_status(  # re-enters the lock
                         {
-                            run_id: RunStatus.PENDING if value == "running" else RunStatus(value)
+                            run_id: "pending" if value == "running" else value
                             for run_id, value in journaled.items()
                         }
                     )
                 self._journal_path.unlink(missing_ok=True)
         finally:
-            with self._ATTACHED_LOCK:
-                self._ATTACHED.pop(key, None)
+            self._release()
 
     # -- bus wiring ----------------------------------------------------------
 
     def attach(self, bus, owner: str | None = None) -> None:
         """Subscribe to ``bus`` and journal every task transition.
 
-        ``task`` span begins journal RUNNING; ends journal the mapped
-        outcome.  Events about tasks that are not runs of this campaign
-        (names outside the manifest) are ignored, so a shared bus is safe.
+        An emitted ``task`` begin journals RUNNING, an end the mapped
+        outcome; a published attempt block journals the mapped outcome
+        of each attempt end (see the module docstring).  Events about
+        tasks that are not runs of this campaign (names outside the
+        manifest) are ignored, so a shared bus is safe.
 
-        One live writer per campaign directory, process-wide: attaching
-        while another checkpoint is already attached to the same journal
-        raises ``RuntimeError`` naming the current holder — this is the
-        per-submission scope guard that keeps concurrent campaign-service
-        submissions from interleaving transitions into one journal.
-        ``owner`` labels this writer (e.g. a submission id) for that
-        error message.
+        One live writer per campaign directory, across processes:
+        attaching while another writer holds the journal's slot raises
+        ``RuntimeError`` naming the current holder.  ``owner`` labels
+        this writer (e.g. a submission id) for that error message.
 
         The journal is opened here and stays open until :meth:`detach`;
         a torn final line left by a driver killed mid-write is cut off
@@ -348,19 +379,20 @@ class CampaignCheckpoint:
         """
         if self._unsubscribe is not None:
             raise RuntimeError("checkpoint already attached to a bus")
-        key = str(self._journal_path)
-        with self._ATTACHED_LOCK:
-            holder = self._ATTACHED.get(key)
-            if holder is not None:
-                raise RuntimeError(
-                    f"campaign directory {self.directory.root} already has a "
-                    f"live checkpoint writer ({holder}); a campaign must "
-                    "finish (or be cancelled) before it is re-submitted "
-                    "against the same directory"
-                )
+        holder = self._claim(owner or f"checkpoint@{id(self):#x}")
+        if holder is not None:
+            raise RuntimeError(
+                f"campaign directory {self.directory.root} already has a "
+                f"live checkpoint writer ({holder}); a campaign must "
+                "finish (or be cancelled) before it is re-submitted "
+                "against the same directory"
+            )
+        try:
             _cut_torn_tail(self._journal_path)
             self._journal = self._journal_path.open("a")
-            self._ATTACHED[key] = owner or f"checkpoint@{id(self):#x}"
+        except BaseException:
+            self._release()
+            raise
 
         def observe(event) -> None:
             if event.name != TASK:
@@ -376,38 +408,23 @@ class CampaignCheckpoint:
                     self.record(run_id, status, time=event.time)
 
         def observe_block(block) -> None:
-            # The attempts themselves: a begin journals RUNNING at the
-            # attempt's start, an end its mapped outcome at its end.
-            record, known, running = self.record, self._known, RunStatus.RUNNING
-            for index, (item, phase) in enumerate(zip(block.items, block.phases())):
-                if item.__class__ is tuple:
-                    observe(block.event(index))
-                    continue
-                run_id = item.task.name
-                if run_id not in known:
-                    continue
-                if phase is BEGIN:
-                    record(run_id, running, float(item.start))
-                else:
-                    status = _OUTCOME_TO_STATUS.get(item.outcome._value_)
-                    if status is not None:
-                        record(run_id, status, float(item.end))
-
-        def observe_batch(events) -> None:
-            # One record() per transition, as an emit loop makes, and
-            # one flush for the whole batch.
+            # A spec item is an instant, which the journal does not read.
+            record, known = self.record, self._known
             self._batching = True
             try:
-                if isinstance(events, AttemptBlock):
-                    observe_block(events)
-                else:
-                    for event in events:
-                        observe(event)
+                for item, phase in zip(block.items, block.phases()):
+                    if phase is not END:
+                        continue
+                    run_id = item.task.name
+                    if run_id in known:
+                        status = _OUTCOME_TO_STATUS.get(item.outcome._value_)
+                        if status is not None:
+                            record(run_id, status, float(item.end))
             finally:
                 self._batching = False
                 self._journal.flush()
 
-        observe.on_batch = observe_batch  # EventBus.publish_batch's hook
+        observe.on_batch = observe_block  # EventBus.publish_batch's hook
         self._unsubscribe = bus.subscribe(observe)
 
     def detach(self) -> None:
@@ -420,5 +437,4 @@ class CampaignCheckpoint:
             try:
                 journal.close()
             finally:
-                with self._ATTACHED_LOCK:
-                    self._ATTACHED.pop(str(self._journal_path), None)
+                self._release()

@@ -137,9 +137,9 @@ class ThreadSafeBus(EventBus):
         with self._emit_lock:
             return super().emit(name, phase=phase, time=time, **fields)
 
-    def publish_batch(self, specs):
+    def publish_batch(self, block):
         with self._emit_lock:
-            return super().publish_batch(specs)
+            return super().publish_batch(block)
 
 
 def service_bus(name: str = "campaign-service") -> ThreadSafeBus:

@@ -93,6 +93,17 @@ class TestStatus:
         assert cd.summary()["done"] == 1
         assert cd.summary()["failed"] == 1
 
+    def test_batch_update_takes_a_status_or_its_value(self, tmp_path):
+        cd = CampaignDirectory(tmp_path, make_manifest())
+        cd.create()
+        cd.update_status({"g/run-0000": "done", "g/run-0001": RunStatus.FAILED})
+        assert cd.read_status()["g/run-0000"] is RunStatus.DONE
+        assert cd.read_status()["g/run-0001"] is RunStatus.FAILED
+        before = cd._status_path().read_bytes()
+        with pytest.raises(ValueError, match="'finished' is not a valid RunStatus"):
+            cd.update_status({"g/run-0002": "finished"})
+        assert cd._status_path().read_bytes() == before
+
     def test_unknown_run_rejected(self, tmp_path):
         cd = CampaignDirectory(tmp_path, make_manifest())
         cd.create()

@@ -1,10 +1,9 @@
 """Every published event owns its ``fields`` dict.
 
-``EventBus.publish_batch`` keeps each spec's ``fields`` dict as the
-event's own, without copying it, so a batch producer must build one
-fresh dict per spec and never touch it after publishing.  A producer
-that reused one dict for two specs would make two events share their
-fields, and a later write through one would rewrite the other.  This
+Subscribers share each event, so no two events may share a ``fields``
+dict: a later write through one would rewrite the other.  ``emit``
+builds a fresh dict from its keyword arguments, and an attempt block
+builds fresh dicts and lists for each event it stands for.  This
 records every drive of the simulator-equivalence scenario matrix (pilot
 and static sets; faults, retries, timeouts, multi-node tasks and
 walltime kills) on both engines and checks that no two events share a

@@ -540,48 +540,43 @@ class TestRecorder:
 
 
 class TestPublishBatch:
-    """Batched emission must be indistinguishable from the emit loop."""
+    """Publishing an attempt block must be indistinguishable from the emit loop."""
+
+    @staticmethod
+    def _instants(*names, time=0.0):
+        return AttemptBlock([(name, INSTANT, time, {"k": i}) for i, name in enumerate(names)])
 
     def test_returns_none_without_subscribers(self):
         bus = EventBus()
-        assert bus.publish_batch([("task", BEGIN, 1.0, {"task_id": 0})]) is None
+        assert bus.publish_batch(self._instants("task.retry")) is None
+
+    def test_takes_only_an_attempt_block(self):
+        bus = EventBus()
+        with pytest.raises(TypeError, match="AttemptBlock"):
+            bus.publish_batch([("mark", INSTANT, 0.0, {})])
+        bus.subscribe(lambda e: None)
+        with pytest.raises(TypeError, match="AttemptBlock"):
+            bus.publish_batch([("mark", INSTANT, 0.0, {})])
+
+    def test_a_block_holds_only_instants_as_specs(self):
+        block = AttemptBlock([("task.retry", INSTANT, 0.0, {}), ("task", BEGIN, 1.0, {})])
+        with pytest.raises(ValueError, match="holds instants as specs"):
+            block.phases()
+        bus = EventBus()
+        bus.subscribe(lambda e: None)  # iterates the block
+        with pytest.raises(ValueError, match="holds instants as specs"):
+            bus.publish_batch(block)
 
     def test_seq_and_order_match_emit_loop(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         bus.emit("before")
-        events = bus.publish_batch(
-            [
-                ("task", BEGIN, 1.0, {"task_id": 0}),
-                ("task", END, 2.0, {"task_id": 0, "outcome": "done"}),
-            ]
-        )
+        events = bus.publish_batch(self._instants("task.retry", "task.requeued", time=1.0))
         bus.emit("after")
         assert [e.seq for e in seen] == [0, 1, 2, 3]
-        assert events == seen[1:3]
-
-    def test_none_phase_and_time_use_emit_defaults(self):
-        clock = iter([7.0]).__next__
-        bus = EventBus(clock=lambda: 7.0)
-        seen = []
-        bus.subscribe(seen.append)
-        bus.publish_batch([("mark", None, None, {}), ("mark2", None, None, {})])
-        assert [(e.phase, e.time) for e in seen] == [(INSTANT, 7.0), (INSTANT, 7.0)]
-
-    def test_each_event_owns_its_specs_fields_dict(self):
-        bus = EventBus()
-        bus.subscribe(lambda e: None)
-        specs = [("a", None, 0.0, {"k": 1}), ("b", None, 0.0, {}), ("c", None, 0.0, {"k": 2})]
-        events = bus.publish_batch(specs)
-        assert [e.fields is spec[3] for e, spec in zip(events, specs)] == [True] * 3
-
-    def test_none_fields_get_a_fresh_dict(self):
-        bus = EventBus()
-        bus.subscribe(lambda e: None)
-        a, b = bus.publish_batch([("a", None, 0.0, None), ("b", None, 0.0, None)])
-        assert a.fields == {} and b.fields == {}
-        assert a.fields is not b.fields
+        assert [e.name for e in seen] == ["before", "task.retry", "task.requeued", "after"]
+        assert list(events) == seen[1:3]
 
     def test_batch_subscriber_gets_one_call(self):
         bus = EventBus()
@@ -595,7 +590,7 @@ class TestPublishBatch:
                 calls.append(("batch", list(events)))
 
         bus.subscribe(Sink())
-        bus.publish_batch([("a", None, 0.0, {}), ("b", None, 0.0, {})])
+        bus.publish_batch(self._instants("a", "b"))
         assert len(calls) == 1 and calls[0][0] == "batch"
         assert [e.name for e in calls[0][1]] == ["a", "b"]
 
@@ -614,10 +609,10 @@ class TestPublishBatch:
         bus.subscribe(seen.append)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bus.publish_batch([("task", BEGIN, 0.0, {"task_id": 1})])
+            bus.publish_batch(self._instants("task.retry"))
         assert len(seen) == 1
         assert len(caught) == 1 and issubclass(caught[0].category, SubscriberError)
-        assert "'task'" in str(caught[0].message)
+        assert "'task.retry'" in str(caught[0].message)
         assert "batch of 1" in str(caught[0].message)
 
 
@@ -657,17 +652,23 @@ class TestAttemptBlock:
         return specs, items
 
     @staticmethod
-    def _recorded(stream):
+    def _recorded(block):
         bus = EventBus()
         recorder = TraceRecorder().attach(bus)
         bus.emit("before", time=0.0)
-        returned = bus.publish_batch(stream)
+        returned = bus.publish_batch(block)
         bus.emit("after", time=9.0)
         return recorder.events, returned
 
     def test_events_equal_the_spec_stream(self):
         specs, items = self._streams()
-        want, _ = self._recorded(specs)
+        bus = EventBus()
+        recorder = TraceRecorder().attach(bus)
+        bus.emit("before", time=0.0)
+        for name, phase, time, fields in specs:
+            bus.emit(name, phase, time, **fields)
+        bus.emit("after", time=9.0)
+        want = recorder.events
         got, block = self._recorded(AttemptBlock(items))
         assert len(block) == len(items) == 7
         normalized = [
@@ -726,12 +727,11 @@ class TestAttemptBlock:
 
 
 class TestBatchedEmissionProperty:
-    """Property: per-event emit vs any batched chunking of the same
-    stream yields *byte-identical* recorder output (Chrome trace JSON,
-    after normalizing the process-global bus pid)."""
+    """Property: per-event emit vs any chunking of the same stream of
+    instants into attempt blocks yields *byte-identical* recorder output
+    (Chrome trace JSON, after normalizing the process-global bus pid)."""
 
-    NAMES = ["task", "alloc", "node.busy", "campaign", "custom.metric"]
-    PHASES = [BEGIN, END, INSTANT]
+    NAMES = ["task.retry", "task.requeued", "task.timeout", "task.fault_injected", "custom.metric"]
 
     @staticmethod
     def _normalized_trace(recorder):
@@ -751,7 +751,7 @@ class TestBatchedEmissionProperty:
             st.lists(
                 st.tuples(
                     st.sampled_from(self.NAMES),
-                    st.sampled_from(self.PHASES),
+                    st.just(INSTANT),
                     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
                     st.fixed_dictionaries(
                         {},
@@ -771,13 +771,13 @@ class TestBatchedEmissionProperty:
         rec_a = TraceRecorder().attach(bus_a)
         for name, phase, time, fields in specs:
             bus_a.emit(name, phase=phase, time=time, **fields)
-        # Candidate: the same stream in randomly-drawn batch chunks.
+        # Candidate: the same stream in randomly-drawn block chunks.
         bus_b = EventBus()
         rec_b = TraceRecorder().attach(bus_b)
         i = 0
         while i < len(specs):
             size = data.draw(st.integers(1, len(specs) - i))
-            bus_b.publish_batch(specs[i : i + size])
+            bus_b.publish_batch(AttemptBlock(specs[i : i + size]))
             i += size
         assert self._normalized_trace(rec_a) == self._normalized_trace(rec_b)
         assert rec_a.metrics.snapshot() == rec_b.metrics.snapshot()

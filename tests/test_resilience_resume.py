@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -76,6 +78,18 @@ class TestCampaignCheckpoint:
         checkpoint = CampaignCheckpoint(make_directory(tmp_path, make_manifest()))
         with pytest.raises(KeyError, match="unknown run_id"):
             checkpoint.record("g/run-9999", RunStatus.DONE)
+
+    def test_compaction_rejects_a_status_outside_the_vocabulary(self, tmp_path):
+        directory = make_directory(tmp_path, make_manifest(n=2))
+        journal_path(directory).write_text(
+            '{"run": "g/run-0000", "status": "done", "time": 1.0}\n'
+            '{"run": "g/run-0001", "status": "bogus", "time": 2.0}\n'
+        )
+        before = directory._status_path().read_bytes()
+        with pytest.raises(ValueError, match="'bogus' is not a valid RunStatus"):
+            CampaignCheckpoint(directory).compact()
+        assert directory._status_path().read_bytes() == before
+        assert journal_path(directory).exists()
 
     def test_effective_status_overlays_journal_later_wins(self, tmp_path):
         directory = make_directory(tmp_path, make_manifest())
@@ -388,38 +402,34 @@ class TestJournalWriter:
             assert list(_journal_entries(path)) == expected
 
     def test_batch_and_emit_deliveries_journal_the_same_bytes(self, tmp_path, monkeypatch):
-        # The same task events through publish_batch (two batches), as
-        # two attempt blocks, and through an emit loop: byte-identical
-        # journals, one record() per transition on every path, and one
-        # flush per batch or block.
+        # The same simulated attempts as two attempt blocks and through an
+        # emit loop.  A block's attempts have all ended, so it journals
+        # each attempt end and no RUNNING line: its journal is the emit
+        # journal without the RUNNING lines, byte for byte.  It makes one
+        # record() per line and one flush per block, and skips the
+        # instants and a run outside the manifest.  The "interrupted" run
+        # is a real drive's outcome, so only the emit loop carries it.
         manifest = make_manifest(n=6)
-        outcomes = ["done", "failed", "killed", "interrupted", "done", "done"]
-        specs = []
-        for i, outcome in enumerate(outcomes):
-            run_id = f"g/run-{i:04d}"
-            specs.append((TASK, BEGIN, 10.0 * i + 0.1, {"task": run_id}))
-            specs.append(("node.busy", INSTANT, 10.0 * i + 0.2, {"task": run_id}))
-            specs.append((TASK, END, 10.0 * i + 5.3, {"task": run_id, "outcome": outcome}))
-        specs.append((TASK, BEGIN, 99.0, {"task": "not-a-campaign-run"}))
-        transitions = 2 * len(outcomes)
-        batches = [specs[:7], specs[7:]]
-        # The blocks hold an attempt per simulated outcome; the
-        # "interrupted" run (a real drive's outcome) and the instants
-        # stay spec items.  A block holds both ends of an attempt.
-        items = []
-        for i, outcome in enumerate(outcomes):
-            begin, instant, end = specs[3 * i : 3 * i + 3]
-            if outcome == "interrupted":
-                items += [begin, instant, end]
-                continue
-            task = Task(name=begin[3]["task"], duration=1.0)
-            attempt = TaskAttempt(task, [0], begin[2], end[2], TaskState(outcome))
+        outcomes = ["done", "failed", "killed", "done", "done"]
+        specs, items = [], []
+        for i, outcome in enumerate(outcomes + ["done"]):
+            run_id = "not-a-campaign-run" if i == len(outcomes) else f"g/run-{i:04d}"
+            start, end = 10.0 * i + 0.1, 10.0 * i + 5.3
+            retry = ("task.retry", INSTANT, 10.0 * i + 0.2, {"task": run_id})
+            specs += [
+                (TASK, BEGIN, start, {"task": run_id}),
+                retry,
+                (TASK, END, end, {"task": run_id, "outcome": outcome}),
+            ]
+            task = Task(name=run_id, duration=1.0)
+            attempt = TaskAttempt(task, [0], start, end, TaskState(outcome))
             task.attempts.append(attempt)
-            items += [attempt, instant, attempt]
-        stray = Task(name="not-a-campaign-run", duration=1.0)
-        stray.attempts.append(TaskAttempt(stray, [0], 99.0))
-        items += stray.attempts
-        blocks = [items[:9], items[9:]]
+            items += [attempt, retry, attempt]
+        blocks = [items[:6], items[6:]]  # both appearances of an attempt in one block
+        interrupted = [
+            (TASK, BEGIN, 60.1, {"task": "g/run-0005"}),
+            (TASK, END, 65.3, {"task": "g/run-0005", "outcome": "interrupted"}),
+        ]
 
         records = []
         record = CampaignCheckpoint.record
@@ -444,15 +454,14 @@ class TestJournalWriter:
             def close(self):
                 self.fh.close()
 
-        journals, statuses = [], []
-        for name, deliver, flushes in [
-            ("batched", lambda bus: [bus.publish_batch(b) for b in batches], len(batches)),
-            (
-                "blocks",
-                lambda bus: [bus.publish_batch(AttemptBlock(list(b))) for b in blocks],
-                len(blocks),
-            ),
-            ("emitted", lambda bus: [bus.emit(n, p, t, **f) for n, p, t, f in specs], transitions),
+        def emit_all(bus, stream):
+            for name, phase, time, fields in stream:
+                bus.emit(name, phase, time, **fields)
+
+        journals, statuses, counts = {}, {}, {}
+        for name, deliver in [
+            ("blocks", lambda bus: [bus.publish_batch(AttemptBlock(list(b))) for b in blocks]),
+            ("emitted", lambda bus: emit_all(bus, specs + interrupted)),
         ]:
             directory = make_directory(tmp_path / name, manifest)
             checkpoint, bus = CampaignCheckpoint(directory), EventBus()
@@ -460,16 +469,145 @@ class TestJournalWriter:
             journal = checkpoint._journal = CountedJournal(checkpoint._journal)
             deliver(bus)
             checkpoint.detach()
-            assert records.count(checkpoint) == transitions
-            assert journal.flushes == flushes
-            journals.append(journal_path(directory).read_bytes())
+            journals[name] = journal_path(directory).read_bytes()
+            counts[name] = (records.count(checkpoint), journal.flushes)
             checkpoint.compact()
-            statuses.append(json.loads(directory._status_path().read_text()))
-        assert journals[0] == journals[1] == journals[2]
-        assert len(journals[0].splitlines()) == transitions
-        assert statuses[0] == statuses[1] == statuses[2]
-        assert statuses[0]["g/run-0001"] == "failed"
-        assert statuses[0]["g/run-0002"] == "pending"
+            statuses[name] = directory._status_path().read_bytes()
+        lines = journals["emitted"].splitlines(keepends=True)
+        outcome_lines = [line for line in lines if b'"status": "running"' not in line]
+        assert len(lines) == 2 * len(outcome_lines) == 12
+        assert b"".join(outcome_lines[:-1]) == journals["blocks"]
+        assert outcome_lines[-1] == _journal_line("g/run-0005", "pending", 65.3).encode()
+        assert counts == {"blocks": (len(outcomes), len(blocks)), "emitted": (12, 12)}
+        assert statuses["blocks"] == statuses["emitted"]
+        status = json.loads(statuses["blocks"])
+        assert [status[f"g/run-{i:04d}"] for i in range(6)] == [
+            "done", "failed", "pending", "done", "done", "pending",
+        ]
+
+    def test_a_simulated_drive_journals_one_line_per_attempt_end(self, tmp_path, monkeypatch):
+        # A seeded pilot drive with node failures, retries, two
+        # allocations and walltime kills: read before compaction, its
+        # journal holds one line per attempt end, with the attempt's
+        # mapped outcome at its end time, and no RUNNING line.
+        manifest = make_manifest(n=30, nodes=2, walltime=400.0)
+        directory = make_directory(tmp_path, manifest)
+        journals = []
+        compact = CampaignCheckpoint.compact
+
+        def read_then_compact(self):
+            journals.append(self.journal_entries())
+            compact(self)
+
+        monkeypatch.setattr(CampaignCheckpoint, "compact", read_then_compact)
+        result = execute_manifest(
+            manifest,
+            lambda p: 40.0 + 7.0 * p["x"],
+            make_cluster(nodes=2, mttf=300.0, seed=11),
+            directory=directory,
+            max_allocations=2,
+        )
+        attempts = [a for task in result.tasks for a in task.attempts]
+        outcomes = {a.outcome.value for a in attempts}
+        assert {"done", "failed", "killed"} <= outcomes
+        assert any(len(task.attempts) > 1 for task in result.tasks)  # retries
+        status = {"done": "done", "failed": "failed", "killed": "pending"}
+        (entries,) = journals
+        assert sorted((e["run"], e["status"], e["time"]) for e in entries) == sorted(
+            (a.task.name, status[a.outcome.value], a.end) for a in attempts
+        )
+
+
+#: A driver in another process: attach a checkpoint to the campaign at
+#: ``argv[1]``, journal run-0000 DONE, say so, and hold the writer slot
+#: until a line arrives on stdin; then detach, say so, and live on until
+#: stdin closes.  With ``fork`` as ``argv[2]`` it first forks a child
+#: that sleeps, as a pool worker would, and says the child's pid.
+_OTHER_DRIVER = """
+import os, sys, time
+from repro.cheetah.directory import CampaignDirectory
+from repro.observability import BEGIN, END, TASK, EventBus
+from repro.resilience import CampaignCheckpoint
+checkpoint, bus = CampaignCheckpoint(CampaignDirectory.open(sys.argv[1])), EventBus()
+checkpoint.attach(bus)
+bus.emit(TASK, phase=BEGIN, task="g/run-0000", time=0.0)
+bus.emit(TASK, phase=END, task="g/run-0000", outcome="done", time=1.0)
+if sys.argv[2:] == ["fork"]:
+    worker = os.fork()
+    if worker == 0:
+        time.sleep(60.0)
+        os._exit(0)
+    print(worker, flush=True)
+print("attached", flush=True)
+sys.stdin.readline()
+checkpoint.detach()
+print("detached", flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX processes")
+class TestCrossProcessWriter:
+    """One live journal writer per campaign directory across processes."""
+
+    @staticmethod
+    def _other_driver(directory, *args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.Popen(
+            [sys.executable, "-c", _OTHER_DRIVER, str(directory.root), *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            start_new_session=True,  # its forked worker shares its group, not ours
+        )
+
+    def test_a_writer_in_another_process_holds_the_slot(self, tmp_path):
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        other = self._other_driver(directory)
+        try:
+            assert other.stdout.readline() == "attached\n"
+            checkpoint = CampaignCheckpoint(directory)
+            with pytest.raises(RuntimeError, match="another process"):
+                checkpoint.attach(EventBus())
+            checkpoint.compact()  # leaves the other writer's journal alone
+            assert journal_path(directory).exists()
+            assert directory.read_status()["g/run-0000"] is RunStatus.PENDING
+            other.stdin.write("detach\n")
+            other.stdin.flush()
+            assert other.stdout.readline() == "detached\n"
+            checkpoint.attach(EventBus())  # free once the other writer detached
+            checkpoint.detach()
+        finally:
+            other.stdin.close()
+            other.wait(timeout=30)
+        assert other.returncode == 0
+        checkpoint.compact()
+        assert directory.read_status()["g/run-0000"] is RunStatus.DONE
+
+    def test_the_slot_ends_with_its_writer_not_its_forked_workers(self, tmp_path):
+        # A driver killed with SIGKILL while a worker it forked lives on:
+        # the worker holds copies of the driver's descriptors, but not
+        # the slot, so a resumed driver attaches at once.
+        directory = make_directory(tmp_path, make_manifest(n=4))
+        other = self._other_driver(directory, "fork")
+        try:
+            worker = int(other.stdout.readline())
+            assert other.stdout.readline() == "attached\n"
+            other.send_signal(signal.SIGKILL)
+            other.wait(timeout=30)
+            os.kill(worker, 0)  # still alive
+            checkpoint = CampaignCheckpoint(directory)
+            checkpoint.attach(EventBus())
+            checkpoint.detach()
+            checkpoint.compact()
+            assert directory.read_status()["g/run-0000"] is RunStatus.DONE
+        finally:
+            try:
+                os.killpg(other.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            other.wait(timeout=30)
 
 
 class TestSnapshotReads:

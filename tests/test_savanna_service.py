@@ -25,12 +25,14 @@ import pytest
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory
 from repro.observability import (
+    INSTANT,
     SERVICE_CANCELLED,
     SERVICE_FINISHED,
     SERVICE_SATURATED,
     SERVICE_STARTED,
     SERVICE_SUBMITTED,
 )
+from repro.observability.events import AttemptBlock
 from repro.resilience import CampaignCheckpoint
 from repro.savanna import (
     CampaignService,
@@ -352,7 +354,7 @@ class TestThreadSafeBus:
         assert [e.seq for e in events] == sorted(e.seq for e in events)
 
     def test_publish_batch_is_serialized_with_emit(self):
-        """A batch publisher racing an emitter shares its seq counter:
+        """A block publisher racing an emitter shares its seq counter:
         every event gets its own seq, delivered in seq order."""
         bus = ThreadSafeBus(name="mixed")
         events = []
@@ -367,7 +369,8 @@ class TestThreadSafeBus:
         def batcher():
             barrier.wait()
             for b in range(300):
-                bus.publish_batch([("batch", None, None, {"b": b, "i": i}) for i in range(10)])
+                block = [("batch", INSTANT, 0.0, {"b": b, "i": i}) for i in range(10)]
+                bus.publish_batch(AttemptBlock(block))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -378,6 +378,23 @@ class TestDriveIntegration:
             obj = Objective("o", metric="loss")
             assert store.catalog(manifest.campaign).best(obj) is not None
 
+    def test_a_re_drive_is_read_from_the_store_not_a_stale_export(self, tmp_path):
+        # result.json is an export of the store; a later drive writes only
+        # the store, so the store answers once the directory has one.
+        from repro.savanna import execute_manifest
+
+        manifest = make_manifest(n=2)
+        drive = dict(backend="local-threads", directory=tmp_path, max_workers=1)
+        execute_manifest(manifest, app_fn=_first_answer, **drive)
+        directory = CampaignDirectory.open(tmp_path / manifest.campaign)
+        with directory.open_store() as store:
+            assert export_directory(store, directory.root) == len(manifest.runs)
+        execute_manifest(manifest, app_fn=_second_answer, resume=False, **drive)
+        rid = manifest.runs[0].run_id
+        exported = json.loads((directory.run_dir(rid) / "result.json").read_text())
+        assert exported["value"] == {"v": 1}
+        assert directory.read_run_result(rid)["value"] == {"v": 2}
+
     def test_store_created_late_agrees_with_status_json(self, tmp_path):
         # A simulated drive leaves 4 of 8 runs DONE and no store; the
         # real drive that finishes the campaign then creates the store.
@@ -419,6 +436,14 @@ class TestDriveIntegration:
 
 def _loss_app(parameters):
     return {"loss": float(parameters["x"]) + (0.25 if parameters["mode"] == "b" else 0.0)}
+
+
+def _first_answer(parameters):
+    return {"v": 1}
+
+
+def _second_answer(parameters):
+    return {"v": 2}
 
 
 def _double(parameters):

@@ -15,16 +15,19 @@ Whatever the interleaving:
 - at the end, every counter **exactly** equals the count computed by
   replaying the same stream independently — the sampler loses nothing
   and double-counts nothing;
-- folding the same stream event-by-event or via batch delivery is
-  indistinguishable.
+- folding the same stream event-by-event or with its instants
+  delivered in attempt blocks is indistinguishable.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability import EventBus
+from repro.observability.events import AttemptBlock
 from repro.observability.live import TelemetrySampler
 
 TENANTS = ("lab-a", "lab-b", "lab-c")
@@ -223,11 +226,17 @@ class TestSamplerReconciliation:
         for name, phase, fields in merged:
             single_bus.emit(name, phase=phase, **fields)
 
+        # The instants go out in attempt blocks, one block per run of
+        # consecutive instants; a block cannot carry a task end with the
+        # service's correlation fields, so those are emitted between.
         batch_bus = EventBus()
         batched = TelemetrySampler().attach(batch_bus)
-        batch_bus.publish_batch(
-            [(name, phase, None, fields) for name, phase, fields in merged]
-        )
+        for instant, run in groupby(merged, key=lambda event: event[1] == "instant"):
+            if instant:
+                batch_bus.publish_batch(AttemptBlock([(n, p, 0.0, f) for n, p, f in run]))
+            else:
+                for name, phase, fields in run:
+                    batch_bus.emit(name, phase=phase, **fields)
 
         a, b = single.status(), batched.status()
         assert a["tenants"] == b["tenants"]

@@ -22,7 +22,8 @@ import urllib.request
 import pytest
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
-from repro.observability import EventBus, new_trace_id
+from repro.observability import INSTANT, EventBus, new_trace_id
+from repro.observability.events import AttemptBlock
 from repro.observability.live import (
     PROMETHEUS_CONTENT_TYPE,
     STATUS_SCHEMA,
@@ -227,12 +228,16 @@ class TestJsonLogSubscriber:
     def test_batch_delivery_writes_each_event(self):
         bus = EventBus()
         stream = io.StringIO()
-        JsonLogSubscriber(stream=stream).attach(bus)
-        bus.publish_batch([
-            ("service.submitted", None, None, {"submission": "s0"}),
-            ("service.started", None, None, {"submission": "s0"}),
-        ])
-        assert len(stream.getvalue().splitlines()) == 2
+        log = JsonLogSubscriber(stream=stream).attach(bus)
+        bus.publish_batch(AttemptBlock([
+            ("task.retry", INSTANT, 1.0, {"task": "t0", "submission": "s0"}),
+            ("task.timeout", INSTANT, 2.0, {"task": "t0", "submission": "s0"}),
+        ]))
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert [(r["event"], r["seq"], r["submission"]) for r in records] == [
+            ("task.retry", 0, "s0"), ("task.timeout", 1, "s0"),
+        ]
+        assert log.lines == 2
 
     def test_unserializable_fields_fall_back_to_repr(self):
         bus = EventBus()

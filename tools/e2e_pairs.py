@@ -18,9 +18,12 @@ made; the directory is removed afterwards.
 
 For each end-to-end metric of ``BENCHMARK.json`` the table gives each
 side's median and quartiles, the change of the median, and in how many
-pairs the change was better (a tie counts for neither side).  The exit
-status is 1 when a run reports ``correct: false`` or the change failed
-more operations than the parent over all pairs, else 0.
+pairs the change was better (a tie counts for neither side).  Then each
+metric is judged against its ``bound`` (see :func:`judge`): "within
+bound", "worse by more than the X% bound", or "unresolved" when the
+parent's own runs spread wider than the bound.  The exit status is 1
+when a run reports ``correct: false`` or the change failed more
+operations than the parent over all pairs, else 0.
 """
 
 from __future__ import annotations
@@ -97,6 +100,29 @@ def summarize(metrics: list, parent: list, change: list) -> list:
     return rows
 
 
+def judge(metric: dict, parent: list, change: list) -> str:
+    """One metric's standing against its ``BENCHMARK.json`` bound, from
+    each side's values.
+
+    "unresolved" when the parent's interquartile range divided by its
+    median is wider than the bound, unless every change run beats every
+    parent run; else "worse by more than the X% bound" when the change's
+    median is worse than the parent's by more than the bound, else
+    "within bound".
+    """
+    lower, bound = metric["better"] == "lower", metric["bound"]
+    q1, median, q3 = quartiles(parent)
+    if not median:
+        return "unresolved"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if (q3 - q1) / abs(median) > bound and not beats_all:
+        return "unresolved"
+    ratio = quartiles(change)[1] / median
+    if (ratio - 1.0 if lower else 1.0 - ratio) > bound:
+        return f"worse by more than the {bound:.0%} bound"
+    return "within bound"
+
+
 def verdict(results: dict) -> list:
     """What fails the change, given each side's results: a run that
     reported ``correct: false``, or more failed operations than the
@@ -140,6 +166,12 @@ def main(argv=None) -> int:
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     for row in summarize(spec["end_to_end"], results["parent"], results["change"]):
         print(row)
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        values = {
+            side: [r["metrics"][name]["value"] for r in runs] for side, runs in results.items()
+        }
+        print(f"{name:18s} {judge(metric, values['parent'], values['change'])}")
     problems = verdict(results)
     for problem in problems:
         print(f"e2e_pairs: {problem}")
