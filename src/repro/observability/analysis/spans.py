@@ -306,25 +306,23 @@ class SpanTrace:
         events, one by one; a begin's span gets its own ``nodes`` tuple
         and ``payload`` copy.  The block's spec items go through
         :meth:`feed` itself, as the events they stand for, so a
-        ``task.requeued`` keeps its real ``seq``.
+        ``task.requeued`` keeps its real ``seq``.  A block is published
+        inside one allocation and its specs are instants, which open and
+        close no span: every span it begins has the same context.
         """
         pid = block.pid
         open_tasks = self._open_tasks
         last = self.last_time
-        context = None
+        members, alloc, group, campaign = self._context(pid)
         for index, (item, phase) in enumerate(zip(block.items, block.phases())):
             if item.__class__ is tuple:
                 self.last_time = last
                 self.feed(block.event(index))
                 last = self.last_time
-                context = None  # a spec may open or close an enclosing span
                 continue
             task = item.task
             key = (pid, task.task_id)
             if phase is BEGIN:
-                if context is None:
-                    context = self._context(pid)
-                members, alloc, group, campaign = context
                 time = float(item.start)
                 indices = item.node_indices
                 span = TaskSpan(

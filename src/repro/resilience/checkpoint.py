@@ -206,7 +206,7 @@ class CampaignCheckpoint:
         self._journal_path = (
             directory.root / CampaignDirectory.METADATA_DIR / self.JOURNAL_NAME
         )
-        self._known = {run.run_id for run in directory.manifest.runs}
+        self._known = directory.run_ids
         self._unsubscribe = None
         self._journal = None  # the journal file, open while attached
         self._batching = False  # a publish_batch delivery is being journaled

@@ -10,15 +10,16 @@ attempt's wall time, decides whether a failed task gets another try and
 after what backoff delay, and bounds total retries per allocation.
 
 Each engine simulates its whole allocation *synchronously* inside
-``start()`` with a local event queue and batched failure draws, then
-surfaces it through a single simulator event (the early finish) or the
-scheduler's existing walltime kill.  Node occupancy is recorded once, on
-the attempts: each :class:`~repro.cluster.job.TaskAttempt` names its
-nodes, start and end.  The node speeds are read from the allocation's
-nodes when it starts.  Whether anything observes the cluster bus decides
-only whether the loop records the allocation's stream as it goes: one
-list that holds each attempt twice, at its launch and at its end, and
-the rare ``task.retry``, ``task.requeued``, ``task.timeout`` and
+``start()`` with a local ``(time, seq)`` heap and batched failure
+draws, then surfaces it through a single simulator event (the early
+finish) or the scheduler's existing walltime kill.  Node occupancy is
+recorded once, on the attempts: each
+:class:`~repro.cluster.job.TaskAttempt` names its nodes, start and end.
+The node speeds are read from the allocation's nodes when it starts.
+Whether anything observes the cluster bus decides only whether the loop
+records the allocation's stream as it goes: one list that holds each
+attempt twice, at its launch and at its end, and the rare
+``task.retry``, ``task.requeued``, ``task.timeout`` and
 ``task.fault_injected`` instants as spec tuples.  The finish publishes
 it as one :class:`~repro.observability.events.AttemptBlock`, whose
 subscribers read the attempts or, if they iterate it, the events they
@@ -39,9 +40,9 @@ name, attempt).  A straggler slows only the attempt it strikes
 (``node.speed / slowdown``); an injected crash lands at
 ``fail_at / speed``; a multi-node attempt runs at its slowest node's
 speed.  The single-node, fault-free paths — the pilot's steady-state
-hand-off and whole-window batch, the static whole-set batch — stay
-inline: they are the simulator's throughput floor.  Every other launch
-goes through :meth:`_VectorAllocationRun._place`.
+hand-off and the static whole-set batch — stay inline: they are the
+simulator's throughput floor.  Every other launch goes through
+:meth:`_VectorAllocationRun._place`.
 
 The semantic fine print replicated from the event path, for the next
 reader who has to extend this: at equal timestamps the walltime-kill
@@ -61,9 +62,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from itertools import islice
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -106,18 +105,6 @@ def _record_timeout(rec, task, index: int, t: float, timeout: float) -> None:
     )
 
 
-def _record_retry(rec, task, t: float, index: int, delay: float) -> None:
-    """Record a retry grant's ``task.retry`` instant."""
-    rec(
-        (
-            TASK_RETRY,
-            INSTANT,
-            t,
-            {"task": task.name, "task_id": task.task_id, "retries": index, "delay": delay},
-        )
-    )
-
-
 def _record_requeue(rec, task, t: float, index: int) -> None:
     """Record the pilot's ``task.requeued`` instant."""
     rec(
@@ -141,9 +128,9 @@ class _FailureDraws:
     ``vals`` holds the draws scaled for one node, which the single-node
     paths read directly; ``unit`` keeps the standard draws only when the
     allocation has multi-node tasks.  Both lists only grow, so one
-    cursor, the allocation's launch count, indexes them.  :meth:`commit` then advances the *real* generator by exactly
-    the consumed count, leaving its state byte-identical to one scalar
-    draw per launch.
+    cursor, the allocation's launch count, indexes them.  :meth:`commit`
+    then advances the *real* generator by exactly the consumed count,
+    leaving its state byte-identical to one scalar draw per launch.
     """
 
     __slots__ = ("_failures", "_clone", "_size", "unit", "vals")
@@ -223,7 +210,6 @@ class _VectorAllocationRun:
         # starts.  Homogeneous allocations (the common case) divide by
         # one scalar, bit-identical to per-node division by equal floats.
         speeds = [node.speed for node in self.alloc.nodes]
-        self._max_speed = max(speeds, default=1.0)
         self._speed0 = speeds[0] if speeds and speeds.count(speeds[0]) == len(speeds) else None
         #: The allocation's stream; recorded only while someone observes the bus.
         self._stream: list | None = [] if self.bus.has_subscribers else None
@@ -312,25 +298,57 @@ class _VectorAllocationRun:
                 _record_timeout(stream.append, entry[3], nodes[0].index, t, entry[7])
             stream.append(entry[4])
 
-    def _kill_running(self, remnants, deadline: float) -> None:
-        """Finalize the attempts still running at the walltime deadline.
+    def _retry(self, task, t: float) -> tuple | None:
+        """Spend a retry on ``task``, whose attempt failed at ``t``.
 
-        ``remnants`` are the local queue entries left at the deadline.
-        The tasks end in launch order (== local seq order), as the
-        per-event engine's kill ends them.  The real deadline event still
-        fires later and finds nothing running.
+        Returns ``(index, delay)``: the 1-based retry index and the
+        policy's backoff delay, recorded as a ``task.retry`` instant.
+        Returns None when the per-task or per-allocation budget is spent,
+        after counting the task as a terminal failure of this allocation.
         """
-        ends = sorted((e for e in remnants if e[2] <= _WIDE_END_EV), key=itemgetter(1))
+        retries = self._retry_counts.get(task.task_id, 0)
+        policy = self.policy
+        if not (policy.allows(retries) and self.budget_left()):
+            self.outcome.failed.append(task)
+            return None
+        index = retries + 1
+        self._retry_counts[task.task_id] = index
+        self.allocation_retries += 1
+        delay = policy.delay(index)
+        if self._stream is not None:
+            fields = {"task": task.name, "task_id": task.task_id, "retries": index, "delay": delay}
+            self._stream.append((TASK_RETRY, INSTANT, t, fields))
+        return index, delay
+
+    def _kill_running(self, remnants: list) -> None:
+        """The walltime kill, from the local queue entries left at the
+        deadline.
+
+        The attempts still running end KILLED at the deadline in launch
+        order (== local seq order), as the per-event engine's kill ends
+        them; the real deadline event still fires later and finds
+        nothing running.  A backoff timer left over was a *real*
+        simulator event on the event-driven path, so it is
+        re-materialized as one, in ``(time, seq)`` order (the clock
+        advances identically in both engines), and resolves through
+        :meth:`_fail_late`.
+        """
+        deadline = self.alloc.deadline
         stream = self._stream
         killed = self.outcome.killed
-        for entry in ends:
-            task, a = entry[3], entry[4]
-            a.end = deadline
-            a.outcome = _KILLED
-            task.state = _KILLED
-            killed.append(task)
-            if stream is not None:
-                stream.append(a)
+        for entry in sorted(remnants, key=itemgetter(1)):
+            if entry[2] <= _WIDE_END_EV:
+                task, a = entry[3], entry[4]
+                a.end = deadline
+                a.outcome = _KILLED
+                task.state = _KILLED
+                killed.append(task)
+                if stream is not None:
+                    stream.append(a)
+        schedule_at = self.cluster.sim.schedule_at
+        for entry in sorted(remnants):
+            if entry[2] > _WIDE_END_EV:
+                schedule_at(entry[0], self._fail_late, entry[3])
 
     def _finalize(self, done_time: float | None) -> None:
         """Commit RNG consumption, publish the stream, arrange the finish."""
@@ -368,45 +386,27 @@ class VectorPilotRun(_VectorAllocationRun):
     def start(self) -> None:
         """Simulate the whole allocation now.
 
-        Tuple queue entries, plain-float draw buffers, and no
-        running-task dict (interrupted attempts are recovered from the
-        queue remnants at the deadline).  When the bus is observed, each
-        step also appends what it launched, ended or granted to the
-        stream :meth:`_finalize` publishes.
-
-        The event queue is a sorted list with a read cursor and a
-        *lookahead window*, not a binary heap.  No relaunch can finish
-        earlier than the shortest task wall, so every event in
-        ``[t, t + min_wall)`` is already in the queue: that whole
-        contiguous slice is processed without any per-event sift, new
-        end times are collected unsorted and merged in one timsort
-        (two-run galloping merge) per window.  The window bound is a
-        heuristic, never a correctness condition — an entry that does
-        land inside the open window (failure-shortened attempt, backoff
-        timer) is spliced in at its bisect position.  The ``(time,
-        seq)`` tuple prefix gives the identical total order the event
-        engine's heap uses.  Inlined on purpose — this loop is the
-        simulator's throughput floor, and each method call it sheds is
-        ~0.15 µs/task.
+        One local binary heap of ``(time, seq, ...)`` tuples orders the
+        allocation's events in the total order the event engine's heap
+        gives them.  There is no running-task dict: interrupted attempts
+        are recovered from the heap's remnants at the deadline.  In
+        steady state, a single-node, fault-free attempt that ends DONE
+        while tasks wait and no other node is free hands its node
+        straight to the next pending task; every other launch goes
+        through :meth:`_place`.  When the bus is observed, each step
+        also appends what it launched, ended or granted to the stream
+        :meth:`_finalize` publishes.  Inlined on purpose: this loop is
+        the simulator's throughput floor.
         """
         self._setup(len(self.pending))
-        sim = self.cluster.sim
         deadline = self.alloc.deadline
         pending = self.pending
         free = self._free_nodes
-        q: list[tuple] = []
-        qi = 0
-        outcome = self.outcome
-        attempts_out = outcome.attempts
-        completed = outcome.completed
-        failed = outcome.failed
-        policy = self.policy
-        retry_counts = self._retry_counts
+        heap: list[tuple] = []
         timeout = self._timeout
-        timeout_for = None if self._timeout_const else policy.timeout_for
+        timeout_for = None if self._timeout_const else self.policy.timeout_for
         inline = self._inline
         place = self._place
-        free_wide = self._free_wide
         draws = self._draws
         dbuf = draws.vals if draws is not None else []
         dlen = 0
@@ -415,281 +415,100 @@ class VectorPilotRun(_VectorAllocationRun):
         observed = stream is not None
         rec = stream.append if observed else None
         seq = 0
-        nrunning = 0
-        backing_off = 0
-        done_time = None
         # Local rebinds: every attribute lookup shed here is paid once
         # per simulated attempt in the loop below.
-        push = insort
-        q_push = q.append
+        push, pop = heappush, heappop
         Attempt = TaskAttempt
         pend_pop, pend_push = pending.popleft, pending.append
         free_push = free.append
-        out_push = attempts_out.append
-        done_push = completed.append
-        t = sim.now
+        out_push = self.outcome.attempts.append
+        done_push = self.outcome.completed.append
+        t = self.cluster.sim.now
         while pending and pending[0].nodes <= len(free):
-            task = pend_pop()
-            q_push(place(task, t, seq, dpos))
+            push(heap, place(pend_pop(), t, seq, dpos))
             seq += 1
             dpos += 1
-            nrunning += 1
-        if not q:  # nothing to run: finish at once
-            done_time = t
-        q.sort()
-        # Lookahead window bound: nothing launched at time t can end
-        # before t + (shortest duration / fastest node), so that span of
-        # the queue is complete and can be drained without sifting.  A
-        # constant timeout can only shorten walls, so it tightens the
-        # bound.  This is purely a throughput knob: entries that beat it
-        # (failure cuts, per-task timeouts, short backoffs) are spliced
-        # into the open window at their bisect position.
-        speed0 = self._speed0
-        bound = min([task.duration for task in pending], default=1.0) / self._max_speed
-        if self._timeout_const and timeout is not None and timeout < bound:
-            bound = timeout
-        bisect = bisect_left
-        while qi < len(q):
-            if qi > 4096:  # amortized compaction of the consumed prefix
-                del q[:qi]
-                qi = 0
-            t = q[qi][0]
+        # Every running attempt and backoff timer is one heap entry, and
+        # a task waits only while another runs: an empty heap is the
+        # finish.
+        while heap:
+            entry = pop(heap)
+            t = entry[0]
             if t >= deadline:
+                push(heap, entry)
                 break
-            wend = t + bound
-            if wend > deadline:
-                wend = deadline
-            # (wend,) sorts before any (wend, seq, ...) entry, so this
-            # is the first event at or past the window end.
-            j = bisect(q, (wend,), qi)
-            newbuf = []
-            new_push = newbuf.append
-            # Whole-window batch: when every event in the window is a
-            # successful END and none of the replacement launches fails
-            # or times out (peeked against the draw stream without
-            # consuming it), the window's contents are *closed* — no new
-            # entry can land inside it (a relaunch wall is >= the window
-            # bound by construction, and the failure cuts that could
-            # beat it were just ruled out).  The whole slice then folds
-            # with batched numpy wall/end arithmetic and zero splice
-            # checks, exactly like the static executor's set batches.
-            m = j - qi
-            batched = False
-            if m > 8 and inline and timeout_for is None:
-                win = q[qi:j]
-                for e in win:
-                    if e[2] is not _END_EV or e[6] is not _DONE:
-                        break
-                else:
-                    launch_n = min(m, len(pending))
-                    walls = None
-                    if launch_n:
-                        walls = np.fromiter(
-                            [task.duration for task in islice(pending, launch_n)],
-                            np.float64,
-                            launch_n,
-                        )
-                        if speed0 is not None:
-                            if speed0 != 1.0:
-                                walls /= speed0
-                        else:
-                            walls /= np.fromiter(
-                                [win[i][5].speed for i in range(launch_n)],
-                                np.float64,
-                                launch_n,
-                            )
-                    fits = not launch_n or timeout is None or not bool(
-                        (walls > timeout).any()
-                    )
-                    if fits and launch_n and draws is not None:
-                        if dlen - dpos < launch_n:  # peek, don't consume
-                            dlen = draws.ensure(dpos + launch_n)
-                        vals = dbuf[dpos : dpos + launch_n]
-                        if bool(
-                            (np.fromiter(vals, np.float64, launch_n) < walls).any()
-                        ):
-                            fits = False
-                    if fits:
-                        batched = True
-                        if launch_n:
-                            if draws is not None:
-                                dpos += launch_n
-                            ends_l = (
-                                np.fromiter(
-                                    [win[i][0] for i in range(launch_n)],
-                                    np.float64,
-                                    launch_n,
-                                )
-                                + walls
-                            ).tolist()
-                        qi = j
-                        i = 0
-                        for entry in win:
-                            te, _s, _k, task, a, node, _r, _c = entry
-                            a.end = te
-                            a.outcome = _DONE
-                            task.state = _DONE
-                            if observed:
-                                rec(a)
-                            if i < launch_n:
-                                task = pend_pop()
-                                task.state = _RUNNING
-                                a = Attempt(task, [node.index], te)
-                                task.attempts.append(a)
-                                out_push(a)
-                                if observed:
-                                    rec(a)
-                                new_push(
-                                    (ends_l[i], seq, _END_EV, task, a, node, _DONE, None)
-                                )
-                                seq += 1
-                                i += 1
-                            else:
-                                free_push(node)
-                        # Bulk equivalent of the per-event done_push
-                        # interleaving — the same completed order.
-                        completed.extend(e[3] for e in win)
-                        nrunning -= m - launch_n
-                        t = win[-1][0]
-                        if not nrunning and not pending and not backing_off:
-                            done_time = t
-            while not batched and qi < j:
-                entry = q[qi]
-                t = entry[0]
-                qi += 1
-                kind = entry[2]
-                if kind == _REQUEUE_EV:  # the backoff timer fired
-                    backing_off -= 1
-                    task = entry[3]
-                    task.state = _PENDING
-                    pend_push(task)
+            kind = entry[2]
+            if kind == _REQUEUE_EV:  # the backoff timer fired
+                task = entry[3]
+                task.state = _PENDING
+                pend_push(task)
+                if observed:
+                    _record_requeue(rec, task, t, entry[4])
+            else:
+                task, a, node, result = entry[3], entry[4], entry[5], entry[6]
+                a.end = t
+                a.outcome = result
+                task.state = result
+                if kind == _END_EV:
                     if observed:
-                        _record_requeue(rec, task, t, entry[4])
-                else:
-                    task, a, node, result = entry[3], entry[4], entry[5], entry[6]
-                    nrunning -= 1
-                    a.end = t
-                    a.outcome = result
-                    task.state = result
-                    if kind == _END_EV:
-                        if observed:
-                            if entry[7] is not None:
-                                _record_timeout(rec, task, node.index, t, entry[7])
-                            rec(a)
-                        if result is _DONE and inline and pending and not free:
-                            # Steady state: the freed node is the FIFO
-                            # head, so the next pending task lands on it
-                            # directly — no deque round trip, and the
-                            # finish check can't pass with a task just
-                            # launched.
-                            done_push(task)
-                            task = pend_pop()
-                            task.state = _RUNNING
-                            a = Attempt(task, [node.index], t)
-                            task.attempts.append(a)
-                            out_push(a)
-                            if observed:
-                                rec(a)
-                            wall = task.duration / node.speed
-                            result = _DONE
-                            cut = None
-                            if draws is not None:
-                                if dpos >= dlen:
-                                    dlen = draws.ensure(dpos + 1)
-                                fail_at = dbuf[dpos]
-                                dpos += 1
-                                if fail_at < wall:
-                                    wall = fail_at
-                                    result = _FAILED
-                            if timeout_for is not None:
-                                timeout = timeout_for(task)
-                            if timeout is not None and timeout < wall:
-                                wall = cut = timeout
-                                result = _FAILED
-                            e = (t + wall, seq, _END_EV, task, a, node, result, cut)
-                            seq += 1
-                            nrunning += 1
-                            if e[0] >= wend:
-                                new_push(e)
-                            else:  # beat the window: splice in place
-                                pos = bisect(q, e, qi)
-                                q.insert(pos, e)
-                                if pos < j:
-                                    j += 1
-                            continue
-                        free_push(node)
-                    else:
-                        free_wide(entry, t)
-                    if result is _DONE:
+                        if entry[7] is not None:
+                            _record_timeout(rec, task, node.index, t, entry[7])
+                        rec(a)
+                    if result is _DONE and inline and pending and not free:
+                        # Steady state: the freed node is the FIFO head,
+                        # so the next pending task lands on it directly,
+                        # with no deque round trip.
                         done_push(task)
-                    else:
-                        retries = retry_counts.get(task.task_id, 0)
-                        if policy.allows(retries) and self.budget_left():
-                            index = retries + 1
-                            retry_counts[task.task_id] = index
-                            self.allocation_retries += 1
-                            delay = policy.delay(index)
-                            if observed:
-                                _record_retry(rec, task, t, index, delay)
-                            if delay > 0:
-                                backing_off += 1
-                                e = (t + delay, seq, _REQUEUE_EV, task, index)
-                                seq += 1
-                                if e[0] >= wend:
-                                    new_push(e)
-                                else:
-                                    pos = bisect(q, e, qi)
-                                    q.insert(pos, e)
-                                    if pos < j:
-                                        j += 1
-                            else:
-                                task.state = _PENDING
-                                pend_push(task)
-                                if observed:
-                                    _record_requeue(rec, task, t, index)
-                        else:
-                            failed.append(task)
-                while pending and pending[0].nodes <= len(free):
-                    task = pend_pop()
-                    e = place(task, t, seq, dpos)
-                    seq += 1
-                    dpos += 1
-                    nrunning += 1
-                    if e[0] >= wend:
-                        new_push(e)
-                    else:
-                        pos = bisect(q, e, qi)
-                        q.insert(pos, e)
-                        if pos < j:
-                            j += 1
-                if not nrunning and not pending and not backing_off:
-                    done_time = t
-                    break
-            if done_time is not None:
-                break
-            if newbuf:
-                if len(newbuf) < 3:
-                    for e in newbuf:
-                        push(q, e, qi)
+                        task = pend_pop()
+                        task.state = _RUNNING
+                        a = Attempt(task, [node.index], t)
+                        task.attempts.append(a)
+                        out_push(a)
+                        if observed:
+                            rec(a)
+                        wall = task.duration / node.speed
+                        result = _DONE
+                        cut = None
+                        if draws is not None:
+                            if dpos >= dlen:
+                                dlen = draws.ensure(dpos + 1)
+                            fail_at = dbuf[dpos]
+                            dpos += 1
+                            if fail_at < wall:
+                                wall = fail_at
+                                result = _FAILED
+                        if timeout_for is not None:
+                            timeout = timeout_for(task)
+                        if timeout is not None and timeout < wall:
+                            wall = cut = timeout
+                            result = _FAILED
+                        push(heap, (t + wall, seq, _END_EV, task, a, node, result, cut))
+                        seq += 1
+                        continue
+                    free_push(node)
                 else:
-                    # One two-run galloping merge instead of per-event
-                    # sifts: the tail and the sorted new ends.
-                    newbuf.sort()
-                    tail = q[qi:]
-                    tail += newbuf
-                    tail.sort()
-                    q[qi:] = tail
-        if done_time is None:
-            # Walltime kill.  Leftover backoff timers were *real*
-            # simulator events on the event-driven path, so they are
-            # re-materialized as such (the clock advances identically in
-            # both engines).
-            remnants = q[qi:]
-            self._kill_running(remnants, deadline)
-            for entry in remnants:  # already in (time, seq) order
-                if entry[2] == _REQUEUE_EV:
-                    sim.schedule_at(entry[0], self._fail_late, entry[3])
-        self._finalize(done_time)
+                    self._free_wide(entry, t)
+                if result is _DONE:
+                    done_push(task)
+                else:
+                    granted = self._retry(task, t)
+                    if granted is not None:
+                        index, delay = granted
+                        if delay > 0:
+                            push(heap, (t + delay, seq, _REQUEUE_EV, task, index))
+                            seq += 1
+                        else:
+                            task.state = _PENDING
+                            pend_push(task)
+                            if observed:
+                                _record_requeue(rec, task, t, index)
+            while pending and pending[0].nodes <= len(free):
+                push(heap, place(pend_pop(), t, seq, dpos))
+                seq += 1
+                dpos += 1
+        if heap:  # the deadline came first
+            self._kill_running(heap)
+        self._finalize(None if heap else t)
 
 
 class VectorStaticSetRun(_VectorAllocationRun):
@@ -760,14 +579,10 @@ class VectorStaticSetRun(_VectorAllocationRun):
         deadline = self.alloc.deadline
         free = self._free_nodes
         heap: list[tuple] = []
-        outcome = self.outcome
-        attempts_out = outcome.attempts
-        completed = outcome.completed
-        failed = outcome.failed
-        policy = self.policy
-        retry_counts = self._retry_counts
+        attempts_out = self.outcome.attempts
+        completed = self.outcome.completed
         timeout = self._timeout
-        timeout_for = None if self._timeout_const else policy.timeout_for
+        timeout_for = None if self._timeout_const else self.policy.timeout_for
         inline = self._inline
         place = self._place
         free_wide = self._free_wide
@@ -873,18 +688,12 @@ class VectorStaticSetRun(_VectorAllocationRun):
                         if result is _DONE:
                             done_push(task)
                             continue
-                        retries = retry_counts.get(task.task_id, 0)
-                        if not (policy.allows(retries) and self.budget_left()):
-                            failed.append(task)
+                        granted = self._retry(task, te)
+                        if granted is None:
                             continue
-                        index = retries + 1
-                        retry_counts[task.task_id] = index
-                        self.allocation_retries += 1
-                        delay = policy.delay(index)
-                        if observed:
-                            _record_retry(rec, task, te, index, delay)
                         # In-place retry: the task stays in its set, so
                         # the barrier keeps waiting.
+                        delay = granted[1]
                         if delay > 0:
                             push(heap, (te + delay, seq, _RELAUNCH_EV, task))
                             seq += 1
@@ -906,8 +715,5 @@ class VectorStaticSetRun(_VectorAllocationRun):
                 sim.schedule_at(t, self._barrier_late)
                 break
         if done_time is None:
-            self._kill_running(heap, deadline)
-            for entry in sorted(heap):
-                if entry[2] == _RELAUNCH_EV:
-                    sim.schedule_at(entry[0], self._fail_late, entry[3])
+            self._kill_running(heap)
         self._finalize(done_time)

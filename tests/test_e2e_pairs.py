@@ -1,6 +1,7 @@
 """The paired-run tool's tally (``tools/e2e_pairs.py``): quartiles, the
 change's wins with ties counting for neither side, each metric's
-standing against its bound, and the exit status."""
+standing against its bound, the split of the pairs by run order, and
+the exit status."""
 
 import importlib.util
 import sys
@@ -92,3 +93,22 @@ def test_judge_unresolved_when_the_parent_spreads_wider_than_the_bound():
     # ... unless every change run beats every parent run.
     assert tool.judge(THROUGHPUT, parent, [15.0, 16.0, 17.0, 18.0, 19.0]) == "within bound"
     assert tool.judge(P50, parent, [1.0, 2.0, 3.0, 4.0, 5.0]) == "within bound"
+
+
+def test_order_split_follows_which_side_ran_first():
+    # Even pairs ran the parent first, odd pairs the change first.
+    parent = [_result(10.0, 0.5), _result(10.0, 0.5), _result(10.0, 0.5), _result(10.0, 0.0)]
+    change = [_result(11.0, 0.55), _result(9.0, 0.45), _result(12.0, 0.6), _result(8.0, 0.4)]
+    throughput, p50 = tool.order_split(METRICS, parent, change)
+    assert throughput == (
+        "throughput_per_s   parent first +15.0% (n=2)  change first -15.0% (n=2)"
+    )
+    # The last pair's parent p50 is 0: it has no relative change.
+    assert p50 == (
+        "turnaround_p50_s   parent first +15.0% (n=2)  change first -10.0% (n=1)"
+    )
+
+
+def test_order_split_of_one_pair_has_no_change_first_median():
+    (row,) = tool.order_split(METRICS[:1], [_result(10.0, 0.5)], [_result(10.0, 0.5)])
+    assert row.endswith("parent first +0.0% (n=1)  change first n/a (n=0)")

@@ -206,8 +206,8 @@ SCENARIOS = {
         lambda: _tasks(30, 29),
         {"nodes": 6, "walltime": 50000.0},
     ),
-    # Wide pilots: with 32 nodes a lookahead window holds more than 8
-    # task ends, which is what the pilot's whole-window batch needs.
+    # Wide pilots: 32 nodes keep a deep queue of running attempts, so
+    # most launches are the steady-state hand-off of a freed node.
     "pilot-wide": (
         _spec(32, 8000.0),
         (),
@@ -287,7 +287,7 @@ SCENARIOS = {
         {"nodes": 6, "walltime": 3500.0, "max_allocations": 2},
     ),
     # A node slowed after the cluster was built: the static whole-set
-    # batch and the pilot's whole-window batch must see it.
+    # batch and the pilot's hand-off must see it.
     "static-node-slowed": (
         _spec(2, None),
         (),
@@ -301,6 +301,15 @@ SCENARIOS = {
         _node0_slowed(lambda c: PilotExecutor(c)),
         lambda: _tasks(200, 31, mean=10.0, sigma=0.01),
         {"nodes": 20, "walltime": 1000.0},
+    ),
+    # The end-to-end benchmark's sim-campaign shape: thousands of
+    # hand-offs on a queue 100 attempts deep.
+    "pilot-e2ebench-shape": (
+        _spec(100, 2.0e6),
+        (),
+        lambda c: PilotExecutor(c),
+        lambda: _tasks(8000, 2718, sigma=0.35),
+        {"nodes": 100, "walltime": 1.0e6},
     ),
 }
 

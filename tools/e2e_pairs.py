@@ -21,9 +21,12 @@ side's median and quartiles, the change of the median, and in how many
 pairs the change was better (a tie counts for neither side).  Then each
 metric is judged against its ``bound`` (see :func:`judge`): "within
 bound", "worse by more than the X% bound", or "unresolved" when the
-parent's own runs spread wider than the bound.  The exit status is 1
-when a run reports ``correct: false`` or the change failed more
-operations than the parent over all pairs, else 0.
+parent's own runs spread wider than the bound.  Last, each metric's
+median change of a pair over the pairs where the parent ran first and
+over those where the change ran first (see :func:`order_split`): a
+difference that follows run order, not the code, shows there.  The
+exit status is 1 when a run reports ``correct: false`` or the change
+failed more operations than the parent over all pairs, else 0.
 """
 
 from __future__ import annotations
@@ -123,6 +126,28 @@ def judge(metric: dict, parent: list, change: list) -> str:
     return "within bound"
 
 
+def order_split(metrics: list, parent: list, change: list) -> list:
+    """One row per metric: the median of each pair's change, the change's
+    value over the parent's, over the pairs where the parent ran first
+    (the even pairs) and over those where the change ran first, each
+    with its pair count.  A pair whose parent value is 0 has no change
+    and counts in neither."""
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        cells = []
+        for label, first in (("parent first", 0), ("change first", 1)):
+            deltas = [
+                (c["metrics"][name]["value"] / p["metrics"][name]["value"] - 1.0) * 100.0
+                for p, c in zip(parent[first::2], change[first::2])
+                if p["metrics"][name]["value"]
+            ]
+            median = f"{statistics.median(deltas):+.1f}%" if deltas else "n/a"
+            cells.append(f"{label} {median} (n={len(deltas)})")
+        rows.append(f"{name:18s} " + "  ".join(cells))
+    return rows
+
+
 def verdict(results: dict) -> list:
     """What fails the change, given each side's results: a run that
     reported ``correct: false``, or more failed operations than the
@@ -172,6 +197,8 @@ def main(argv=None) -> int:
             side: [r["metrics"][name]["value"] for r in runs] for side, runs in results.items()
         }
         print(f"{name:18s} {judge(metric, values['parent'], values['change'])}")
+    for row in order_split(spec["end_to_end"], results["parent"], results["change"]):
+        print(row)
     problems = verdict(results)
     for problem in problems:
         print(f"e2e_pairs: {problem}")
