@@ -10,7 +10,8 @@ interoperability layer Savanna executes.
 - :mod:`repro.cheetah.parameters` — parameter types (list, range, linspace,
   derived) and the cartesian-product sweep.
 - :mod:`repro.cheetah.campaign` — Campaign / SweepGroup / Sweep / AppSpec.
-- :mod:`repro.cheetah.manifest` — the JSON campaign manifest (round-trip).
+- :mod:`repro.cheetah.manifest` — the JSON campaign manifest (round-trip)
+  and its run table.
 - :mod:`repro.cheetah.directory` — the on-disk campaign end-point schema
   with hidden metadata, run directories, and status files.
 """
@@ -24,7 +25,13 @@ from repro.cheetah.parameters import (
     DerivedParameter,
 )
 from repro.cheetah.campaign import AppSpec, Sweep, SweepGroup, Campaign
-from repro.cheetah.manifest import CampaignManifest, RunSpec, manifest_to_json, manifest_from_json
+from repro.cheetah.manifest import (
+    CampaignManifest,
+    RunSpec,
+    RunTable,
+    manifest_to_json,
+    manifest_from_json,
+)
 from repro.cheetah.directory import CampaignDirectory, RunStatus, resolve_campaign_dir
 from repro.cheetah.objectives import Objective, Direction, standard_objectives
 from repro.cheetah.catalog import CampaignCatalog, RunRecord
@@ -42,6 +49,7 @@ __all__ = [
     "Campaign",
     "CampaignManifest",
     "RunSpec",
+    "RunTable",
     "manifest_to_json",
     "manifest_from_json",
     "CampaignDirectory",

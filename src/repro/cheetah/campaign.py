@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro._util import check_positive
-from repro.cheetah.manifest import CampaignManifest, RunSpec
+from repro.cheetah.manifest import CampaignManifest, RunTable
 from repro.cheetah.parameters import DerivedParameter, ParameterError, SweepParameter
 from repro.metadata.provenance import CampaignContext
 from repro.observability import CAMPAIGN_COMPOSED
@@ -199,28 +199,22 @@ class Campaign:
         first provenance-relevant act of a study, so it belongs on the
         same stream the execution layers write to.
         """
-        runs: list[RunSpec] = []
+        ids, groups, parameters = [], [], []
         groups_meta = []
         for group in self.groups:
-            count = 0
-            for config in group.configurations():
-                runs.append(
-                    RunSpec(
-                        run_id=f"{group.name}/run-{count:04d}",
-                        group=group.name,
-                        parameters=dict(config),
-                        nodes=self.app.nodes_per_run,
-                    )
-                )
-                count += 1
+            configs = list(group.configurations())
+            ids += [f"{group.name}/run-{count:04d}" for count in range(len(configs))]
+            groups += itertools.repeat(group.name, len(configs))
+            parameters += configs
             groups_meta.append(
                 {
                     "name": group.name,
                     "nodes": group.nodes,
                     "walltime": group.walltime,
-                    "runs": count,
+                    "runs": len(configs),
                 }
             )
+        runs = RunTable._from_rows(ids, groups, parameters, [self.app.nodes_per_run] * len(ids))
         if bus is not None:
             bus.emit(
                 CAMPAIGN_COMPOSED,
@@ -234,6 +228,6 @@ class Campaign:
             executable=self.app.executable,
             objective=self.objective,
             groups=tuple(groups_meta),
-            runs=tuple(runs),
+            runs=runs,
             metadata=dict(self.metadata),
         )

@@ -114,8 +114,7 @@ class CampaignDirectory:
         status_path = meta / "status.json"
         with path_lock(status_path):
             if not status_path.exists():
-                run_ids = (run.run_id for run in self.manifest.runs)
-                self._write_status(dict.fromkeys(run_ids, RunStatus.PENDING.value))
+                self._write_status(dict.fromkeys(self.manifest.runs.ids, RunStatus.PENDING.value))
         return self.root
 
     @classmethod
@@ -228,7 +227,7 @@ class CampaignDirectory:
         """The manifest's run ids, cached (membership checks are O(1)
         even for very large campaigns)."""
         if self._run_ids is None:
-            self._run_ids = frozenset(run.run_id for run in self.manifest.runs)
+            self._run_ids = frozenset(self.manifest.runs.ids)
         return self._run_ids
 
     # -- real-run outcomes ---------------------------------------------------

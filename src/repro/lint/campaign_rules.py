@@ -10,6 +10,8 @@ mid-allocation — unserviced debt surfaced before the node-hours burn.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.lint.findings import Severity
 from repro.lint.rules import REGISTRY, rule
 from repro.skel.templates import Template, TemplateError
@@ -34,8 +36,9 @@ def _template_variables(text: str) -> set | None:
     "on nothing; an over-aggressive sweep filter is the usual cause.",
 )
 def empty_group(manifest, ctx):
+    present = [seg.group for seg in manifest.runs.segments]
     for group in manifest.groups:
-        if not manifest.runs_in_group(group["name"]):
+        if group["name"] not in present:
             yield (
                 "expands to zero runs (all sweep points pruned or no sweeps added)",
                 f"group {group['name']!r}",
@@ -52,16 +55,34 @@ def empty_group(manifest, ctx):
     "two overlapping sweeps in one group.",
 )
 def duplicate_sweep_point(manifest, ctx):
-    seen: dict[tuple, object] = {}
-    for run in manifest.runs:
-        key = (run.group, tuple(sorted((k, repr(v)) for k, v in run.parameters.items())))
-        if key in seen:
-            yield (
-                f"parameters {run.parameters} duplicate run {seen[key].run_id!r}",
-                f"group {run.group!r}: run {run.run_id!r}",
-            )
-        else:
-            seen[key] = run
+    table = manifest.runs
+    classes: dict[tuple, list] = {}  # (group, name set) -> its segments
+    for seg in table.segments:
+        classes.setdefault((seg.group, frozenset(seg.names)), []).append(seg)
+    duplicates = []  # (row, row of the first run with its point)
+    for segments in classes.values():
+        rows = list(chain.from_iterable(range(seg.start, seg.stop) for seg in segments))
+        # A point is the repr of each value in sorted name order, so 1,
+        # 1.0 and True stay distinct.
+        reprs = []
+        for name in sorted(segments[0].names):
+            values = (seg.columns[seg.names.index(name)] for seg in segments)
+            reprs.append(list(map(repr, chain.from_iterable(values))))
+        keys = list(zip(*reprs)) if reprs else [()] * len(rows)
+        if len(set(keys)) == len(keys):
+            continue
+        first: dict = {}
+        for row, key in zip(rows, keys):
+            if key in first:
+                duplicates.append((row, first[key]))
+            else:
+                first[key] = row
+    for row, earlier in sorted(duplicates):
+        run = table[row]
+        yield (
+            f"parameters {run.parameters} duplicate run {table.ids[earlier]!r}",
+            f"group {run.group!r}: run {run.run_id!r}",
+        )
 
 
 @rule(
@@ -75,14 +96,18 @@ def duplicate_sweep_point(manifest, ctx):
 )
 def run_oversubscribes_group(manifest, ctx):
     envelopes = {g["name"]: g["nodes"] for g in manifest.groups}
-    for run in manifest.runs:
-        envelope = envelopes.get(run.group)
-        if envelope is not None and run.nodes > envelope:
-            yield (
-                f"needs {run.nodes} nodes but group {run.group!r} requests "
-                f"only {envelope}",
-                f"run {run.run_id!r}",
-            )
+    table = manifest.runs
+    for seg in table.segments:
+        envelope = envelopes.get(seg.group)
+        if envelope is None or max(table.widths[seg.start : seg.stop]) <= envelope:
+            continue
+        for i in range(seg.start, seg.stop):
+            if table.widths[i] > envelope:
+                yield (
+                    f"needs {table.widths[i]} nodes but group {seg.group!r} requests "
+                    f"only {envelope}",
+                    f"run {table.ids[i]!r}",
+                )
 
 
 @rule(
@@ -116,12 +141,9 @@ def group_exceeds_cluster(manifest, ctx):
     "treat uniformly — the classic cross-sweep composition slip.",
 )
 def inconsistent_parameters(manifest, ctx):
-    by_group: dict[str, dict[frozenset, str]] = {}
-    for run in manifest.runs:
-        shapes = by_group.setdefault(run.group, {})
-        shape = frozenset(run.parameters)
-        if shape not in shapes:
-            shapes[shape] = run.run_id
+    by_group: dict[str, set] = {}
+    for seg in manifest.runs.segments:
+        by_group.setdefault(seg.group, set()).add(frozenset(seg.names))
     for group, shapes in sorted(by_group.items()):
         if len(shapes) > 1:
             listed = sorted(tuple(sorted(s)) for s in shapes)
@@ -151,8 +173,8 @@ def undefined_template_parameter(manifest, ctx):
     if not variables:
         return
     by_group: dict[str, set] = {}
-    for run in manifest.runs:
-        by_group.setdefault(run.group, set()).update(run.parameters)
+    for seg in manifest.runs.segments:
+        by_group.setdefault(seg.group, set()).update(seg.names)
     for group in manifest.groups:
         known = by_group.get(group["name"], set()) | {"run_id", "group"}
         missing = sorted(variables - known)

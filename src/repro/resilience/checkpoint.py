@@ -90,6 +90,22 @@ _OUTCOME_TO_STATUS = {
 }
 
 
+#: Each status value -> its ``RunStatus``.
+_STATUS = {s.value: s for s in RunStatus}
+
+
+def _check_values(values) -> None:
+    """Raise ``ValueError``, as ``RunStatus(value)`` does, at the first
+    of ``values`` outside the status vocabulary."""
+    try:
+        if _STATUS.keys() >= set(values):
+            return
+    except TypeError:  # an unhashable value: let RunStatus name it
+        pass
+    for value in values:
+        RunStatus(value)
+
+
 def _journal_line(run_id: str, status: str, time) -> str:
     """``json.dumps({"run": run_id, "status": status, "time": time}) + "\\n"``.
 
@@ -258,14 +274,25 @@ class CampaignCheckpoint:
         a concurrent compaction just folded into the new one.  A reader
         that may not open the lock file (a read-only mount, an archived
         or another user's campaign directory) reads unlocked instead."""
+        return {run_id: _STATUS[value] for run_id, value in self._status_values().items()}
+
+    def _status_values(self) -> dict:
+        """:meth:`effective_status` as ``{run_id: status value}``, the
+        strings ``status.json`` and the journal hold.
+
+        A value outside the status vocabulary raises ``ValueError``, as
+        ``RunStatus(value)`` does: the base record's values first, then
+        the journal's."""
         with ExitStack() as stack:
             try:
                 stack.enter_context(path_lock(self.directory._status_path()))
             except OSError:  # no write access to .cheetah/
                 pass
-            status = self.directory.read_status()
+            status = json.loads(self.directory._status_path().read_text())
             journaled = self._journaled()
-        status.update((run_id, RunStatus(value)) for run_id, value in journaled.items())
+        _check_values(status.values())
+        _check_values(journaled.values())
+        status.update(journaled)
         return status
 
     def completed(self) -> set:

@@ -203,8 +203,10 @@ class _PendingWork:
     """Output of the resume-resolution stage: exactly what is left to run.
 
     ``sub`` is the input manifest narrowed to one group and (with
-    ``resume=True``) to the runs not yet durably DONE; ``skipped`` is how
-    many the journal let us skip (reported via ``group.resumed``).
+    ``resume=True``) to the runs not yet durably DONE, its runs a
+    :meth:`~repro.cheetah.manifest.RunTable.take` of the input's table;
+    ``skipped`` is how many the journal let us skip (reported via
+    ``group.resumed``).
     """
 
     checkpoint: CampaignCheckpoint | None
@@ -224,26 +226,30 @@ def _resolve_pending(
     Constructs the write-ahead :class:`~repro.resilience.CampaignCheckpoint`
     over the campaign directory and — when resuming — overlays the
     journal on the base status record to drop every run already
-    recorded DONE.  This is the drive's one resume path, for every
-    backend and every campaign-service submission.
+    recorded DONE.  The pending set is a list of the group's rows in the
+    manifest's run table, and the statuses are read as their values:
+    an unknown status raises ``ValueError``, as ``RunStatus(value)``
+    does, and a run missing from the record raises ``KeyError``.
+    This is the drive's one resume path, for every backend and every
+    campaign-service submission.
     """
     meta = manifest.group_meta(group)
-    selected = manifest.runs_in_group(group)
+    table = manifest.runs
+    rows = table.rows_of(group)
     checkpoint = None
     skipped = 0
     if directory is not None:
         checkpoint = CampaignCheckpoint(directory)
         if resume:
-            status = checkpoint.effective_status()
-            before = len(selected)
-            selected = tuple(
-                r for r in selected if status[r.run_id] is not RunStatus.DONE
-            )
-            skipped = before - len(selected)
+            status, ids = checkpoint._status_values(), table.ids
+            done = RunStatus.DONE.value  # bound once: ``.value`` is a descriptor call
+            pending = [i for i in rows if status[ids[i]] != done]
+            skipped = len(rows) - len(pending)
+            rows = pending
     sub = CampaignManifest(
         campaign=manifest.campaign,
         app=manifest.app,
-        runs=selected,
+        runs=table.take(rows),
         executable=manifest.executable,
         objective=manifest.objective,
         groups=(dict(meta),),

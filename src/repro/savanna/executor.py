@@ -4,8 +4,11 @@ manifest→task mapping.
 A simulated executor consumes :class:`~repro.cluster.job.Task` objects.
 Campaign manifests carry parameters, not durations — durations belong to
 the *application* — so :func:`tasks_from_manifest` takes a
-:class:`DurationModel` mapping parameters to nominal run seconds.  Real
-backends consume the manifest itself; their one engine,
+:class:`DurationModel` mapping parameters to nominal run seconds.  It
+reads the manifest's run table row by row (id, width, parameters), and
+a task's ``payload`` is its run's read-only parameters mapping, shared
+with the manifest rather than copied.  Real backends consume the
+manifest itself; their one engine,
 :class:`~repro.savanna.realexec.RealExecutor`, defines their contract.
 """
 
@@ -25,22 +28,16 @@ class DurationModel(Protocol):
 
 
 def tasks_from_manifest(manifest, duration_model: Callable[[dict], float]) -> list[Task]:
-    """Materialize executor tasks for every run in a campaign manifest."""
+    """Materialize executor tasks, one per row of the manifest's run
+    table; a task's ``payload`` is its row's parameters mapping, not a
+    copy."""
+    table = manifest.runs
     tasks = []
-    for run in manifest.runs:
-        duration = float(duration_model(run.parameters))
+    for run_id, nodes, parameters in zip(table.ids, table.widths, table.parameters):
+        duration = float(duration_model(parameters))
         if duration <= 0:
-            raise ValueError(
-                f"duration model returned {duration} for run {run.run_id!r}"
-            )
-        tasks.append(
-            Task(
-                name=run.run_id,
-                duration=duration,
-                nodes=run.nodes,
-                payload=dict(run.parameters),
-            )
-        )
+            raise ValueError(f"duration model returned {duration} for run {run_id!r}")
+        tasks.append(Task(run_id, duration, nodes, parameters))
     return tasks
 
 

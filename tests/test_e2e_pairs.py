@@ -1,7 +1,7 @@
 """The paired-run tool's tally (``tools/e2e_pairs.py``): quartiles, the
 change's wins with ties counting for neither side, each metric's
-standing against its bound, the split of the pairs by run order, and
-the exit status."""
+standing against its bound, the split of the pairs by run order, the
+exit status, and its even default pair count."""
 
 import importlib.util
 import sys
@@ -112,3 +112,13 @@ def test_order_split_follows_which_side_ran_first():
 def test_order_split_of_one_pair_has_no_change_first_median():
     (row,) = tool.order_split(METRICS[:1], [_result(10.0, 0.5)], [_result(10.0, 0.5)])
     assert row.endswith("parent first +0.0% (n=1)  change first n/a (n=0)")
+
+
+def test_pairs_default_to_an_even_count_and_an_odd_count_is_named():
+    args = tool.parser().parse_args(["--parent", ".", "--workload", "sim-campaign"])
+    assert args.pairs == 6 and tool.uneven_orders(args.pairs) == ""
+    assert tool.uneven_orders(2) == ""
+    assert tool.uneven_orders(5) == (
+        "e2e_pairs: an odd pair count (5): the parent-first order runs one "
+        "more pair than the change-first order"
+    )

@@ -264,9 +264,11 @@ class TestEngine:
     def test_unpicklable_parameter_is_named(self):
         import threading
 
-        man = make_manifest(values=(1,), name="bad-param")
-        for run in man.runs:
-            run.parameters["lock"] = threading.Lock()
+        camp = Campaign("bad-param", app=AppSpec("square"))
+        camp.sweep_group("g", nodes=1, walltime=60.0).add(
+            Sweep([SweepParameter("x", (1,)), SweepParameter("lock", (threading.Lock(),))])
+        )
+        man = camp.to_manifest()
         with pytest.raises(TypeError, match=r"'lock' \(_thread\.lock\)"):
             RealExecutor(max_workers=1, pool="processes").execute(man, square)
         # threads need no pickling: the same campaign runs fine

@@ -51,11 +51,8 @@ def app(params):
 def make_manifest(name, n=4, sleep=0.005):
     camp = Campaign(name, app=AppSpec("service-app"))
     sg = camp.sweep_group("g", nodes=2, walltime=600.0)
-    sg.add(Sweep([SweepParameter("x", range(n))]))
-    manifest = camp.to_manifest()
-    for run in manifest.runs:
-        run.parameters["sleep"] = sleep
-    return manifest
+    sg.add(Sweep([SweepParameter("x", range(n)), SweepParameter("sleep", [sleep])]))
+    return camp.to_manifest()
 
 
 async def wait_for(predicate, timeout=10.0, interval=0.01):

@@ -46,11 +46,8 @@ def app(params):
 def make_manifest(name, n=4, sleep=0.005):
     camp = Campaign(name, app=AppSpec("telemetry-app"))
     sg = camp.sweep_group("g", nodes=2, walltime=600.0)
-    sg.add(Sweep([SweepParameter("x", range(n))]))
-    manifest = camp.to_manifest()
-    for run in manifest.runs:
-        run.parameters["sleep"] = sleep
-    return manifest
+    sg.add(Sweep([SweepParameter("x", range(n)), SweepParameter("sleep", [sleep])]))
+    return camp.to_manifest()
 
 
 def drive_lifecycle(bus, submission="sub-0000", tenant="lab", backend="bk",

@@ -11,10 +11,12 @@ trees, each with its own ``e2ebench/``, ``src/`` and ``BENCHMARK.json``;
 benchmark snapshots (``git archive``), not a tree being edited.  Each
 pair runs both sides once, each in a fresh process, the parent first in
 even pairs and the change first in odd ones, so a drift of the host
-hits both sides alike.  A run calls ``e2ebench.run.run_workload`` of its
-own tree in process, with its work and output directories in a fresh
-directory under ``--workdir`` (default ``/dev/shm``), so no mount is
-made; the directory is removed afterwards.
+hits both sides alike.  ``--pairs`` defaults to 6, an even count; an
+odd count is named in one line before the first pair, since its extra
+pair runs the parent first.  A run calls ``e2ebench.run.run_workload``
+of its own tree in process, with its work and output directories in a
+fresh directory under ``--workdir`` (default ``/dev/shm``), so no mount
+is made; the directory is removed afterwards.
 
 For each end-to-end metric of ``BENCHMARK.json`` the table gives each
 side's median and quartiles, the change of the median, and in how many
@@ -165,16 +167,35 @@ def verdict(results: dict) -> list:
     return problems
 
 
-def main(argv=None) -> int:
+def parser() -> argparse.ArgumentParser:
+    """The command line.  ``--pairs`` defaults to an even count, so each
+    run order gets as many pairs as the other."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, type=Path, help="the parent's source tree")
     parser.add_argument("--change", default=ROOT, type=Path, help="the change's source tree")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=6)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workdir", default="/dev/shm", help="where the runs' directories go")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def uneven_orders(pairs: int) -> str:
+    """The line that warns of an odd pair count, or ``""``: the parent
+    runs first in even pairs, so it gets the extra one."""
+    if pairs % 2 == 0:
+        return ""
+    return (
+        f"e2e_pairs: an odd pair count ({pairs}): the parent-first order runs one "
+        "more pair than the change-first order"
+    )
+
+
+def main(argv=None) -> int:
+    args = parser().parse_args(argv)
+    if uneven_orders(args.pairs):
+        print(uneven_orders(args.pairs), flush=True)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results: dict = {"parent": [], "change": []}

@@ -31,7 +31,7 @@ import sys
 import time
 import urllib.request
 
-from repro.cheetah import AppSpec, Campaign, RangeParameter, Sweep
+from repro.cheetah import AppSpec, Campaign, RangeParameter, Sweep, SweepParameter
 from repro.savanna import CampaignService, SubmissionState
 
 #: metric_name{optional labels} value  — Prometheus text format 0.0.4.
@@ -48,10 +48,8 @@ def app(params):
 def make_manifest(name: str, runs: int, sleep: float):
     campaign = Campaign(name, app=AppSpec("smoke-app"))
     group = campaign.sweep_group("g", nodes=2, walltime=600.0)
-    group.add(Sweep([RangeParameter("x", 0, runs - 1)]))
-    for run in (manifest := campaign.to_manifest()).runs:
-        run.parameters["sleep"] = sleep
-    return manifest
+    group.add(Sweep([RangeParameter("x", 0, runs - 1), SweepParameter("sleep", [sleep])]))
+    return campaign.to_manifest()
 
 
 def scrape(address: str, route: str) -> tuple[str, str]:
