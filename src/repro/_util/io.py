@@ -40,8 +40,8 @@ def atomic_write_text(path: Path, text: str, fsync: bool = True) -> Path:
     atomic rename), is flushed and — by default — fsynced, and only then
     renamed over the destination.  ``fsync=False`` trades the
     power-loss guarantee for speed (crash-of-the-*process* safety is
-    retained either way); benchmarks use it for the measured baseline,
-    the campaign metadata writers do not.
+    retained either way); every campaign metadata writer keeps the
+    default, and only the crash-safety tests pass ``fsync=False``.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(

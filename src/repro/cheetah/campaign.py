@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro._util import check_positive
-from repro.cheetah.manifest import CampaignManifest, RunTable
+from repro.cheetah.manifest import CampaignManifest, RunTable, node_width
 from repro.cheetah.parameters import DerivedParameter, ParameterError, SweepParameter
 from repro.metadata.provenance import CampaignContext
 from repro.observability import CAMPAIGN_COMPOSED
@@ -23,7 +23,11 @@ from repro.observability import CAMPAIGN_COMPOSED
 
 @dataclass(frozen=True)
 class AppSpec:
-    """The science application a campaign drives."""
+    """The science application a campaign drives.
+
+    ``nodes_per_run`` is a whole number of nodes >= 1 (a numpy integer
+    is taken as its ``int``), checked here by the manifest's width rule.
+    """
 
     name: str
     executable: str = ""
@@ -31,7 +35,9 @@ class AppSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        check_positive("nodes_per_run", self.nodes_per_run)
+        object.__setattr__(
+            self, "nodes_per_run", node_width(self.nodes_per_run, "nodes_per_run")
+        )
 
 
 class Sweep:

@@ -14,20 +14,28 @@ Layout::
       <group>/run-NNNN/params.json  # the run's parameters (exported view)
       <group>/run-NNNN/result.json  # the run's outcome (exported view)
 
-:meth:`CampaignDirectory.create` writes only the two ``.cheetah/``
-records a drive needs, ``manifest.json`` and ``status.json``, so a fresh
-end point costs the same for ten runs or a million.  A run's directory
-appears when something writes into it: :meth:`~CampaignDirectory.write_run_result`,
-or ``python -m repro.store export``, which writes every run's
-``params.json`` (regenerated from ``manifest.json``) beside the
-``result.json`` files.  The per-run hierarchy of §IV is that exported
-view.
+:meth:`CampaignDirectory.create` writes only ``.cheetah/manifest.json``,
+so a fresh end point costs the same for ten runs or a million.
+``status.json`` appears with the first status write, and a run's
+directory when something writes into it:
+:meth:`~CampaignDirectory.write_run_result`, or ``python -m repro.store
+export``, which writes every run's ``params.json`` (regenerated from
+``manifest.json``) beside the ``result.json`` files.  The per-run
+hierarchy of §IV is that exported view.
 
-Status is the machine-actionable face of "users may simply re-submit a
-partially completed SweepGroup ... to continue execution" (§V-D).  The
-status queries (:meth:`CampaignDirectory.pending_runs`, ``runs_where``,
-``summary``) read ``status.json`` overlaid with the journal, as resume
-does; :meth:`CampaignDirectory.read_status` is the compacted record alone.
+**The run-status record.**  Status is the machine-actionable face of
+"users may simply re-submit a partially completed SweepGroup ... to
+continue execution" (§V-D).  This module owns that record: it reads and
+writes ``status.json``, formats and parses the lines of the
+write-ahead ``journal.jsonl`` (:func:`journal_line`), cuts a torn final
+line, takes the overlay snapshot resume trusts
+(:meth:`CampaignDirectory.effective_status`) and folds the journal into
+``status.json`` (:meth:`CampaignDirectory.fold_journal`).
+:class:`~repro.resilience.CampaignCheckpoint` only appends the lines
+and asks for the fold.  Without ``status.json`` every run reads
+PENDING; the first status write names every run.  The status queries
+(``pending_runs``, ``runs_where``, ``summary``) read the overlay;
+:meth:`CampaignDirectory.read_status` is the compacted record alone.
 
 **Durability.** Every ``.cheetah/`` metadata file and per-run record is
 written atomically (temp file + fsync + ``os.replace`` — see
@@ -35,9 +43,11 @@ written atomically (temp file + fsync + ``os.replace`` — see
 never leave torn JSON behind, and the read-modify-write cycles on
 ``status.json`` are serialized per directory (:func:`repro._util.path_lock`)
 so concurrent campaign-service submissions cannot drop each other's
-status transitions.  When a campaign-result store
-(:mod:`repro.store`) has been materialized at ``.cheetah/store.sqlite``,
-status updates and reports are mirrored into it and
+status transitions.  Journal lines are not fsynced: they survive the
+death of the driver process, not of the machine.  When a
+campaign-result store (:mod:`repro.store`) has been materialized at
+``.cheetah/store.sqlite``, status updates (under the same lock) and
+reports are mirrored into it and
 :meth:`CampaignDirectory.read_run_result` reads outcomes from it, not
 from the ``result.json`` exports — the store is the durable record at
 scale.
@@ -59,7 +69,11 @@ from __future__ import annotations
 
 import enum
 import json
+import os
+from contextlib import ExitStack
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 from repro._util import atomic_write_text, loads_tagged, path_lock, tagged_default
@@ -75,8 +89,117 @@ class RunStatus(enum.Enum):
     FAILED = "failed"
 
 
-#: Each status, and each status's value, -> the value ``status.json`` holds.
+#: Each status value -> its ``RunStatus``.
+_STATUS = {s.value: s for s in RunStatus}
+#: Each status, and each status's value, -> the value the record holds.
 _STATUS_VALUE = {s: s.value for s in RunStatus} | {s.value: s.value for s in RunStatus}
+_PENDING, _RUNNING = RunStatus.PENDING.value, RunStatus.RUNNING.value
+
+
+def _check_values(values) -> None:
+    """Raise ``ValueError``, as ``RunStatus(value)`` does, at the first
+    of ``values`` outside the status vocabulary."""
+    try:
+        if _STATUS.keys() >= set(values):
+            return
+    except TypeError:  # an unhashable value: let RunStatus name it
+        pass
+    for value in values:
+        RunStatus(value)
+
+
+def journal_line(run_id: str, status: str, time) -> str:
+    """``json.dumps({"run": run_id, "status": status, "time": time}) + "\\n"``:
+    one journal line, for the status value ``status``.
+
+    A finite ``float`` time, the case every bus event carries, is spelled
+    the way ``json`` spells it (its ``repr``) without the call into the
+    encoder; ``None``, other types (float subclasses included) and
+    non-finite floats go through ``json.dumps`` itself.
+    """
+    if type(time) is float and isfinite(time):
+        return (
+            f'{{"run": {encode_basestring_ascii(run_id)}, "status": "{status}", '
+            f'"time": {time!r}}}\n'
+        )
+    return json.dumps({"run": run_id, "status": status, "time": time}) + "\n"
+
+
+#: The one decoder every journal read goes through; its C scanner
+#: parses a whole line in one call.
+_DECODER = json.JSONDecoder()
+
+
+def _journal_entries(path: Path):
+    """Yield the journal's parsed lines in append order, decoding each
+    as it is read: neither the file's text nor a list of its entries is
+    ever held whole.
+
+    A driver killed hard (SIGKILL, OOM) can die *mid-write*, leaving the
+    final line truncated; that line is dropped rather than poisoning
+    resume, and every complete line before it is still trusted.  A
+    malformed line anywhere *else* is a real corruption and raises.
+    Blank lines are skipped.
+    """
+    scan, decode = _DECODER.scan_once, _DECODER.decode
+    try:
+        fh = path.open()
+    except FileNotFoundError:  # never written, or compacted away
+        return
+    torn = None  # a malformed line's error: raised if another line follows
+    with fh:
+        for line in fh:
+            try:
+                entry, end = scan(line, 0)
+                whole = line[end:] == "\n"  # one value, then the newline
+            except (StopIteration, ValueError):
+                whole = False
+            if not whole:  # blank, padded, unterminated or malformed
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entry = decode(line)
+                except ValueError as exc:
+                    if torn is not None:
+                        raise torn
+                    torn = exc
+                    continue
+            if torn is not None:
+                raise torn
+            yield entry
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """End ``path`` with a newline before appending (no-op if it does).
+
+    A driver killed mid-write leaves a final line without its newline;
+    appending to it would glue the next line onto the fragment and turn
+    a droppable torn tail into an interior line that does not parse.  A
+    fragment is cut back to the last newline.  A final line that parses,
+    one that lost only its newline (a batch reaches the OS in
+    buffer-sized chunks, which can end anywhere), is kept and
+    terminated: readers already trust it.
+    """
+    try:
+        fh = path.open("r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) != b"\n":
+            fh.seek(0)
+            text = fh.read()
+            start = text.rfind(b"\n") + 1
+            try:
+                _DECODER.decode(text[start:].decode().strip())
+            except ValueError:
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
 
 
 class CampaignDirectory:
@@ -94,9 +217,9 @@ class CampaignDirectory:
     def create(self) -> Path:
         """Materialize the end point's metadata; idempotent for same manifest.
 
-        Writes ``.cheetah/manifest.json`` and, the first time,
-        ``.cheetah/status.json`` with every run PENDING.  No per-run
-        directory is made here: see the module docstring.
+        Writes ``.cheetah/manifest.json`` only: ``status.json`` appears
+        with the first status write, and no per-run directory is made
+        here (see the module docstring).
         """
         meta = self.root / self.METADATA_DIR
         meta.mkdir(parents=True, exist_ok=True)
@@ -111,10 +234,6 @@ class CampaignDirectory:
                     f"campaign directory {self.root} already holds a different manifest"
                 )
         atomic_write_text(manifest_path, text)
-        status_path = meta / "status.json"
-        with path_lock(status_path):
-            if not status_path.exists():
-                self._write_status(dict.fromkeys(self.manifest.runs.ids, RunStatus.PENDING.value))
         return self.root
 
     @classmethod
@@ -129,28 +248,96 @@ class CampaignDirectory:
         obj._run_ids = None
         return obj
 
-    # -- status --------------------------------------------------------------
+    # -- the run-status record -----------------------------------------------
 
     def _status_path(self) -> Path:
         return self.root / self.METADATA_DIR / "status.json"
 
-    def _write_status(self, status: dict) -> None:
-        atomic_write_text(self._status_path(), json.dumps(status, sort_keys=True))
+    def journal_path(self) -> Path:
+        """Where the write-ahead journal of status transitions lives."""
+        return self.root / self.METADATA_DIR / "journal.jsonl"
+
+    def _stored(self) -> dict:
+        """``status.json`` as ``{run_id: status value}``; every run
+        PENDING before the first status write.
+
+        A value outside the status vocabulary raises ``ValueError``, as
+        ``RunStatus(value)`` does, and a record that does not name one of
+        the manifest's runs raises ``KeyError``.
+        """
+        try:
+            text = self._status_path().read_text()
+        except FileNotFoundError:
+            return dict.fromkeys(self.manifest.runs.ids, _PENDING)
+        stored = json.loads(text)
+        _check_values(stored.values())
+        if not stored.keys() >= self.run_ids:
+            missing = next(r for r in self.manifest.runs.ids if r not in stored)
+            raise KeyError(f"{self._status_path()} does not name run {missing!r}")
+        return stored
+
+    def _journaled(self) -> dict:
+        """``{run_id: status value}`` from the journal, later lines winning."""
+        return {entry["run"]: entry["status"] for entry in _journal_entries(self.journal_path())}
 
     def read_status(self) -> dict:
         """``{run_id: RunStatus}`` for every run, as compacted into
         ``status.json`` (journal entries not yet folded in are not seen)."""
-        raw = json.loads(self._status_path().read_text())
-        return {run_id: RunStatus(value) for run_id, value in raw.items()}
+        return {run_id: _STATUS[value] for run_id, value in self._stored().items()}
 
-    def _effective_status(self) -> dict:
-        """Statuses as resume reads them: ``status.json`` overlaid with
-        the write-ahead journal (see
-        :meth:`~repro.resilience.checkpoint.CampaignCheckpoint.effective_status`)."""
-        # Deferred: the checkpoint module imports this one.
-        from repro.resilience.checkpoint import CampaignCheckpoint
+    def effective_status(self) -> dict:
+        """``{run_id: RunStatus}``: ``status.json`` overlaid with the
+        journal (later lines win).  This is what resume must trust.
 
-        return CampaignCheckpoint(self).effective_status()
+        Both files are read under the ``status.json`` lock
+        :meth:`fold_journal` holds, so the pair is one snapshot, never
+        the old base record without the journal just folded into the
+        new one.  A reader that may not open the lock file (a read-only
+        or another user's directory) reads unlocked instead.
+        """
+        with ExitStack() as stack:
+            try:
+                stack.enter_context(path_lock(self._status_path()))
+            except OSError:  # no write access to .cheetah/
+                pass
+            status = self._stored()
+            journaled = self._journaled()
+        _check_values(journaled.values())
+        status.update(journaled)
+        return {run_id: _STATUS[value] for run_id, value in status.items()}
+
+    def open_journal(self):
+        """The journal, opened for appending (text mode), its torn final
+        line (a driver killed mid-write) cut off first."""
+        path = self.journal_path()
+        _cut_torn_tail(path)
+        return path.open("a")
+
+    def journal_entries(self) -> list[dict]:
+        """Parsed journal lines, in append order (empty if no journal);
+        a torn final line is dropped, a malformed interior line raises."""
+        return list(_journal_entries(self.journal_path()))
+
+    def fold_journal(self) -> None:
+        """Fold the journal into ``status.json`` and delete it.
+
+        A run interrupted while RUNNING folds to PENDING: an in-flight
+        attempt whose outcome was never journaled must be re-queued, not
+        trusted.  The fold is one :meth:`update_status` of the journal's
+        status strings, under the ``status.json`` lock from the journal
+        read to the delete.  The caller keeps writers off the journal
+        meanwhile (the checkpoint's writer slot does).
+        """
+        with path_lock(self._status_path()):
+            journaled = self._journaled()
+            if journaled:
+                self.update_status(  # re-enters the lock
+                    {
+                        run_id: _PENDING if value == _RUNNING else value
+                        for run_id, value in journaled.items()
+                    }
+                )
+            self.journal_path().unlink(missing_ok=True)
 
     def set_status(self, run_id: str, status: RunStatus) -> None:
         """Record one run's status (read-modify-write, locked per directory)."""
@@ -166,12 +353,14 @@ class CampaignDirectory:
         The read-modify-write cycle runs under the per-directory lock
         (:func:`repro._util.path_lock`), so two concurrent submissions
         sharing a campaign directory serialize instead of silently
-        dropping each other's transitions; the final write is atomic.
-        When the campaign's result store has been materialized, the
-        statuses are mirrored into it as well.
+        dropping each other's transitions; the write is atomic and names
+        every run (the first one writes ``status.json``).  When the
+        campaign's result store has been materialized, the statuses are
+        mirrored into it under the same lock, so the store's last write
+        of a run is ``status.json``'s.
         """
         with path_lock(self._status_path()):
-            current = json.loads(self._status_path().read_text())
+            current = self._stored()
             for run_id, status in updates.items():
                 if run_id not in current:
                     raise KeyError(f"unknown run_id {run_id!r}")
@@ -179,12 +368,14 @@ class CampaignDirectory:
                 if value is None:
                     raise ValueError(f"{status!r} is not a valid RunStatus")
                 current[run_id] = value
-            self._write_status(current)
-        self._mirror_status(updates)
+            atomic_write_text(self._status_path(), json.dumps(current, sort_keys=True))
+            if self.store_path().exists():
+                with self.open_store() as store:
+                    store.set_statuses(self.manifest.campaign, updates)
 
     def pending_runs(self, group: str | None = None) -> tuple:
         """RunSpecs not yet DONE (FAILED counts as pending for resubmission)."""
-        status = self._effective_status()
+        status = self.effective_status()
         out = []
         for run in self.manifest.runs:
             if group is not None and run.group != group:
@@ -199,7 +390,7 @@ class CampaignDirectory:
 
         Example: ``directory.runs_where(status=RunStatus.FAILED, feature=7)``.
         """
-        statuses = self._effective_status()
+        statuses = self.effective_status()
         out = []
         for run in self.manifest.runs:
             if status is not None and statuses[run.run_id] is not status:
@@ -215,7 +406,7 @@ class CampaignDirectory:
     def summary(self) -> dict:
         """Counts by status — the campaign query API of §IV."""
         counts: dict[str, int] = {s.value: 0 for s in RunStatus}
-        for status in self._effective_status().values():
+        for status in self.effective_status().values():
             counts[status.value] += 1
         return counts
 
@@ -322,13 +513,6 @@ class CampaignDirectory:
         """
         with self.open_store() as store:
             store.record_run_results(self.manifest.campaign, results)
-
-    def _mirror_status(self, updates: dict) -> None:
-        """Mirror status transitions into the store, when one exists."""
-        if not self.store_path().exists():
-            return
-        with self.open_store() as store:
-            store.set_statuses(self.manifest.campaign, updates)
 
     # -- performance reports -------------------------------------------------
 

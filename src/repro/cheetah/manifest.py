@@ -62,12 +62,12 @@ class _Parameters(dict):
         return (type(self), (dict(self),))
 
 
-def _width(nodes, run_id=None) -> int:
-    """``nodes`` as a whole number of nodes >= 1.
+def node_width(nodes, what: str = "nodes") -> int:
+    """``nodes`` as a whole number of nodes >= 1: the width rule.
 
     Integers pass, and so does anything ``operator.index`` takes (numpy
-    integers); ``bool``, floats and strings raise, naming ``run_id``
-    when given.
+    integers); ``bool``, floats and strings raise a ``ValidationError``
+    that names the value as ``what``.
     """
     width = 0
     if not isinstance(nodes, bool):
@@ -76,8 +76,7 @@ def _width(nodes, run_id=None) -> int:
         except TypeError:
             pass
     if width < 1:
-        where = "" if run_id is None else f"run {run_id!r}: "
-        raise ValidationError(f"{where}nodes must be a whole number >= 1, got {nodes!r}")
+        raise ValidationError(f"{what} must be a whole number >= 1, got {nodes!r}")
     return width
 
 
@@ -95,7 +94,7 @@ class RunSpec:
     nodes: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", _width(self.nodes))
+        object.__setattr__(self, "nodes", node_width(self.nodes))
         if not self.run_id:
             raise ValueError("run_id must be non-empty")
         if type(self.parameters) is not _Parameters:
@@ -162,7 +161,7 @@ class RunTable(Sequence):
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate run_ids in manifest")
         if not (set(map(type, widths)) <= {int} and min(widths, default=1) >= 1):
-            widths = [_width(w, run_id) for run_id, w in zip(ids, widths)]
+            widths = [node_width(w, f"run {run_id!r}: nodes") for run_id, w in zip(ids, widths)]
         segments = []
         start = 0
         for (group, names), rows in groupby(zip(groups, map(tuple, parameters))):

@@ -19,7 +19,6 @@ from repro.cheetah.catalog import CampaignCatalog
 from repro.cheetah.directory import CampaignDirectory
 from repro.cheetah.manifest import manifest_to_json
 from repro.metadata.provenance import ExportPolicy, ProvenanceStore
-from repro.resilience.checkpoint import CampaignCheckpoint
 
 OBJECT_FORMAT_VERSION = "1.0"
 
@@ -53,8 +52,7 @@ def export_research_object(
 
     (dest / "manifest.json").write_text(manifest_to_json(manifest))
     # The status resume trusts: the compacted record overlaid with the journal.
-    effective = CampaignCheckpoint(directory).effective_status()
-    status = {run_id: s.value for run_id, s in effective.items()}
+    status = {run_id: s.value for run_id, s in directory.effective_status().items()}
     (dest / "status.json").write_text(json.dumps(status, indent=2, sort_keys=True))
 
     exported_count = 0

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cheetah.directory import CampaignDirectory, RunStatus, resolve_campaign_dir
+from repro.cheetah.directory import CampaignDirectory, resolve_campaign_dir
 from repro.cheetah.manifest import CampaignManifest
 from repro.cluster.cluster import SimulatedCluster
 from repro.lint.engine import CampaignLintError, lint_app_fn, lint_manifest, suppressions_of
@@ -224,14 +224,14 @@ def _resolve_pending(
     """Pipeline stage: the group's pending set and its checkpoint.
 
     Constructs the write-ahead :class:`~repro.resilience.CampaignCheckpoint`
-    over the campaign directory and — when resuming — overlays the
-    journal on the base status record to drop every run already
-    recorded DONE.  The pending set is a list of the group's rows in the
-    manifest's run table, and the statuses are read as their values:
-    an unknown status raises ``ValueError``, as ``RunStatus(value)``
-    does, and a run missing from the record raises ``KeyError``.
-    This is the drive's one resume path, for every backend and every
-    campaign-service submission.
+    over the campaign directory and — when resuming — drops every run
+    the record holds DONE (``status.json`` overlaid with the journal, as
+    :meth:`~repro.cheetah.directory.CampaignDirectory.effective_status`
+    reads it).  The pending set is a list of the group's rows in the
+    manifest's run table.  An unknown status raises ``ValueError``, as
+    ``RunStatus(value)`` does, and a ``status.json`` that does not name
+    a run raises ``KeyError``.  This is the drive's one resume path, for
+    every backend and every campaign-service submission.
     """
     meta = manifest.group_meta(group)
     table = manifest.runs
@@ -241,9 +241,8 @@ def _resolve_pending(
     if directory is not None:
         checkpoint = CampaignCheckpoint(directory)
         if resume:
-            status, ids = checkpoint._status_values(), table.ids
-            done = RunStatus.DONE.value  # bound once: ``.value`` is a descriptor call
-            pending = [i for i in rows if status[ids[i]] != done]
+            done, ids = checkpoint.completed(), table.ids
+            pending = [i for i in rows if ids[i] not in done]
             skipped = len(rows) - len(pending)
             rows = pending
     sub = CampaignManifest(

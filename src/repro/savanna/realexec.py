@@ -580,8 +580,8 @@ class RealExecutor:
         session; worker slots are its "nodes") wrapping one ``task`` span
         per attempt, plus ``task.retry`` / ``task.timeout`` instants —
         the exact taxonomy the checkpoint journal and the trace analytics
-        consume.  Raises ``ValueError`` on duplicate ``run_id``s rather
-        than silently keeping the last result.
+        consume.  Run ids are unique: the manifest's run table refused
+        duplicates when it was built.
 
         ``cancel`` is an optional external stop signal — a
         ``threading.Event`` or any zero-argument callable returning
@@ -599,15 +599,6 @@ class RealExecutor:
         echoes it back — the ``task`` END events carry the worker-
         round-tripped value, proving propagation into the pool.
         """
-        seen: set = set()
-        duplicates = sorted(
-            {r.run_id for r in manifest.runs if r.run_id in seen or seen.add(r.run_id)}
-        )
-        if duplicates:
-            raise ValueError(
-                f"duplicate run_ids in manifest (results would silently "
-                f"overwrite each other): {duplicates}"
-            )
         if bus is None:
             bus = EventBus(name="realexec")  # unobserved: emits are no-ops
         name = name or manifest.campaign
@@ -644,14 +635,15 @@ class RealExecutor:
         task_ids = itertools.count()
         tiebreak = itertools.count()
 
+        table = manifest.runs
         specs = [
             RealTaskSpec(
-                run_id=r.run_id,
-                parameters=dict(r.parameters),
-                seed=seed_for_run(self.seed, r.run_id),
+                run_id=run_id,
+                parameters=dict(parameters),
+                seed=seed_for_run(self.seed, run_id),
                 trace_id=trace_id,
             )
-            for r in manifest.runs
+            for run_id, parameters in zip(table.ids, table.parameters)
         ]
         pending: deque = deque(specs)
         delayed: list = []  # heap[(ready_at_monotonic, tiebreak, spec)]

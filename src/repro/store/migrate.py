@@ -12,9 +12,9 @@ inspection.
 The migration trusts exactly what resume trusts: run statuses are the
 base ``status.json`` *overlaid with the checkpoint journal* (later
 lines win), read through
-:class:`repro.resilience.CampaignCheckpoint` — so migrating a
-crashed-mid-campaign directory lands the same pending set a resumed
-driver would compute.
+:meth:`repro.cheetah.directory.CampaignDirectory.effective_status` — so
+migrating a crashed-mid-campaign directory lands the same pending set a
+resumed driver would compute.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ def ingest_directory(store, root: str | Path) -> dict:
     store.ensure_campaign(manifest)
 
     # Status: what resume would trust — base record + journal overlay.
-    from repro.resilience.checkpoint import CampaignCheckpoint
-
-    statuses = CampaignCheckpoint(directory).effective_status()
+    statuses = directory.effective_status()
     store.set_statuses(manifest.campaign, statuses)
 
     results = 0

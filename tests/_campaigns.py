@@ -13,7 +13,8 @@ and the lint gate must keep apart:
   (FAIR003);
 - parameter values of type ``int``, ``float`` (``-0.0``, ``1e16``,
   ``nan``, ``inf``), ``str`` (non-ASCII, quotes, backslashes, control
-  characters), ``bool``, ``None`` and short lists and dicts.
+  characters), ``bool``, ``None`` and short lists and dicts;
+- group walltimes drawn from ``walltimes`` (generous by default).
 
 Apart from the repeated sweeps, no two sweeps of a group can share a
 point: each sweep's first parameter takes ordinals of its own
@@ -24,16 +25,30 @@ other values never take.
 tuples instead: groups interleaved run by run, groups the manifest does
 not declare, widths that differ within a group, and parameter sets that
 differ from run to run.
+
+:func:`drive_plans` draws how a campaign is driven on a simulated
+cluster: a fault plan, a retry policy and an allocation budget.
 """
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.manifest import CampaignManifest, RunSpec
+from repro.resilience import (
+    CRASH_ON_START,
+    MID_RUN_CRASH,
+    STRAGGLER,
+    ExponentialBackoffPolicy,
+    FaultInjector,
+    FaultSpec,
+    FixedDelayPolicy,
+    RetryPolicy,
+)
 
 NAMES = ("a", "b", "c")
 
@@ -86,14 +101,17 @@ def sweeps(draw, index: int):
 
 
 @st.composite
-def campaigns(draw) -> Campaign:
-    """A whole campaign, composed through the Cheetah API."""
+def campaigns(draw, walltimes=st.just(1.0e6)) -> Campaign:
+    """A whole campaign, composed through the Cheetah API; each group's
+    walltime is drawn from ``walltimes``."""
     camp = Campaign(
         f"drawn-{draw(st.integers(0, 99))}",
         app=AppSpec("drawn", nodes_per_run=draw(st.integers(1, 3))),
     )
     for g in range(draw(st.integers(1, 3))):
-        group = camp.sweep_group(f"g{g}", nodes=draw(st.integers(1, 3)), walltime=1.0e6)
+        group = camp.sweep_group(
+            f"g{g}", nodes=draw(st.integers(1, 3)), walltime=draw(walltimes)
+        )
         drawn = []
         for s in range(draw(st.integers(1, 3))):
             if drawn and draw(st.integers(0, 4)) == 0:
@@ -106,6 +124,53 @@ def campaigns(draw) -> Campaign:
                 Sweep(params, filter=None if modulus is None else Prune(modulus), name=f"s{s}")
             )
     return camp
+
+
+@dataclass(frozen=True)
+class DrivePlan:
+    """How a campaign is driven on a simulated cluster: a fault plan
+    (``fault_specs``, seeded by ``fault_seed``), a retry policy (``None``:
+    the backend's default) and an allocation budget."""
+
+    fault_specs: tuple
+    fault_seed: int
+    retry_policy: object
+    max_allocations: int
+
+    def injector(self):
+        """A fresh injector per drive (an injector counts its faults)."""
+        if not self.fault_specs:
+            return None
+        return FaultInjector(self.fault_specs, seed=self.fault_seed)
+
+
+@st.composite
+def drive_plans(draw) -> DrivePlan:
+    """A fault plan over crash-on-start, mid-run crashes and stragglers
+    (often none), a retry policy of each kind (or the default), and one
+    to three allocations."""
+    kinds = draw(
+        st.sampled_from([()] * 3 + [(CRASH_ON_START,), (MID_RUN_CRASH,), (STRAGGLER,)])
+        | st.lists(
+            st.sampled_from([CRASH_ON_START, MID_RUN_CRASH, STRAGGLER]),
+            min_size=2, max_size=3, unique=True,
+        )
+    )
+    specs = [FaultSpec(kind, draw(st.sampled_from([0.15, 0.4]))) for kind in kinds]
+    retries = draw(st.integers(0, 2))
+    policy = draw(
+        st.sampled_from(
+            [
+                None,
+                RetryPolicy(max_retries=retries),
+                FixedDelayPolicy(max_retries=retries, delay_seconds=2.0),
+                ExponentialBackoffPolicy(max_retries=retries, base=1.0, jitter=0.5, seed=3),
+            ]
+        )
+    )
+    return DrivePlan(
+        tuple(specs), draw(st.integers(0, 9)), policy, draw(st.sampled_from([2, 1, 3]))
+    )
 
 
 @st.composite

@@ -25,7 +25,12 @@ class TestCreation:
         man = make_manifest()
         root = CampaignDirectory(tmp_path, man).create()
         assert (root / ".cheetah" / "manifest.json").exists()
-        assert (root / ".cheetah" / "status.json").exists()
+        # status.json appears with the first status write, naming every run.
+        assert not (root / ".cheetah" / "status.json").exists()
+        CampaignDirectory.open(root).set_status("g/run-0001", RunStatus.DONE)
+        assert json.loads((root / ".cheetah" / "status.json").read_text()) == {
+            run.run_id: "done" if run.run_id == "g/run-0001" else "pending" for run in man.runs
+        }
         export_directory(None, root)
         assert (root / "g" / "run-0000" / "params.json").exists()
 

@@ -201,14 +201,12 @@ class TestEngine:
         validate_event_stream(events)
 
     def test_duplicate_run_ids_raise(self):
-        from types import SimpleNamespace
-
-        from repro.cheetah.manifest import RunSpec
+        # Refused when the manifest is built, before any executor sees it.
+        from repro.cheetah.manifest import CampaignManifest, RunSpec
 
         run = RunSpec(run_id="g/run-0000", group="g", parameters={"x": 1})
-        fake = SimpleNamespace(campaign="dup", runs=(run, run))
         with pytest.raises(ValueError, match="duplicate run_ids"):
-            RealExecutor().execute(fake, square)
+            CampaignManifest(campaign="dup", app="a", runs=(run, run))
 
     def test_keyboard_interrupt_returns_partial_results(self, tmp_path):
         camp = Campaign("ki", app=AppSpec("f"))

@@ -16,12 +16,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
-from repro.cheetah.directory import CampaignDirectory, RunStatus
+from repro.cheetah.directory import CampaignDirectory, RunStatus, _journal_entries, journal_line
 from repro.cluster.job import Task, TaskAttempt, TaskState
 from repro.observability import BEGIN, END, GROUP_RESUMED, INSTANT, TASK, EventBus
 from repro.observability.events import AttemptBlock
 from repro.resilience import CampaignCheckpoint
-from repro.resilience.checkpoint import _journal_entries, _journal_line
 from repro.savanna import execute_campaign, execute_manifest
 
 from conftest import make_cluster
@@ -41,7 +40,7 @@ def make_directory(tmp_path, manifest):
 
 
 def journal_path(directory):
-    return directory.root / ".cheetah" / CampaignCheckpoint.JOURNAL_NAME
+    return directory.root / ".cheetah" / "journal.jsonl"
 
 
 def open_descriptors(path):
@@ -85,6 +84,11 @@ class TestCampaignCheckpoint:
             '{"run": "g/run-0000", "status": "done", "time": 1.0}\n'
             '{"run": "g/run-0001", "status": "bogus", "time": 2.0}\n'
         )
+        with pytest.raises(ValueError, match="'bogus' is not a valid RunStatus"):
+            CampaignCheckpoint(directory).compact()
+        assert not directory._status_path().exists()  # no status write yet
+        assert journal_path(directory).exists()
+        directory.set_status("g/run-0001", RunStatus.FAILED)
         before = directory._status_path().read_bytes()
         with pytest.raises(ValueError, match="'bogus' is not a valid RunStatus"):
             CampaignCheckpoint(directory).compact()
@@ -383,7 +387,7 @@ class TestJournalWriter:
     @example(run_id="g/run-0000", status=RunStatus.DONE, time=np.float64(2.25))
     def test_line_is_the_json_dumps_line(self, run_id, status, time):
         expected = json.dumps({"run": run_id, "status": status.value, "time": time}) + "\n"
-        assert _journal_line(run_id, status.value, time) == expected
+        assert journal_line(run_id, status.value, time) == expected
 
     @given(pieces=st.lists(_JOURNAL_PIECES, max_size=6), newline=st.booleans())
     @example(pieces=[_LINE, "not json", _LINE], newline=True)  # interior corruption
@@ -477,7 +481,7 @@ class TestJournalWriter:
         outcome_lines = [line for line in lines if b'"status": "running"' not in line]
         assert len(lines) == 2 * len(outcome_lines) == 12
         assert b"".join(outcome_lines[:-1]) == journals["blocks"]
-        assert outcome_lines[-1] == _journal_line("g/run-0005", "pending", 65.3).encode()
+        assert outcome_lines[-1] == journal_line("g/run-0005", "pending", 65.3).encode()
         assert counts == {"blocks": (len(outcomes), len(blocks)), "emitted": (12, 12)}
         assert statuses["blocks"] == statuses["emitted"]
         status = json.loads(statuses["blocks"])

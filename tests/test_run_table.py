@@ -266,9 +266,19 @@ def test_numpy_integers_are_widths():
     camp = Campaign("t", app=AppSpec("app", nodes_per_run=np.int32(2)))
     camp.sweep_group("g", nodes=4, walltime=1.0).add(Sweep([SweepParameter("x", [1])]))
     assert camp.to_manifest().runs.widths == (2,)
-    camp.app = AppSpec("app", nodes_per_run=1.5)
-    with pytest.raises(ValueError, match="run 'g/run-0000': nodes must be a whole number"):
-        camp.to_manifest()
+    with pytest.raises(ValueError, match="nodes_per_run must be a whole number"):
+        AppSpec("app", nodes_per_run=1.5)
+
+
+@pytest.mark.parametrize("nodes", [1.5, True, "2", 0])
+def test_an_app_spec_refuses_a_width_that_is_not_a_whole_number(nodes):
+    with pytest.raises(ValueError, match=f"nodes_per_run must be a whole number >= 1, got {nodes!r}"):
+        AppSpec("app", nodes_per_run=nodes)
+
+
+def test_an_app_spec_takes_a_numpy_integer_width_as_its_int():
+    app = AppSpec("app", nodes_per_run=np.int64(2))
+    assert app.nodes_per_run == 2 and type(app.nodes_per_run) is int
 
 
 # -- groups --------------------------------------------------------------------
@@ -293,7 +303,8 @@ def test_resume_keeps_the_status_checks(tmp_path):
     directory = CampaignDirectory(tmp_path, manifest)
     directory.create()
     path = directory._status_path()
-    record = json.loads(path.read_text())
+    assert not path.exists()  # every run PENDING until the first status write
+    record = dict.fromkeys(manifest.runs.ids, "pending")
     done = {"g/run-0000", "g/run-0002"}
     path.write_text(json.dumps({r: "done" if r in done else s for r, s in record.items()}))
     assert CampaignCheckpoint(directory).effective_status()["g/run-0000"] is RunStatus.DONE

@@ -352,6 +352,43 @@ class TestDirectoryStoreIntegration:
         with directory.open_store() as store:
             assert store.statuses(manifest.campaign)[rid] == "running"
 
+    def test_the_store_keeps_the_last_status_write(self, tmp_path, monkeypatch):
+        # This thread sets a run DONE, and its mirror into the store is
+        # held until another thread's update of the same run to FAILED
+        # returns, or for a second while that update waits on the status
+        # lock.  The store must end with what status.json holds.
+        import threading
+
+        manifest = make_manifest()
+        directory = CampaignDirectory(tmp_path, manifest)
+        directory.create()
+        with directory.open_store():  # materialize the store
+            pass
+        rid = manifest.runs[0].run_id
+        returned = threading.Event()
+
+        def fail_the_run():
+            directory.update_status({rid: RunStatus.FAILED})
+            returned.set()
+
+        other = threading.Thread(target=fail_the_run)
+        set_statuses = CampaignStore.set_statuses
+
+        def held(store, campaign, updates):
+            if threading.current_thread() is not other and not other.is_alive():
+                other.start()
+                returned.wait(timeout=1.0)
+            return set_statuses(store, campaign, updates)
+
+        monkeypatch.setattr(CampaignStore, "set_statuses", held)
+        directory.update_status({rid: RunStatus.DONE})
+        other.join(timeout=30.0)
+        assert returned.is_set()
+        status = directory.read_status()
+        assert status[rid] is RunStatus.FAILED
+        with directory.open_store() as store:
+            assert store.statuses(manifest.campaign) == {r: s.value for r, s in status.items()}
+
 
 class TestDriveIntegration:
     def test_real_drive_records_into_store(self, tmp_path):
@@ -420,6 +457,37 @@ class TestDriveIntegration:
         assert set(status.values()) == {"done"}
         with directory.open_store() as store:
             assert store.statuses(manifest.campaign) == status
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: a real drive journals DONE as each run settles "
+        "but stores the outcomes only after the pool drains, so a driver "
+        "that dies in between leaves DONE runs without an outcome, which "
+        "resume skips",
+    )
+    def test_every_done_run_has_a_stored_outcome_after_the_driver_dies(
+        self, tmp_path, monkeypatch
+    ):
+        # The driver's death between the journal's DONE lines and
+        # record_results stands in as record_results raising once.
+        from repro.savanna import execute_manifest
+
+        manifest = make_manifest(n=3)
+        record_results = CampaignDirectory.record_results
+
+        def dies(directory, results):
+            monkeypatch.setattr(CampaignDirectory, "record_results", record_results)
+            raise RuntimeError("the driver died before recording outcomes")
+
+        monkeypatch.setattr(CampaignDirectory, "record_results", dies)
+        drive = dict(backend="local-threads", directory=tmp_path, app_fn=_loss_app)
+        with pytest.raises(RuntimeError, match="the driver died"):
+            execute_manifest(manifest, **drive)
+        execute_manifest(manifest, resume=True, **drive)
+        directory = CampaignDirectory.open(tmp_path / manifest.campaign)
+        done = [rid for rid, s in directory.effective_status().items() if s is RunStatus.DONE]
+        assert done
+        assert [rid for rid in done if directory.read_run_result(rid) is None] == []
 
     def test_empty_store_file_starts_from_status_json(self, tmp_path):
         # A store file that does not hold the campaign (older store CLIs

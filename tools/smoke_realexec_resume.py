@@ -9,8 +9,12 @@ records at least two runs DONE, then resumes in-process with
 - the killed driver's worker processes exit on their own: its process
   group is empty within 10 s,
 - the journal's pending set is exactly what the resumed drive re-queues,
-- the resumed drive skips exactly the runs already recorded DONE, and
-- the campaign directory ends with every run DONE.
+- the resumed drive skips exactly the runs already recorded DONE,
+- the campaign directory ends with every run DONE, and
+- the record agrees with itself: ``status.json``, its journal overlay
+  and the store hold the same status for every run, and ``python -m
+  repro.store status`` prints the counts ``CampaignDirectory.summary()``
+  returns.
 
 This is the write-ahead-journal contract under the harshest failure a
 driver can suffer (SIGKILL: no handlers, no atexit, possibly a torn
@@ -182,7 +186,36 @@ def kill_and_resume(root: Path) -> int:
     assert all(s is RunStatus.DONE for s in status.values())
     print(f"resume re-queued exactly the {len(pending_before)} pending runs; "
           f"campaign complete ({N_RUNS}/{N_RUNS} done)")
+    check_record_agrees(directory)
     return 0
+
+
+def check_record_agrees(directory) -> None:
+    """``status.json``, the overlay, the store and the store CLI agree."""
+    from repro.resilience.checkpoint import CampaignCheckpoint
+
+    status = {rid: s.value for rid, s in directory.read_status().items()}
+    overlay = {rid: s.value for rid, s in CampaignCheckpoint(directory).effective_status().items()}
+    with directory.open_store() as store:
+        stored = store.statuses(directory.manifest.campaign)
+    assert status == overlay == stored, (
+        f"the record disagrees with itself: status.json {status}, "
+        f"overlay {overlay}, store {stored}"
+    )
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro.store", "status", str(directory.root)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    printed = {}
+    for line in cli.stdout.splitlines()[1:]:
+        name, count = line.split()
+        printed[name] = int(count)
+    summary = directory.summary()
+    assert printed == summary, f"store status printed {printed}, summary() is {summary}"
+    print(f"status.json, overlay, store and `repro.store status` agree: {summary}")
 
 
 def main() -> int:
