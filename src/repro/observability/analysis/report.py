@@ -20,9 +20,13 @@ write-only trace left manual:
   the campaign window, bucketed for text rendering.
 
 The report is computed on columns.  :class:`_Columns` reads the
-campaign's task spans once into numpy arrays (start, end, duration,
+campaign's task attempts once into numpy arrays (start, end, duration,
 outcome, allocation, group, faults, and one ``(attempt, node)`` pair per
-node an attempt occupied), and every section reads those arrays.  Each
+node an attempt occupied), and every section reads those arrays.  An
+emitted attempt is read from its task span, and a folded attempt
+block's attempt from the attempt itself; the report builds a task span
+(the one :meth:`SpanTrace.tasks_of` returns) only for an attempt it
+names: a critical-path task, a straggler, a retried attempt.  Each
 list is sorted once: the pairs by ``(node, start, end)`` for busy
 intervals, slack and idle time; the attempts by ``(end, -position)``
 for the critical-path walk; each group's done durations for its
@@ -52,13 +56,14 @@ in a metrics snapshot and in a report.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
+from itertools import accumulate, chain, groupby, repeat
 from operator import attrgetter
 
 import numpy as np
 
-from repro.observability.analysis.spans import SpanTrace
+from repro.observability.analysis.spans import SpanTrace, TaskSpan
 from repro.observability.metrics import _sorted_percentile, percentile
 
 #: Version tag carried by every serialized report (see analysis.io).
@@ -245,12 +250,60 @@ def _nodes_of(task) -> tuple:
     return task.nodes or ((task.node,) if task.node is not None else ())
 
 
+#: How each column reads one attempt: from an emitted attempt's task
+#: span, or from a folded block's attempt itself.
+_SPAN_READS = {
+    column: attrgetter(column) for column in ("start", "end", "outcome", "nodes", "task_id", "name")
+}
+_ATTEMPT_READS = {
+    "start": attrgetter("start"),
+    "end": attrgetter("end"),
+    "outcome": attrgetter("outcome._value_"),
+    "nodes": attrgetter("node_indices"),
+    "task_id": attrgetter("task.task_id"),
+    "name": attrgetter("task.name"),
+}
+
+
+def _sources(rows: list) -> list:
+    """``rows`` (see :meth:`SpanTrace._rows_of`) as sources: each run of
+    consecutive emitted spans as one list, each folded block's segment
+    as itself."""
+    sources = []
+    for kind, run in groupby(rows, type):
+        if kind is TaskSpan:
+            sources.append(list(run))
+        else:
+            sources.extend(run)
+    return sources
+
+
+class _Spans:
+    """The campaign's task spans by attempt position: an emitted
+    attempt's own span, and a folded attempt's built when first read."""
+
+    __slots__ = ("_sources", "_bases")
+
+    def __init__(self, sources: list, bases: list) -> None:
+        self._sources = sources
+        self._bases = bases  # each source's first position, then the count
+
+    def __len__(self) -> int:
+        return self._bases[-1]
+
+    def __getitem__(self, position: int) -> TaskSpan:
+        i = bisect_right(self._bases, position) - 1
+        source = self._sources[i]
+        offset = position - self._bases[i]
+        return source[offset] if source.__class__ is list else source.view(offset)
+
+
 def _coded(values: list) -> tuple[np.ndarray, dict]:
     """``values`` as integer codes numbered in first-appearance order,
     with the value -> code table (whose key order is that order)."""
+    if values and values.count(values[0]) == len(values):  # one value, no lookups
+        return np.zeros(len(values), np.intp), {values[0]: 0}
     table = {value: code for code, value in enumerate(dict.fromkeys(values))}
-    if len(table) == 1:
-        return np.zeros(len(values), np.intp), table
     return np.fromiter(map(table.__getitem__, values), np.intp, len(values)), table
 
 
@@ -275,13 +328,21 @@ def _running_total(values: np.ndarray) -> float:
 class _Columns:
     """One campaign's task attempts, read once into numpy columns.
 
+    ``rows`` are the campaign's rows in begin order
+    (:meth:`SpanTrace._rows_of`): emitted task spans, read as spans, and
+    folded blocks' segments, whose attempts are read directly, with the
+    segment's alloc and group and the faults its notes count.  A list of
+    task spans is such rows too.
+
     Per attempt, in begin order: ``start``, ``end``, ``duration``,
     ``outcome`` and ``group`` codes, ``faults`` and ``width`` (nodes
-    occupied).  Per ``(attempt, node)`` pair, in attempt order:
-    ``pair_task`` and ``pair_node``; attempt ``i``'s pairs are
-    ``pair_off[i]:pair_off[i + 1]``.  ``alloc_codes``, ``group_codes``
-    and ``node_codes`` map values to codes, numbered in first-appearance
-    order.
+    occupied), and the Python lists ``task_id`` and ``name``.  Per
+    ``(attempt, node)`` pair, in attempt order: ``pair_task`` and
+    ``pair_node``; attempt ``i``'s pairs are ``pair_off[i]:pair_off[i +
+    1]``.  ``alloc_codes``, ``group_codes`` and ``node_codes`` map
+    values to codes, numbered in first-appearance order.  ``spans[i]``
+    is attempt ``i``'s task span, built on first read for a folded
+    attempt.
 
     The orders the passes read, each sorted once:
 
@@ -297,21 +358,50 @@ class _Columns:
       ``(alloc, node)`` slice there.
     """
 
-    def __init__(self, tasks: list, window_end: float) -> None:
-        n = len(tasks)
-        self.start = start = np.fromiter(map(attrgetter("start"), tasks), np.float64, n)
-        self.end = end = np.fromiter(map(attrgetter("end"), tasks), np.float64, n)
+    def __init__(self, rows: list, window_end: float) -> None:
+        self._sources = sources = _sources(rows)
+        bases = list(accumulate(map(len, sources), initial=0))
+        self.spans = _Spans(sources, bases)
+        n = bases[-1]
+        # Each source's attempts, and how the columns read one of them.
+        read = [
+            (s, _SPAN_READS) if s.__class__ is list else (s.attempts, _ATTEMPT_READS)
+            for s in sources
+        ]
+
+        def column(name: str):
+            """The values of column ``name``, attempt by attempt."""
+            return chain.from_iterable(map(reads[name], records) for records, reads in read)
+
+        self.start = start = np.fromiter(column("start"), np.float64, n)
+        self.end = end = np.fromiter(column("end"), np.float64, n)
         self.duration = end - start
-        outcome, outcomes = _coded(list(map(attrgetter("outcome"), tasks)))
-        self.outcome = np.array([_OUTCOMES.get(o, _OTHER) for o in outcomes], np.int8)[outcome]
-        self.faults = np.fromiter(map(attrgetter("faults"), tasks), np.int64, n)
-        alloc, self.alloc_codes = _coded(list(map(attrgetter("alloc"), tasks)))
-        self.group, self.group_codes = _coded(
-            [group or "(ungrouped)" for group in map(attrgetter("group"), tasks)]
-        )
-        nodes = list(map(attrgetter("nodes"), tasks))
-        if not all(nodes):
-            nodes = list(map(_nodes_of, tasks))
+        self.outcome = np.fromiter(map(_OUTCOMES.get, column("outcome"), repeat(_OTHER)), np.int8, n)
+        self.task_id = list(column("task_id"))
+        self.name = list(column("name"))
+        self.faults = faults = np.zeros(n, np.int64)
+        allocs, groups = [], []
+        for base, source in zip(bases, sources):
+            if source.__class__ is list:
+                k = len(source)
+                faults[base : base + k] = np.fromiter(map(attrgetter("faults"), source), np.int64, k)
+                allocs += map(attrgetter("alloc"), source)
+                groups += [group or "(ungrouped)" for group in map(attrgetter("group"), source)]
+            else:
+                for offset, note in source.notes.items():
+                    faults[base + offset] = note.faults
+                allocs += repeat(source.alloc, len(source))
+                groups += repeat(source.group or "(ungrouped)", len(source))
+        alloc, self.alloc_codes = _coded(allocs)
+        self.group, self.group_codes = _coded(groups)
+        nodes = list(column("nodes"))
+        if not all(nodes):  # an emitted attempt may name one node, or none
+            nodes = list(
+                chain.from_iterable(
+                    map(_nodes_of if reads is _SPAN_READS else reads["nodes"], records)
+                    for records, reads in read
+                )
+            )
         per_task = np.fromiter(map(len, nodes), np.intp, n)
         self.width = np.maximum(per_task, 1)
         self.pair_off = np.concatenate(([0], np.cumsum(per_task)))
@@ -356,6 +446,22 @@ class _Columns:
         groups = self.pair_group[path]
         lo, hi = _runs(groups)
         self.path_slices = dict(zip(groups[lo].tolist(), zip(lo.tolist(), hi.tolist())))
+
+    def granted(self) -> list:
+        """The spans of the attempts with a retry or a backoff, in begin
+        order; a folded block's notes say which of its attempts."""
+        granted = []
+        for source in self._sources:
+            if source.__class__ is list:
+                granted += [t for t in source if t.retries_granted or t.backoff]
+            else:
+                notes = source.notes
+                granted += [
+                    source.view(offset)
+                    for offset in sorted(notes)
+                    if notes[offset].retries_granted or notes[offset].backoff
+                ]
+        return granted
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +669,10 @@ def _groups(cols: _Columns) -> list:
     return out
 
 
-def _per_group(tasks, cols: _Columns, groups) -> dict:
+def _per_group(cols: _Columns, groups) -> dict:
     out = {}
     for name, members, _, done in groups:
-        names = map(attrgetter("name"), map(tasks.__getitem__, members.tolist()))
+        names = cols.name if len(groups) == 1 else map(cols.name.__getitem__, members.tolist())
         row = {
             "attempts": len(members),
             "unique_tasks": len(set(names)),
@@ -609,7 +715,7 @@ def _stragglers(tasks, cols: _Columns, groups) -> list:
     return flagged
 
 
-def _retry_hotspots(tasks, granted, per_node) -> dict:
+def _retry_hotspots(cols: _Columns, granted, per_node) -> dict:
     """``granted``: the attempts, in order, with a retry or a backoff."""
     by_task: dict = {}  # task_id -> [retries, backoff]
     for t in granted:
@@ -617,7 +723,7 @@ def _retry_hotspots(tasks, granted, per_node) -> dict:
         row[0] += t.retries_granted
         row[1] += t.backoff
     hot = sorted((task_id, row) for task_id, row in by_task.items() if row[0] >= 2)
-    names = {t.task_id: t.name for t in tasks} if hot else {}  # the last attempt names it
+    names = dict(zip(cols.task_id, cols.name)) if hot else {}  # the last attempt names it
     hot_tasks = [
         {"task": names[task_id], "retries": retries, "backoff": backoff}
         for task_id, (retries, backoff) in hot
@@ -707,18 +813,18 @@ def _utilization(cols: _Columns, allocs, window, buckets: int = 16) -> dict:
 def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
     """Build the full report for one reconstructed campaign span."""
     window = trace.campaign_window(campaign)
-    tasks = trace.tasks_of(campaign)
     allocs = trace.allocs_of(campaign)
-    cols = _Columns(tasks, window[1])
+    cols = _Columns(trace._rows_of(campaign), window[1])
+    tasks = cols.spans
     groups = _groups(cols)
     per_node = _per_node(cols)
     critical_path = _critical_path(tasks, allocs, window, cols)
-    granted = [t for t in tasks if t.retries_granted or t.backoff]
+    granted = cols.granted()
     # Over retried attempts only: a campaign without retries reports int 0.
     retry_backoff = sum(t.backoff for t in granted if t.retries_granted)
     counts = {
         "attempts": len(tasks),
-        "unique_tasks": len(set(map(attrgetter("task_id"), tasks))),
+        "unique_tasks": len(set(cols.task_id)),
         "done": int(np.count_nonzero(cols.outcome == _DONE)),
         "failed": int(np.count_nonzero(cols.outcome == _FAILED)),
         "killed": int(np.count_nonzero(cols.outcome == _KILLED)),
@@ -752,10 +858,10 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
         critical_path=critical_path,
         critical_path_seconds=sum(el["duration"] for el in critical_path),
         attribution=_attribution(
-            cols, allocs, window, per_node, _per_group(tasks, cols, groups), retry_backoff
+            cols, allocs, window, per_node, _per_group(cols, groups), retry_backoff
         ),
         stragglers=_stragglers(tasks, cols, groups),
-        retry_hotspots=_retry_hotspots(tasks, granted, per_node),
+        retry_hotspots=_retry_hotspots(cols, granted, per_node),
         utilization=_utilization(cols, allocs, window),
         allocations=[
             {

@@ -21,11 +21,22 @@ an open span is closed at the stream's last observed time with
 answer "why was this campaign slow" about the runs that went *wrong*.
 A task attempt displaced by a second ``begin`` under its ``(pid,
 task_id)`` key before its ``end`` arrived is such a span too.
+
+A simulated allocation's published
+:class:`~repro.observability.events.AttemptBlock` folds as one row: the
+block's attempts themselves, in begin order, with the context their
+spans share and the notes its rare instants leave on them.  Its task
+spans are built from the attempts when they are first read
+(:attr:`SpanTrace.tasks`, :meth:`SpanTrace.tasks_of`), and the report's
+finalize reads its columns straight from the attempts, building a span
+only for an attempt the report names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 from repro.observability.events import (
     ALLOC,
@@ -35,6 +46,7 @@ from repro.observability.events import (
     END,
     GROUP,
     GROUP_RESUMED,
+    INSTANT,
     TASK,
     TASK_FAULT_INJECTED,
     TASK_REQUEUED,
@@ -127,16 +139,184 @@ class CampaignSpan:
     resumed_skipped: int = 0  # runs skipped by resume, from group.resumed
 
 
-class _Members:
-    """What one campaign span holds, in begin order."""
+class _Note:
+    """The task span fields a folded attempt's instants count, kept
+    until and after its span is built."""
 
-    __slots__ = ("campaign", "allocs", "tasks", "latest")
+    __slots__ = ("retries_granted", "backoff", "faults", "timed_out")
+
+    def __init__(self) -> None:
+        self.retries_granted = 0
+        self.backoff = 0.0
+        self.faults = 0
+        self.timed_out = False
+
+
+class _Segment:
+    """One folded attempt block: its attempts, in begin order, what their
+    task spans share, and ``notes``, offset in ``attempts`` -> the
+    :class:`_Note` of that attempt's instants.
+
+    :meth:`view` builds an attempt's :class:`TaskSpan` on first read and
+    keeps it; an instant that arrives later marks the span too
+    (:meth:`marked`).
+    """
+
+    __slots__ = ("attempts", "pid", "alloc", "group", "campaign", "notes", "_views", "_last")
+
+    def __init__(self, attempts: list, pid: int, alloc, group, campaign) -> None:
+        self.attempts = attempts
+        self.pid = pid
+        self.alloc = alloc
+        self.group = group
+        self.campaign = campaign
+        self.notes: dict = {}
+        self._views: list | None = None
+        self._last: dict | None = None
+
+    def __len__(self) -> int:
+        return len(self.attempts)
+
+    def view(self, offset: int) -> TaskSpan:
+        """The task span of ``attempts[offset]``, built on first read; its
+        fields are what the fold of the block's events gives, with a
+        ``payload`` dict of its own."""
+        views = self._views
+        if views is None:
+            views = self._views = [None] * len(self.attempts)
+        span = views[offset]
+        if span is None:
+            attempt = self.attempts[offset]
+            task = attempt.task
+            indices = attempt.node_indices
+            span = views[offset] = TaskSpan(
+                self.pid,
+                task.task_id,
+                task.name,
+                indices[0],
+                tuple(indices),
+                attempt_number(attempt),
+                float(attempt.start),
+                float(attempt.end),
+                attempt.outcome._value_,
+                dict(task.payload),
+                self.alloc,
+                self.group,
+                self.campaign,
+            )
+            note = self.notes.get(offset)
+            if note is not None:
+                span.retries_granted = note.retries_granted
+                span.backoff = note.backoff
+                span.faults = note.faults
+                span.timed_out = note.timed_out
+        return span
+
+    def views(self) -> list:
+        """Every attempt's task span, in begin order."""
+        view = self.view
+        return [view(offset) for offset in range(len(self.attempts))]
+
+    def marked(self, offset: int) -> tuple:
+        """What an instant on ``attempts[offset]`` counts on: its note,
+        and its span if one was built."""
+        note = self.notes.get(offset)
+        if note is None:
+            note = self.notes[offset] = _Note()
+        span = self._views[offset] if self._views is not None else None
+        return (note,) if span is None else (note, span)
+
+    def last_offset(self, task_id):
+        """The offset of the last attempt of ``task_id``, or None."""
+        if self._last is None:
+            ids = map(_ATTEMPT_TASK_ID, self.attempts)
+            self._last = {task: offset for offset, task in enumerate(ids)}
+        return self._last.get(task_id)
+
+
+_ATTEMPT_TASK_ID = attrgetter("task.task_id")
+_ATTEMPT_END = attrgetter("end")
+
+
+def _latest_begun(attempts: list, begun: int, task_id):
+    """The offset of the latest of ``attempts[:begun]`` of ``task_id``, or None."""
+    for offset in range(begun - 1, -1, -1):
+        if attempts[offset].task.task_id == task_id:
+            return offset
+    return None
+
+
+def _ends_after(block, index: int, attempt, time: float) -> bool:
+    """Whether ``attempt``, begun before ``block.items[index]`` (at
+    ``time``), ends after that item.  Times only decide it unless the
+    attempt ends at ``time``; then its end is among the items at
+    ``time`` that follow, if it is after."""
+    if attempt.end != time:
+        return attempt.end > time
+    items, phases = block.items, block.phases()
+    for later in range(index + 1, len(items)):
+        item = items[later]
+        if item is attempt:
+            return True
+        if item.__class__ is tuple:
+            at = item[2]
+        else:
+            at = item.start if phases[later] is BEGIN else item.end
+        if at > time:
+            return False
+    return False
+
+
+def _spans(rows) -> list:
+    """The task spans of ``rows`` (emitted spans and segments), in order."""
+    return list(
+        chain.from_iterable((row,) if row.__class__ is TaskSpan else row.views() for row in rows)
+    )
+
+
+class _Members:
+    """What one campaign span holds, in begin order.
+
+    ``rows`` holds its task attempts: an emitted attempt's
+    :class:`TaskSpan`, or a folded block's :class:`_Segment`.  A retry
+    lands on the latest attempt of its task: ``latest`` maps a task id
+    to its latest emitted span since the campaign's last segment, and
+    ``earlier`` holds the older such maps and the segments, oldest
+    first.
+    """
+
+    __slots__ = ("campaign", "allocs", "rows", "latest", "earlier")
 
     def __init__(self, campaign: CampaignSpan):
         self.campaign = campaign
         self.allocs: list = []
-        self.tasks: list = []
-        self.latest: dict = {}  # task_id -> its latest attempt (retries land there)
+        self.rows: list = []
+        self.latest: dict = {}
+        self.earlier: list = []
+
+    def add_segment(self, segment: _Segment) -> None:
+        self.rows.append(segment)
+        if self.latest:
+            self.earlier.append(self.latest)
+            self.latest = {}
+        self.earlier.append(segment)
+
+    def latest_of(self, task_id) -> tuple:
+        """What a retry of ``task_id`` counts on: the latest attempt of
+        that task begun in the campaign, if any."""
+        span = self.latest.get(task_id)
+        if span is not None:
+            return (span,)
+        for layer in reversed(self.earlier):
+            if layer.__class__ is dict:
+                span = layer.get(task_id)
+                if span is not None:
+                    return (span,)
+            else:
+                offset = layer.last_offset(task_id)
+                if offset is not None:
+                    return layer.marked(offset)
+        return ()
 
 
 @dataclass
@@ -149,13 +329,15 @@ class SpanTrace:
     report builder (:mod:`.streaming`) drives off the bus.
     ``from_events`` *is* that feed loop.  :meth:`feed_block` folds a
     simulated allocation's published
-    :class:`~repro.observability.events.AttemptBlock` into the same
-    spans without building its events.
+    :class:`~repro.observability.events.AttemptBlock` as one row of its
+    attempts, without building its events or its spans.  :attr:`tasks`
+    and :meth:`tasks_of` read every attempt as a :class:`TaskSpan`: an
+    emitted attempt's span is the one the fold made, and a block's are
+    built on first read and kept, so two reads return the same spans.
     """
 
     campaigns: list = field(default_factory=list)  # list[CampaignSpan]
     allocs: list = field(default_factory=list)  # list[AllocSpan]
-    tasks: list = field(default_factory=list)  # list[TaskSpan]
     requeues: list = field(default_factory=list)  # raw task.requeued events
     last_time: float = 0.0
 
@@ -166,12 +348,18 @@ class SpanTrace:
         self._open_campaign: dict[int, _Members] = {}
         self._open_group: dict[int, dict] = {}
         self._open_alloc: dict[int, AllocSpan] = {}
-        self._open_tasks: dict[tuple, TaskSpan] = {}
+        self._open_tasks: dict[tuple, TaskSpan] = {}  # emitted attempts only
         self._displaced: list[TaskSpan] = []  # open attempts a later begin replaced
         self._pending_submits: dict[tuple, float] = {}  # (pid, job) -> submit
         # id(campaign span) -> its members; ``campaigns`` keeps every
         # span alive, so the ids stay unique for the trace's lifetime.
         self._members: dict[int, _Members] = {}
+        self._rows: list = []  # every task attempt, as in _Members.rows
+
+    @property
+    def tasks(self) -> list:
+        """Every task attempt's span, in begin order (a new list)."""
+        return _spans(self._rows)
 
     @classmethod
     def from_events(cls, events) -> "SpanTrace":
@@ -214,7 +402,15 @@ class SpanTrace:
                     group=group,
                     campaign=campaign,
                 )
-                self._open_task(key, span, members)
+                # A begin displaces an attempt still open under its key.
+                displaced = self._open_tasks.get(key)
+                if displaced is not None:
+                    self._displaced.append(displaced)
+                self._open_tasks[key] = span
+                self._rows.append(span)
+                if members is not None:
+                    members.rows.append(span)
+                    members.latest[key[1]] = span
             elif phase == END:
                 span = self._open_tasks.pop(key, None)
                 if span is not None:
@@ -281,10 +477,8 @@ class SpanTrace:
                 span.reason = f.get("reason")
         elif name == TASK_RETRY:
             members = open_campaign.get(pid)
-            span = members.latest.get(f.get("task_id")) if members is not None else None
-            if span is not None:
-                span.retries_granted += 1
-                span.backoff += float(f.get("delay") or 0.0)
+            if members is not None:
+                _retried(members.latest_of(f.get("task_id")), f)
         elif name == TASK_TIMEOUT:
             span = self._open_tasks.get((pid, f.get("task_id")))
             if span is not None:
@@ -298,58 +492,82 @@ class SpanTrace:
 
     def feed_block(self, block) -> None:
         """Fold a published
-        :class:`~repro.observability.events.AttemptBlock` from its
-        attempts.
+        :class:`~repro.observability.events.AttemptBlock` as one row: its
+        ``attempts`` list, in begin order, and the context a span
+        beginning on the block's pid now has (a block is published
+        inside one allocation, and its specs are instants, which open
+        and close no span).  No span is built here.
 
-        The spans, their order, ``last_time`` and the handling of a
-        displaced attempt are what :meth:`feed` makes of the block's
-        events, one by one; a begin's span gets its own ``nodes`` tuple
-        and ``payload`` copy.  The block's spec items go through
-        :meth:`feed` itself, as the events they stand for, so a
-        ``task.requeued`` keeps its real ``seq``.  A block is published
-        inside one allocation and its specs are instants, which open and
-        close no span: every span it begins has the same context.
+        The spans the row reads as, their order, ``last_time`` and the
+        handling of a displaced attempt are what :meth:`feed` makes of
+        the block's events, one by one.  A ``task.retry`` lands on the
+        latest attempt of its task begun before it in the block, else in
+        the open campaign; a ``task.timeout`` or ``task.fault_injected``
+        on that attempt while it is still running, else on the emitted
+        attempt open under its key.  Any other spec goes through
+        :meth:`feed` as the event it stands for, so a ``task.requeued``
+        keeps its real ``seq``.  The work is per instant, not per
+        attempt: a block without instants costs one ``max`` over its
+        attempts' ends.
         """
         pid = block.pid
-        open_tasks = self._open_tasks
-        last = self.last_time
+        attempts = block.attempts
         members, alloc, group, campaign = self._context(pid)
-        for index, (item, phase) in enumerate(zip(block.items, block.phases())):
-            if item.__class__ is tuple:
-                self.last_time = last
-                self.feed(block.event(index))
-                last = self.last_time
-                continue
-            task = item.task
-            key = (pid, task.task_id)
-            if phase is BEGIN:
-                time = float(item.start)
-                indices = item.node_indices
-                span = TaskSpan(
-                    pid,
-                    key[1],
-                    task.name,
-                    indices[0],
-                    tuple(indices),
-                    attempt_number(item),
-                    time,
-                    None,
-                    None,
-                    dict(task.payload),
-                    alloc,
-                    group,
-                    campaign,
-                )
-                self._open_task(key, span, members)
+        segment = _Segment(attempts, pid, alloc, group, campaign)
+        if len(block.items) != 2 * len(attempts):
+            self._fold_instants(block, segment, members)
+        if self._open_tasks:
+            # Each attempt displaces an emitted one still open under its key.
+            open_tasks = self._open_tasks
+            for task_id in map(_ATTEMPT_TASK_ID, attempts):
+                displaced = open_tasks.pop((pid, task_id), None)
+                if displaced is not None:
+                    self._displaced.append(displaced)
+        if not attempts:
+            return
+        self._rows.append(segment)
+        if members is not None:
+            members.add_segment(segment)
+        end = max(map(_ATTEMPT_END, attempts))
+        if end > self.last_time:
+            self.last_time = float(end)
+
+    def _fold_instants(self, block, segment: _Segment, members) -> None:
+        """Fold the spec items of ``block``, whose attempts ``segment``
+        holds, in order; see :meth:`feed_block`."""
+        items, phases, attempts = block.items, block.phases(), block.attempts
+        index = seen = begun = 0
+        while True:
+            try:  # one C-level scan to the next instant
+                index = phases.index(INSTANT, index)
+            except ValueError:
+                return
+            begun += phases[seen:index].count(BEGIN)
+            seen = index
+            name, _, time, f = items[index]
+            if name == TASK_RETRY or name == TASK_TIMEOUT or name == TASK_FAULT_INJECTED:
+                time = float(time)
+                if time > self.last_time:
+                    self.last_time = time
+                task_id = f.get("task_id")
+                offset = _latest_begun(attempts, begun, task_id)
+                if name == TASK_RETRY:
+                    if members is not None:
+                        marked = (
+                            members.latest_of(task_id)
+                            if offset is None
+                            else segment.marked(offset)
+                        )
+                        _retried(marked, f)
+                elif offset is None:
+                    span = self._open_tasks.get((block.pid, task_id))
+                    if span is not None:
+                        _instant_on((span,), name)
+                elif _ends_after(block, index, attempts[offset], time):
+                    _instant_on(segment.marked(offset), name)
             else:
-                time = float(item.end)
-                span = open_tasks.pop(key, None)
-                if span is not None:
-                    span.end = time
-                    span.outcome = item.outcome._value_
-            if time > last:
-                last = time
-        self.last_time = last
+                self.feed(block.event(index))
+            index += 1
 
     def _context(self, pid: int) -> tuple:
         """What a task span beginning now on ``pid`` belongs to: the open
@@ -363,17 +581,6 @@ class SpanTrace:
             (self._open_group.get(pid) or {}).get("group"),
             members.campaign.name if members is not None else None,
         )
-
-    def _open_task(self, key: tuple, span: TaskSpan, members) -> None:
-        """Open ``span`` under ``key``, displacing an attempt still open there."""
-        displaced = self._open_tasks.get(key)
-        if displaced is not None:
-            self._displaced.append(displaced)
-        self._open_tasks[key] = span
-        self.tasks.append(span)
-        if members is not None:
-            members.tasks.append(span)
-            members.latest[key[1]] = span
 
     def close_open(self) -> None:
         """Close anything the stream left open at the last observed time.
@@ -405,6 +612,32 @@ class SpanTrace:
         return list(members.allocs) if members is not None else []
 
     def tasks_of(self, campaign: CampaignSpan) -> list:
-        """The task attempts that began inside ``campaign``, in begin order."""
+        """The task attempts that began inside ``campaign``, in begin
+        order, as the spans :attr:`tasks` holds."""
         members = self._members.get(id(campaign))
-        return list(members.tasks) if members is not None else []
+        return _spans(members.rows) if members is not None else []
+
+    def _rows_of(self, campaign: CampaignSpan) -> list:
+        """The task attempts that began inside ``campaign`` as rows, in
+        begin order: each emitted attempt's :class:`TaskSpan`, and each
+        folded block's segment (its ``attempts``, ``alloc``, ``group``,
+        ``notes`` and ``view(offset)``)."""
+        members = self._members.get(id(campaign))
+        return members.rows if members is not None else []
+
+
+def _retried(marked: tuple, fields: dict) -> None:
+    """Count a ``task.retry`` on each of ``marked``."""
+    delay = float(fields.get("delay") or 0.0)
+    for span in marked:
+        span.retries_granted += 1
+        span.backoff += delay
+
+
+def _instant_on(marked: tuple, name: str) -> None:
+    """Count a ``task.timeout`` or ``task.fault_injected`` on each of ``marked``."""
+    for span in marked:
+        if name == TASK_TIMEOUT:
+            span.timed_out = True
+        else:
+            span.faults += 1

@@ -2,13 +2,13 @@
 
 :class:`StreamingCampaignReport` subscribes to a bus and folds each
 event into a :class:`~repro.observability.analysis.spans.SpanTrace` the
-moment it is emitted (:meth:`SpanTrace.feed` — one span record per task
-attempt, allocation and campaign; instants collapse into counters on
-those spans; the raw event object is dropped on the spot).  The builder
-is batch-aware (:meth:`StreamingCampaignReport.on_batch`): a batch folds
-in one call, and the vectorized executors' attempt blocks fold straight
-from their attempts (:meth:`SpanTrace.feed_block`), with no event
-built.
+moment it is emitted (:meth:`SpanTrace.feed` — one span record per
+emitted task attempt, allocation and campaign; instants collapse into
+counters on those spans; the raw event object is dropped on the spot).
+The builder is batch-aware (:meth:`StreamingCampaignReport.on_batch`):
+a batch folds in one call, and each of the vectorized executors'
+attempt blocks folds as one row that keeps its attempts as they are
+(:meth:`SpanTrace.feed_block`), with no event and no task span built.
 
 :meth:`StreamingCampaignReport.reports` is the one finalize: it closes
 the spans the stream left open and runs
@@ -83,7 +83,7 @@ class StreamingCampaignReport:
 
     def on_batch(self, events) -> None:
         """Batch-aware subscriber hook (see ``EventBus.publish_batch``);
-        an attempt block folds from its attempts."""
+        an attempt block folds as one row of its attempts."""
         self._check_open()
         if isinstance(events, AttemptBlock):
             self.trace.feed_block(events)

@@ -25,11 +25,13 @@ task instants as specs.  Ordering and sequence numbering are identical
 to the equivalent ``emit`` loop, so subscribers that only understand
 single events observe the exact same stream.  Subscribers that declare
 an ``on_batch`` method (the Chrome-trace recorder, the streaming report
-builder, the checkpoint journal) receive the whole block in one call;
-the journal and the report read its attempts without any event being
-built, and the block builds its events once, for the first subscriber
-that iterates it, in fresh dicts and lists of their own.  ``emit``
-builds a fresh ``fields`` dict from its keyword arguments.
+builder, the checkpoint journal) receive the whole block in one call
+and build no event: the journal writes a line per attempt end, and the
+report keeps the block's attempts as one row, building a task span from
+an attempt only when one is read.  The block builds its events once,
+for the first subscriber that iterates it, in fresh dicts and lists of
+their own.  ``emit`` builds a fresh ``fields`` dict from its keyword
+arguments.
 """
 
 from __future__ import annotations

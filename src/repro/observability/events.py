@@ -202,26 +202,39 @@ class AttemptBlock:
     other item is a ``(name, INSTANT, time, fields)`` spec of an instant:
     the simulator's rare ``task.retry``, ``task.requeued``,
     ``task.timeout`` and ``task.fault_injected``.  Reading a block whose
-    spec has another phase raises ``ValueError``.  Both appearances of
-    an attempt sit in one block, and the attempt has ended when the
-    block is published: no attempt of a block is in flight.
+    spec has another phase raises ``ValueError``.  ``attempts`` lists the
+    block's attempts once each, in begin order: the allocation's own
+    attempt list, which the loops pass; a block built from ``items``
+    alone derives it once.
+
+    The block's attempts are finished and stay as they are: both
+    appearances of an attempt sit in one block, every attempt has ended
+    (no earlier than it started) when the block is published, kills
+    included, and no attempt is modified afterwards.  A task's attempts
+    in a block do not overlap.  The streaming report relies on this: it
+    keeps the attempts themselves, and reads them again whenever it
+    builds a task span from one, however late.
 
     :meth:`~repro.observability.EventBus.publish_batch` stamps the block
     with its bus's ``pid`` and the ``seq`` of its first event.  The block
     then reads as the :class:`Event` sequence its items stand for:
     ``len`` counts the events, and iterating or indexing builds them,
     once, on first use.  Subscribers that know the block (the checkpoint
-    journal, the streaming report) read ``items`` and :meth:`phases`
-    instead and build nothing.  Whichever way it is read, every event
-    matches the one the per-event engine emits: name, time, phase, seq,
-    pid, and its fields in the same key order, in dicts and lists of its
-    own.
+    journal, the streaming report) read ``items``, ``attempts`` and
+    :meth:`phases` instead and build nothing.  Whichever way it is read,
+    every event matches the one the per-event engine emits: name, time,
+    phase, seq, pid, and its fields in the same key order, in dicts and
+    lists of its own.
     """
 
-    __slots__ = ("items", "pid", "seq", "_phases", "_events")
+    __slots__ = ("items", "attempts", "pid", "seq", "_phases", "_events")
 
-    def __init__(self, items: list):
+    def __init__(self, items: list, attempts: list | None = None):
         self.items = items
+        if attempts is None:
+            attempts = {id(item): item for item in items if item.__class__ is not tuple}
+            attempts = list(attempts.values())
+        self.attempts = attempts
         self.pid = 0
         self.seq = 0
         self._phases: list | None = None
@@ -245,21 +258,24 @@ class AttemptBlock:
     def phases(self) -> list:
         """Each item's phase, in order: an attempt is ``begin`` where it
         first appears and ``end`` where it appears again, a spec is an
-        instant (``ValueError`` if its phase says otherwise)."""
+        instant (``ValueError`` if its phase says otherwise).  One walk,
+        with a cursor into ``attempts``: the next attempt to begin is
+        the next one there."""
         if self._phases is None:
             phases = []
             append = phases.append
-            begun = set()
+            begins = iter(self.attempts)
+            following = next(begins, None)
             for item in self.items:
-                if item.__class__ is tuple:
+                if item is following:
+                    append(BEGIN)
+                    following = next(begins, None)
+                elif item.__class__ is tuple:
                     if item[1] != INSTANT:
                         raise ValueError(f"a block holds instants as specs, not {item[:3]}")
                     append(INSTANT)
-                elif id(item) in begun:
-                    append(END)
                 else:
-                    begun.add(id(item))
-                    append(BEGIN)
+                    append(END)
             self._phases = phases
         return self._phases
 

@@ -357,7 +357,7 @@ class _VectorAllocationRun:
             # to this allocation's own outcome.
             self._draws.commit(len(self.outcome.attempts))
         if self._stream:
-            self.bus.publish_batch(AttemptBlock(self._stream))
+            self.bus.publish_batch(AttemptBlock(self._stream, self.outcome.attempts))
         self._stream = None
         if done_time is not None:
             self.finished = True

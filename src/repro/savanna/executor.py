@@ -85,21 +85,24 @@ class CampaignResult:
     tasks: list  # every Task handed to the executor
     outcomes: list = field(default_factory=list)  # list[AllocationOutcome]
 
+    # Each reader binds the states it compares with once: a campaign
+    # holds thousands of tasks, and an enum member lookup per task costs
+    # more than the comparison.
+
     @property
     def completed(self) -> list:
-        return [t for t in self.tasks if t.state is TaskState.DONE]
+        done = TaskState.DONE
+        return [t for t in self.tasks if t.state is done]
 
     @property
     def pending(self) -> list:
-        return [
-            t
-            for t in self.tasks
-            if t.state in (TaskState.PENDING, TaskState.KILLED, TaskState.FAILED)
-        ]
+        unfinished = (TaskState.PENDING, TaskState.KILLED, TaskState.FAILED)
+        return [t for t in self.tasks if t.state in unfinished]
 
     @property
     def all_done(self) -> bool:
-        return all(t.state is TaskState.DONE for t in self.tasks)
+        done = TaskState.DONE
+        return all(t.state is done for t in self.tasks)
 
     def completed_per_allocation(self) -> list[int]:
         return [o.completed_count for o in self.outcomes]

@@ -53,7 +53,8 @@ and its ``run_id`` alone (:func:`seed_for_run`); the worker seeds
 campaign executed twice — or resumed on a different pool — reproduces
 per-run randomness exactly.
 
-Cancellation: ``KeyboardInterrupt`` is caught, no further attempt is
+Cancellation: ``KeyboardInterrupt`` is caught (an app's own
+``KeyboardInterrupt`` or ``SystemExit`` too), no further attempt is
 started, one ``campaign.interrupted`` instant is emitted, and the
 partial results come back with ``status="interrupted"`` on everything
 unfinished — a resumed drive re-queues exactly those runs.  The same
@@ -828,10 +829,12 @@ class RealExecutor:
                     if not ok:
                         if not isinstance(reply, Exception):
                             # The app's own KeyboardInterrupt or SystemExit:
-                            # re-shelve so the interrupt handler below
-                            # records this run as interrupted too.
+                            # re-shelve the run and stop as a Ctrl-C does,
+                            # so the interrupt handler below records it as
+                            # interrupted too.  A SystemExit raised in this
+                            # process, not by the app, is not caught there.
                             running[slot] = info
-                            raise reply
+                            raise KeyboardInterrupt from reply
                         # The call never ran to an outcome (a lost worker,
                         # a call that does not pickle, a reply that does
                         # not unpickle here).

@@ -711,11 +711,14 @@ class TestAttemptBlock:
         event = AttemptBlock.event
         monkeypatch.setattr(AttemptBlock, "event", lambda self, i: built.append(i) or event(self, i))
         _, items = self._streams()
+        requeued = ("task.requeued", INSTANT, 9.0, {"task": "wide", "task_id": 0, "retries": 1})
         bus = EventBus()
         StreamingCampaignReport().attach(bus)
-        block = AttemptBlock(items)
+        block = AttemptBlock([*items, requeued])
         assert bus.publish_batch(block) is block
-        assert built == [3]  # the fold feeds the retry spec as its event
+        # The fold reads the retry spec itself, and feeds only the
+        # task.requeued spec as its event, for its seq.
+        assert built == [len(items)]
         built.clear()
         bus, seen = EventBus(), []
         bus.subscribe(seen.append)
@@ -724,6 +727,123 @@ class TestAttemptBlock:
         bus.publish_batch(block)
         assert built == list(range(len(items)))  # once, for both iterating subscribers
         assert seen == list(block)
+
+    # -- blocks among emitted events: the fold against the per-event fold --
+
+    @staticmethod
+    def _task_events(task_id, name, start, end, node=0, pid=7):
+        """An emitted attempt's begin and end events."""
+        begin = {"task": name, "task_id": task_id, "node": node, "nodes": [node], "attempt": 1}
+        end_fields = {"task": name, "task_id": task_id, "node": node, "outcome": "done"}
+        return [Event(TASK, start, BEGIN, 0, pid, begin), Event(TASK, end, END, 0, pid, end_fields)]
+
+    @staticmethod
+    def _both_folds(before, block, after):
+        """``(folded, replayed)``: the events ``before``, ``block`` and the
+        events ``after``, once through ``feed_block`` and once event by
+        event, each trace closed."""
+        block.pid, block.seq = 7, 1
+        folded, replayed = SpanTrace(), SpanTrace()
+        for event in before:
+            folded.feed(event)
+        folded.feed_block(block)
+        for event in after:
+            folded.feed(event)
+        for event in (*before, *block, *after):
+            replayed.feed(event)
+        for trace in (folded, replayed):
+            trace.close_open()
+        return folded, replayed
+
+    @staticmethod
+    def _rows(trace):
+        """Each task span's ``repr``, in ``tasks`` and per campaign, and
+        ``last_time``."""
+        return (
+            [repr(t) for t in trace.tasks],
+            [[repr(t) for t in trace.tasks_of(c)] for c in trace.campaigns],
+            trace.last_time,
+        )
+
+    def test_emitted_spans_around_a_block_keep_begin_order(self):
+        _, items = self._streams()
+        opened = Event("campaign", 0.0, BEGIN, 0, 7, {"campaign": "c"})
+        before = [opened, *self._task_events(900_001, "early", 0.0, 0.5)]
+        after = [
+            *self._task_events(900_002, "late", 9.0, 11.0),
+            Event("campaign", 12.0, END, 0, 7, {"campaign": "c"}),
+        ]
+        folded, replayed = self._both_folds(before, AttemptBlock(items), after)
+        assert self._rows(folded) == self._rows(replayed)
+        names = [t.name for t in folded.tasks_of(folded.campaigns[0])]
+        assert names == ["early", "wide", "small", "wide", "late"]
+        assert folded.last_time == 12.0
+
+    def test_an_emitted_retry_finds_the_latest_attempt_in_a_block(self):
+        _, items = self._streams()
+        wide = items[0].task
+        opened = Event("campaign", 0.0, BEGIN, 0, 7, {"campaign": "c"})
+        retry = {"task": "wide", "task_id": wide.task_id, "retries": 2, "delay": 5.0}
+        after = [Event("task.retry", 9.5, INSTANT, 0, 7, retry)]
+        folded, replayed = self._both_folds([opened], AttemptBlock(items), after)
+        assert self._rows(folded) == self._rows(replayed)
+        spans = folded.tasks
+        # The block's own retry lands on the first attempt, the emitted
+        # one on the second, which began later in the block.
+        assert [(t.name, t.attempt, t.retries_granted, t.backoff) for t in spans] == [
+            ("wide", 1, 1, 0.0),
+            ("small", 1, 0, 0.0),
+            ("wide", 2, 1, 5.0),
+        ]
+
+    def test_a_retry_in_a_block_without_a_campaign_lands_nowhere(self):
+        _, items = self._streams()
+        folded, replayed = self._both_folds([], AttemptBlock(items), [])
+        assert self._rows(folded) == self._rows(replayed)
+        assert [t.retries_granted for t in folded.tasks] == [0, 0, 0]
+        assert folded.campaigns == []
+
+    def test_block_instants_land_where_the_event_fold_puts_them(self):
+        # A fault and a timeout on attempts open in the block, a fault on
+        # an attempt that ended earlier in the block, and a timeout on an
+        # emitted attempt that a later attempt in the block displaces.
+        task = Task(name="t", duration=5.0)
+        other = Task(name="o", duration=5.0)
+        first = TaskAttempt(task, [0], 1.0, 2.0, TaskState.FAILED)
+        second = TaskAttempt(task, [1], 3.0, 5.0, TaskState.FAILED)
+        third = TaskAttempt(other, [2], 1.0, 6.0, TaskState.DONE)
+        task.attempts += [first, second]
+        other.attempts.append(third)
+
+        def instant(name, time, task, **fields):
+            return (name, INSTANT, time, {"task": task.name, "task_id": task.task_id, **fields})
+
+        items = [
+            instant("task.timeout", 1.0, other, node=2, timeout=1.0),  # the emitted attempt
+            first,
+            instant("task.fault_injected", 1.0, task, node=0, kind="crash"),
+            third,
+            first,
+            instant("task.retry", 2.0, task, retries=1, delay=1.0),
+            instant("task.fault_injected", 2.0, task, node=0, kind="crash"),  # ended
+            second,
+            instant("task.requeued", 3.0, task, retries=1),
+            instant("task.timeout", 5.0, task, node=1, timeout=2.0),
+            second,
+            third,
+        ]
+        opened = Event("campaign", 0.0, BEGIN, 0, 7, {"campaign": "c"})
+        leftover = self._task_events(other.task_id, "o", 0.5, 0.0)[0]  # begun, never ended
+        folded, replayed = self._both_folds([opened, leftover], AttemptBlock(items), [])
+        assert self._rows(folded) == self._rows(replayed)
+        assert [repr(e) for e in folded.requeues] == [repr(e) for e in replayed.requeues]
+        flags = [(t.name, t.faults, t.timed_out, t.retries_granted, t.end) for t in folded.tasks]
+        assert flags == [
+            ("o", 0, True, 0, 6.0),  # displaced, closed at the last time seen
+            ("t", 1, False, 1, 2.0),
+            ("o", 0, False, 0, 6.0),
+            ("t", 0, True, 0, 5.0),
+        ]
 
 
 class TestBatchedEmissionProperty:

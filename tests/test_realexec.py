@@ -98,6 +98,17 @@ def interrupt_on_two(params):
     return params["x"] * 10
 
 
+def exit_on_eight(params):
+    """Raises ``SystemExit(3)`` for x == 8."""
+    if params["x"] == 8:
+        raise SystemExit(3)
+    return params["x"] * 10
+
+
+def times_ten(params):
+    return params["x"] * 10
+
+
 class TestEngine:
     @pytest.mark.parametrize("pool", ["threads", "processes"])
     def test_runs_every_configuration(self, pool):
@@ -568,6 +579,33 @@ class TestDriveRealBackends:
         assert second.all_done
         status = resolve_campaign_dir(campaign_root / "ki-resume").read_status()
         assert all(s is RunStatus.DONE for s in status.values())
+
+    @pytest.mark.parametrize("backend", ["local-threads", "local-processes"])
+    def test_an_apps_system_exit_interrupts_the_drive(self, tmp_path, backend):
+        # One worker: runs 0-7 finish, run 8 raises SystemExit, and the
+        # drive takes the interrupt path instead of raising.
+        camp = Campaign("app-exit", app=AppSpec("f"))
+        camp.sweep_group("g", nodes=1, walltime=60.0).add(
+            Sweep([SweepParameter("x", tuple(range(20)))])
+        )
+        man = camp.to_manifest()
+        drive = dict(backend=backend, directory=tmp_path, max_workers=1)
+        first = execute_manifest(man, app_fn=exit_on_eight, **drive)
+        assert first.interrupted
+        assert first.results["g/run-0008"].status == "interrupted"
+        directory = resolve_campaign_dir(tmp_path / "app-exit")
+        done = [r for r, s in directory.effective_status().items() if s is RunStatus.DONE]
+        assert len(done) == 8
+        for run_id in done:
+            assert directory.read_run_result(run_id)["value"] == first.results[run_id].value
+
+        second = execute_manifest(man, app_fn=times_ten, resume=True, **drive)
+        assert second.all_done
+        assert set(second.results) == {f"g/run-{i:04d}" for i in range(8, 20)}
+        status = directory.effective_status()
+        assert all(s is RunStatus.DONE for s in status.values())
+        for i, run_id in enumerate(sorted(status)):
+            assert directory.read_run_result(run_id)["value"] == 10 * i
 
     def test_real_backend_requires_app_fn(self):
         with pytest.raises(ValueError, match="app_fn"):

@@ -14,7 +14,9 @@ event streams no drive emits — ``node`` without ``nodes`` and the
 reverse, attempts outside any allocation or naming an index no
 allocation of their campaign has, zero-length and sub-``_EPS``
 attempts, streams cut mid-attempt, displaced attempts, and campaigns
-with allocations but no attempts, or neither.
+with allocations but no attempts, or neither.  A drive's reports are
+checked twice: replayed from its recorded events, and folded live by a
+streaming report on its bus, which reads the drive's attempt blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.observability import (
     TASK_RETRY,
     EventBus,
 )
-from repro.observability.analysis import SpanTrace, analyze_events
+from repro.observability.analysis import SpanTrace, StreamingCampaignReport, analyze_events
 from repro.observability.analysis.report import _EPS
 from repro.observability.recorder import TraceRecorder, events_from_trace
 from test_simcore_equivalence import SCENARIOS, _cluster, _scenarios
@@ -62,13 +64,16 @@ def _leaves(value):
         yield value
 
 
-def assert_matches_oracle(events) -> list:
-    """The reports of ``events``, checked against the oracle's bytes."""
+def assert_matches_oracle(events, live=None) -> list:
+    """The reports of ``events``, checked against the oracle's bytes, as
+    are the reports ``live`` folded off the bus that emitted them."""
     reports = analyze_events(events)
     trace = SpanTrace.from_events(events)
     expected = [_report_oracle.report_for_campaign(trace, c) for c in trace.campaigns]
     dicts = [r.to_dict() for r in reports]
     assert json.dumps(dicts) == json.dumps([r.to_dict() for r in expected])
+    if live is not None:
+        assert json.dumps([r.to_dict() for r in live]) == json.dumps(dicts)
     odd = {type(leaf).__name__ for leaf in _leaves(dicts)} - {
         t.__name__ for t in _LEAF_TYPES
     }
@@ -76,19 +81,23 @@ def assert_matches_oracle(events) -> list:
     return reports
 
 
-def _drive_events(scenario, twice: bool) -> list:
+def _drive(scenario, twice: bool) -> tuple[list, list]:
+    """The recorded events of a drive, and the reports a streaming
+    report attached to its bus folded from its attempt blocks."""
     spec, faults, make_executor, make_tasks, run_kwargs = scenario
     cluster = _cluster(spec, faults)
     recorder = TraceRecorder().attach(cluster.bus)
+    builder = StreamingCampaignReport().attach(cluster.bus)
     for _ in range(2 if twice else 1):
         make_executor(cluster).run(make_tasks(), name="drawn", **run_kwargs)
     recorder.detach()
-    return recorder.events
+    builder.detach()
+    return recorder.events, builder.reports()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fixed_scenarios_match_the_oracle(name):
-    reports = assert_matches_oracle(_drive_events(SCENARIOS[name], twice=False))
+    reports = assert_matches_oracle(*_drive(SCENARIOS[name], twice=False))
     assert reports and reports[0].counts["attempts"] > 0
 
 
@@ -102,7 +111,7 @@ def test_committed_traces_match_the_oracle(trace_path):
 def test_generated_drives_match_the_oracle(scenario, twice):
     """``twice`` runs the drawn drive a second time on the same cluster
     under the same campaign name: two reports from one stream."""
-    reports = assert_matches_oracle(_drive_events(scenario, twice))
+    reports = assert_matches_oracle(*_drive(scenario, twice))
     assert len(reports) == (2 if twice else 1)
 
 

@@ -43,7 +43,8 @@ from _oracle import event_engine
 from repro.cluster.cluster import ClusterSpec, SimulatedCluster
 from repro.cluster.job import Task
 from repro.observability.analysis import StreamingCampaignReport
-from repro.observability.analysis.spans import SpanTrace
+from repro.observability.analysis.spans import SpanTrace, TaskSpan
+from repro.observability.events import TASK_RETRY
 from repro.observability.recorder import TraceRecorder
 from repro.resilience.policy import (
     ExponentialBackoffPolicy,
@@ -464,10 +465,11 @@ def _span_rows(trace):
     return rows
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_block_fold_matches_its_materialized_stream(name, monkeypatch):
-    """The span fold of each published attempt block equals the fold of
-    the events the block stands for, field by field."""
+def _assert_block_fold_matches(scenario, twice: bool = False) -> None:
+    """Drive ``scenario`` (a second time on the same cluster if
+    ``twice``) with a streaming report and a recorder attached: the span
+    fold of the published attempt blocks equals the fold of the events
+    they stand for, field by field."""
     blocks = []
     feed_block = SpanTrace.feed_block
 
@@ -475,18 +477,27 @@ def test_block_fold_matches_its_materialized_stream(name, monkeypatch):
         blocks.append(block)
         return feed_block(self, block)
 
-    monkeypatch.setattr(SpanTrace, "feed_block", counted)
-    spec, faults, make_executor, make_tasks, run_kwargs = SCENARIOS[name]
+    spec, faults, make_executor, make_tasks, run_kwargs = scenario
     cluster = _cluster(spec, faults)
     builder = StreamingCampaignReport().attach(cluster.bus)
     recorder = TraceRecorder().attach(cluster.bus)
-    make_executor(cluster).run(make_tasks(), **run_kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpanTrace, "feed_block", counted)
+        for _ in range(2 if twice else 1):
+            make_executor(cluster).run(make_tasks(), **run_kwargs)
     builder.detach()
     recorder.detach()
     assert blocks
     folded = builder.trace
     folded.close_open()
     assert _span_rows(folded) == _span_rows(SpanTrace.from_events(recorder.events))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_block_fold_matches_its_materialized_stream(name):
+    """The span fold of each published attempt block equals the fold of
+    the events the block stands for, field by field."""
+    _assert_block_fold_matches(SCENARIOS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +580,65 @@ def test_generated_scenarios_are_bit_identical(scenario):
     evt = _run(scenario, "event", True)
     assert vec["trace"] == evt["trace"]
     assert vec == evt
+
+
+def test_block_fold_builds_task_spans_only_when_read(monkeypatch):
+    """Folding the benchmark-shaped drive's block builds no task span.
+    Finalize builds one only for each attempt its report names: a
+    critical-path task, a straggler or a retried attempt.  A span read
+    from the trace is built once, and it is the one finalize built."""
+    built = []
+    init = TaskSpan.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TaskSpan, "__init__", counted)
+    spec, faults, make_executor, make_tasks, run_kwargs = SCENARIOS["pilot-e2ebench-shape"]
+    cluster = _cluster(spec, faults)
+    builder = StreamingCampaignReport().attach(cluster.bus)
+    retries = []
+    cluster.bus.subscribe(lambda e: e.name == TASK_RETRY and retries.append(e))
+    make_executor(cluster).run(make_tasks(), **run_kwargs)
+    builder.detach()
+    assert built == []
+
+    (report,) = builder.reports()
+    path = {
+        (el["label"], el["start"], el["end"])
+        for el in report.critical_path
+        if el["kind"] == "task"
+    }
+    stragglers = {(s["task"], s["node"], s["duration"]) for s in report.stragglers}
+    assert path and stragglers and retries
+
+    def named(span) -> bool:
+        label = f"{span.name} (attempt {span.attempt}, {span.outcome or 'open'})"
+        return (
+            (label, span.start, span.end) in path
+            or (span.name, span.node, span.duration) in stragglers
+            or bool(span.retries_granted or span.backoff)
+        )
+
+    assert all(map(named, built))
+    assert len({id(span) for span in built}) == len(built)
+    assert len(built) <= len(path) + len(stragglers) + len(retries)
+
+    trace = builder.trace
+    tasks = trace.tasks
+    assert len(tasks) == report.counts["attempts"] > 8000
+    assert all(trace.tasks[i] is tasks[i] for i in (0, 4000, len(tasks) - 1))
+    assert {id(span) for span in built} <= {id(span) for span in tasks}
+    assert [id(span) for span in trace.tasks_of(trace.campaigns[0])] == list(map(id, tasks))
+
+
+@settings(deadline=None)
+@given(_scenarios(), st.booleans())
+def test_generated_block_folds_match_their_materialized_streams(scenario, twice):
+    """Property: over generated drives, ``twice`` a second drive on the
+    same cluster, the block fold equals the fold of the block's events."""
+    _assert_block_fold_matches(scenario, twice)
 
 
 #: The timers that can outlive their allocation: (engine, callback).
